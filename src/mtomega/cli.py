@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -34,7 +35,6 @@ class RunConfig:
     digits: int = 60
     height_bound: int = 2**10
     output_format: str = "text"  # text | json | csv
-    seed: int = 0
     force: bool = False
     max_weight: int = 0  # 0 = suite default
 
@@ -163,11 +163,9 @@ def _suite_corollary52(cfg):
     primes = modular.primes_upto(cfg.prime_max)
     for w in range(4, max_w + 1):
         for k in words.indices_of_weight(w, min_len=2, min_part=2):
+            terms = words.corollary52_terms(k)
             for p in primes:
-                total = sum(
-                    modular.omega_mod(k[:j] + (k[j] - 1,) + k[j + 1 :], p)
-                    for j in range(len(k))
-                )
+                total = sum(modular.omega_mod(t, p) for t in terms)
                 yield (f"corollary52 finite {k} p={p}", total % p == 0)
     digits = 40
     tol = mp.mpf(10) ** (-digits + 5)
@@ -175,8 +173,8 @@ def _suite_corollary52(cfg):
         for k in words.indices_of_weight(w, min_len=2, min_part=2):
             with mp.workdps(digits + numeric.GUARD_DIGITS):
                 total = mp.fsum(
-                    numeric.omega_limit_num(k[:j] + (k[j] - 1,) + k[j + 1 :], digits).value
-                    for j in range(len(k))
+                    numeric.omega_limit_num(t, digits).value
+                    for t in words.corollary52_terms(k)
                 )
                 yield (f"corollary52 symmetric {k}", abs(total) < tol)
 
@@ -200,8 +198,6 @@ def _suite_specials(cfg):
             if p <= sum(k) + 2:
                 continue
             yield (f"two-one vanishing {k} p={p}", modular.omega_mod(k, p) == 0)
-    import math
-
     for kk in range(2, 7):
         for p in primes:
             if p < kk + 3:
@@ -366,7 +362,6 @@ def _add_common(p):
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--height-bound", dest="height_bound", type=int, default=None)
     p.add_argument("--format", choices=["text", "json", "csv"], default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true", default=None)
     p.add_argument("--config", default=None, help="key = value config file")
 

@@ -18,7 +18,7 @@ import functools
 import math
 from fractions import Fraction
 
-from . import words
+from . import sums, words
 from .errors import (
     LengthError,
     NotIntegralError,
@@ -72,14 +72,13 @@ class CycloCtx:
         if n in cls._instances:
             return cls._instances[n]
         if n < 2:
-            raise ValueError("need n >= 2")
+            raise RangeError(f"need n >= 2, got {n}")
         self = super().__new__(cls)
         self.n = n
         self.phi_n = cyclotomic_poly(n)
         self.degree = len(self.phi_n) - 1
         self._f_cache = {}
         self._qint_inv = {}
-        self._one_minus_zeta_pows = None
         cls._instances[n] = self
         return self
 
@@ -99,6 +98,17 @@ class CycloCtx:
         c = c[:deg]
         c.extend([0] * (deg - len(c)))
         return tuple(c)
+
+
+def _convolve(a, b) -> list:
+    """Product of two integer polynomials given as coefficient sequences."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return conv
 
 
 class CycloElem:
@@ -199,14 +209,7 @@ class CycloElem:
         if isinstance(other, (int, Fraction)):
             other = CycloElem.from_rational(self.ctx, other)
         self._check(other)
-        n1, n2 = self.num, other.num
-        conv = [0] * (len(n1) + len(n2) - 1)
-        for i, a in enumerate(n1):
-            if a:
-                for j, b in enumerate(n2):
-                    if b:
-                        conv[i + j] += a * b
-        return CycloElem(self.ctx, conv, self.den * other.den)
+        return CycloElem(self.ctx, _convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -336,30 +339,9 @@ def _f_weight(ctx: CycloCtx, m: int, k) -> CycloElem:
 @functools.lru_cache(maxsize=None)
 def _omega_at_root_sorted(index, n: int) -> CycloElem:
     ctx = CycloCtx(n)
-    cur = [None] * (n + 1)
-    for m in range(1, n):
-        cur[m] = _f_weight(ctx, m, index[0])
-    for ka in index[1:-1]:
-        new = [None] * (n + 1)
-        for s in range(2, n):  # partial sums above n - 1 can never complete
-            acc = None
-            for m in range(1, s):
-                prev = cur[s - m]
-                if prev is None:
-                    continue
-                term = prev * _f_weight(ctx, m, ka)
-                acc = term if acc is None else acc + term
-            new[s] = acc
-        cur = new
-    if len(index) == 1:
-        return cur[n] if cur[n] is not None else CycloElem.zero(ctx)
-    # last factor: only the coefficient of the full sum n is needed
-    acc = CycloElem.zero(ctx)
-    for m in range(1, n):
-        prev = cur[n - m]
-        if prev is not None:
-            acc = acc + prev * _f_weight(ctx, m, index[-1])
-    return acc
+    return sums.composition_sum(
+        index, n, functools.partial(_f_weight, ctx), CycloElem.zero(ctx)
+    )
 
 
 def omega_at_root(index, n: int) -> CycloElem:
@@ -377,29 +359,19 @@ def omega_at_root(index, n: int) -> CycloElem:
     return _omega_at_root_sorted(tuple(sorted(index, reverse=True)), n)
 
 
+def omega_gen(m: int, index, n: int) -> CycloElem:
+    """The generator value (1 - zeta_n)^m * omega_n(index; zeta_n)."""
+    val = omega_at_root(index, n)
+    return val * _one_minus_zeta_pow(n, m) if m else val
+
+
 @functools.lru_cache(maxsize=None)
 def _z_at_root_eword(eword, n: int) -> CycloElem:
     ctx = CycloCtx(n)
     if not eword:
         return CycloElem.one(ctx)
-    if n <= len(eword):
-        return CycloElem.zero(ctx)
-    level = [None] * n
-    for m in range(1, n):
-        level[m] = _f_weight(ctx, m, eword[-1])
-    for ka in reversed(eword[:-1]):
-        prefix = CycloElem.zero(ctx)
-        new = [None] * n
-        for m in range(1, n):
-            new[m] = _f_weight(ctx, m, ka) * prefix
-            if level[m] is not None:
-                prefix = prefix + level[m]
-        level = new
-    total = CycloElem.zero(ctx)
-    for m in range(1, n):
-        if level[m] is not None:
-            total = total + level[m]
-    return total
+    zero = CycloElem.zero(ctx)
+    return sum(sums.chain_levels(eword, n, functools.partial(_f_weight, ctx), zero), zero)
 
 
 def z_at_root(u, n: int) -> CycloElem:
@@ -411,9 +383,7 @@ def z_at_root(u, n: int) -> CycloElem:
     ctx = CycloCtx(n)
     if not isinstance(u, HbarSum):
         ew = tuple(u)
-        for l in ew:
-            if l != HAT1 and not (isinstance(l, int) and l >= 1):
-                raise ValueError(f"bad letter {l!r}")
+        words._check_eword(ew)
         return _z_at_root_eword(ew, n)
     total = CycloElem.zero(ctx)
     for (h, ew), c in u.items():
@@ -451,13 +421,7 @@ def reduce_at_one(x: CycloElem, p: int) -> int:
         c = c * CycloElem(ctx, [1] + [0] * (j - 1) + [-1])
     num = list(x.num)
     for _ in range(s * (p - 1)):
-        conv = [0] * (len(num) + ctx.degree)
-        for i, a in enumerate(num):
-            if a:
-                for j, b in enumerate(c.num):
-                    if b:
-                        conv[i + j] += a * b
-        num = list(ctx._reduce(conv))
+        num = list(ctx._reduce(_convolve(num, c.num)))
         if any(v % p for v in num):
             raise NotIntegralError(
                 "element is not integral at (1 - zeta_p) after clearing units"
@@ -494,17 +458,7 @@ def l_series_rational(u, q, order: int) -> list:
     def coeffs_for(ew):
         if not ew:
             return [Fraction(0)] * order  # L(1) = 1 has no positive coefficients
-        level = [Fraction(0)] * (order + 1)
-        for m in range(1, order + 1):
-            level[m] = f(m, ew[-1])
-        for ka in reversed(ew[:-1]):
-            prefix = Fraction(0)
-            new = [Fraction(0)] * (order + 1)
-            for m in range(1, order + 1):
-                new[m] = f(m, ka) * prefix
-                prefix += level[m]
-            level = new
-        return level[1:]
+        return sums.chain_levels(ew, order + 1, f, Fraction(0))[1:]
 
     if not isinstance(u, HbarSum):
         ew = tuple(u)
@@ -544,42 +498,12 @@ def check_q_kamano(index, n: int) -> bool:
 
 def check_sym_sum(index, n: int) -> bool:
     """Exact check of the binomial-weighted vanishing sum for all parts >= 2:
-
-    sum_j sum_l {prod_{p<j} C(k_p-2, l_p-2)} C(k_j-2, l_j-1)
-                {prod_{p>j} C(k_p-1, l_p-1)}
-                (1-zeta)^(sum(k_p-l_p)-1) omega_n(l; zeta_n) = 0.
+    the terms of words.vanishing_sum_terms(index), each evaluated as
+    coefficient * (1-zeta)^m * omega_n(l; zeta_n), add up to zero.
     """
     index = words.check_index(index)
-    r = len(index)
-    if r < 2 or any(k < 2 for k in index):
+    if len(index) < 2 or min(index) < 2:
         raise RangeError(f"need r >= 2 and all parts >= 2, got {index}")
-    ctx = CycloCtx(n)
-    total = CycloElem.zero(ctx)
-    import itertools
-
-    for j in range(r):
-        ranges = []
-        for p, kp in enumerate(index):
-            if p < j:
-                ranges.append(range(2, kp + 1))
-            elif p == j:
-                ranges.append(range(1, kp))
-            else:
-                ranges.append(range(1, kp + 1))
-        for ls in itertools.product(*ranges):
-            coeff = 1
-            for p, (kp, lp) in enumerate(zip(index, ls)):
-                if p < j:
-                    coeff *= math.comb(kp - 2, lp - 2)
-                elif p == j:
-                    coeff *= math.comb(kp - 2, lp - 1)
-                else:
-                    coeff *= math.comb(kp - 1, lp - 1)
-            if not coeff:
-                continue
-            m = sum(index) - sum(ls) - 1
-            term = coeff * omega_at_root(ls, n)
-            if m:
-                term = term * _one_minus_zeta_pow(n, m)
-            total = total + term
-    return not total
+    zero = CycloElem.zero(CycloCtx(n))
+    terms = words.vanishing_sum_terms(index).items()
+    return not sum((c * omega_gen(m, l, n) for (m, l), c in terms), zero)

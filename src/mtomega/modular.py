@@ -1,21 +1,16 @@
 """Finite-side arithmetic: harmonic and omega sums mod p, Bernoulli numbers.
 
-Residues are plain ints in [0, p); the prime is always explicit in the call
-or carried by the surrounding table.  Batch results are assembled into
-ResidueTable objects, rows indexed by generators and columns by an increasing
-list of primes (a truncation of an element of the ring that identifies
-families agreeing at all but finitely many primes).
+Residues are plain ints in [0, p); the prime is always explicit in the call,
+and every entry point rejects a modulus that is not prime with RangeError.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import words
+from . import sums, words
 from .errors import DenominatorError, LengthError, RangeError
 
 #: A residue is an int reduced into [0, p).
@@ -49,6 +44,14 @@ def is_prime(n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
+def _check_prime(p: int) -> None:
+    """Raise RangeError unless p is prime; cached, since the hot callers
+    revisit the same few primes many times."""
+    if not is_prime(p):
+        raise RangeError(f"modulus must be prime, got {p}")
+
+
+@functools.lru_cache(maxsize=256)
 def _inverses(p: int) -> tuple:
     """Inverse table mod p: inv[m] for 1 <= m < p (inv[0] unused)."""
     inv = [0] * p
@@ -62,24 +65,14 @@ def _inverses(p: int) -> tuple:
 def hsum_mod(index, p: int) -> Residue:
     """Multiple harmonic sum H_p(index) mod p.
 
-    Nested sum over p > m_1 > ... > m_r > 0 of the product of m_a^(-k_a),
-    computed by one prefix-sum pass per index entry.
+    Nested sum over p > m_1 > ... > m_r > 0 of the product of m_a^(-k_a).
     """
     index = words.check_index(index)
+    _check_prime(p)
     if not index:
-        return 1 % p
+        return 1
     inv = _inverses(p)
-    level = [0] * p  # level[m] = sum over chains starting at m_a = m
-    for m in range(1, p):
-        level[m] = pow(inv[m], index[-1], p)
-    for ka in reversed(index[:-1]):
-        prefix = 0
-        new = [0] * p
-        for m in range(1, p):
-            new[m] = pow(inv[m], ka, p) * prefix % p
-            prefix = (prefix + level[m]) % p
-        level = new
-    return sum(level) % p
+    return sum(sums.chain_levels(index, p, lambda m, k: pow(inv[m], k, p), 0)) % p
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,6 +98,7 @@ def omega_mod(index, p: int) -> Residue:
     index = words.check_index(index)
     if len(index) < 2:
         raise LengthError(f"omega_mod needs length >= 2, got {index}")
+    _check_prime(p)
     if p < len(index):
         return 0
     # symmetric in the index, so cache on the sorted tuple
@@ -113,6 +107,7 @@ def omega_mod(index, p: int) -> Residue:
 
 def zeta_word_mod(u: words.WordSum, p: int) -> Residue:
     """Linear extension of w -> hsum_mod(index_of_word(w), p)."""
+    _check_prime(p)
     total = 0
     for w, c in u.items():
         if c.denominator % p == 0:
@@ -148,28 +143,13 @@ def bern_div_mod(k: int, p: int) -> Residue:
     odd the index p-k is even and at most p-3, inside the p-integral range of
     the recurrence table.
     """
+    _check_prime(p)
     if not 2 <= k <= p - 2:
         raise RangeError(f"need 2 <= k <= p-2, got k={k}, p={p}")
     idx = p - k
     if idx % 2 == 1 and idx >= 3:
         return 0
     return _bernoulli_mod(p)[idx] * _inverses(p)[k % p] % p
-
-
-@dataclass(frozen=True)
-class ResidueTable:
-    """Residues of a list of generators over an increasing list of primes."""
-
-    labels: tuple
-    primes: tuple
-    rows: tuple  # rows[i][j] = residue of generator i at primes[j]
-    dropped: tuple  # primes removed because some cell hit a DenominatorError
-
-    def to_csv(self) -> str:
-        lines = ["index," + ",".join(str(p) for p in self.primes)]
-        for label, row in zip(self.labels, self.rows):
-            lines.append(label + "," + ",".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
 
 
 def format_index(index) -> str:
@@ -182,31 +162,3 @@ def parse_index(s: str):
     except ValueError:
         raise ValueError(f"bad index syntax (want k1.k2.k3): {s!r}") from None
     return words.check_index(parts)
-
-
-def residue_table(generators, primes) -> ResidueTable:
-    """Evaluate omega_mod (for indices) or zeta_word_mod (for word sums) on a
-    grid of primes.  Primes where any cell raises DenominatorError are dropped
-    from every row and reported in the result."""
-    generators = list(generators)
-    primes = sorted(primes)
-    labels = []
-    for i, g in enumerate(generators):
-        labels.append(format_index(g) if isinstance(g, tuple) else f"w{i}")
-    cols = {}
-    dropped = []
-    for p in primes:
-        col = []
-        try:
-            for g in generators:
-                if isinstance(g, tuple):
-                    col.append(omega_mod(g, p))
-                else:
-                    col.append(zeta_word_mod(g, p))
-        except DenominatorError:
-            dropped.append(p)
-            continue
-        cols[p] = col
-    kept = [p for p in primes if p in cols]
-    rows = tuple(tuple(cols[p][i] for p in kept) for i in range(len(generators)))
-    return ResidueTable(tuple(labels), tuple(kept), rows, tuple(dropped))

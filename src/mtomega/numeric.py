@@ -17,13 +17,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
-from . import words
-from .errors import LengthError, NotAdmissibleError
-from .words import X0, X1, WordSum
+from . import sums, words
+from .errors import LengthError, NotAdmissibleError, RangeError
+from .words import X1, WordSum
 
 GUARD_DIGITS = 15
 
@@ -81,16 +80,7 @@ def _li_half(index, digits: int) -> mp.mpf:
     r = len(index)
     order = _li_truncation_order(r, digits)
     with mp.workdps(digits + GUARD_DIGITS):
-        level = [mp.mpf(0)] * (order + 1)
-        for m in range(1, order + 1):
-            level[m] = mp.mpf(m) ** (-index[-1])
-        for s in reversed(index[:-1]):
-            prefix = mp.mpf(0)
-            new = [mp.mpf(0)] * (order + 1)
-            for m in range(1, order + 1):
-                new[m] = mp.mpf(m) ** (-s) * prefix
-                prefix += level[m]
-            level = new
+        level = sums.chain_levels(index, order + 1, lambda m, s: mp.mpf(m) ** (-s), mp.mpf(0))
         half = mp.mpf(1) / 2
         total = mp.mpf(0)
         power = mp.mpf(1)
@@ -189,11 +179,8 @@ def omega_circle_num(index, n: int, digits: int = 30, normalized: bool = False) 
     if r < 2:
         raise LengthError(f"omega_circle_num needs length >= 2, got {index}")
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise RangeError(f"need n >= 2, got {n}")
     with mp.workdps(digits + GUARD_DIGITS):
-        zero = BigReal(mp.mpf(0), digits)
-        if n < r:
-            return BigComplex(zero, zero)
         pi_n = mp.pi / n
         sin_pi_n = mp.sin(pi_n)
         inv_qint = [mp.mpc(0)] * n
@@ -204,21 +191,7 @@ def omega_circle_num(index, n: int, digits: int = 30, normalized: bool = False) 
         def f(m, k):
             return q_pow[((k - 1) * m) % n] * inv_qint[m] ** k
 
-        cur = [None] * (n + 1)
-        for m in range(1, n):
-            cur[m] = f(m, index[0])
-        for ka in index[1:]:
-            new = [None] * (n + 1)
-            for s in range(2, n + 1):
-                acc = mp.mpc(0)
-                hit = False
-                for m in range(1, s):
-                    if cur[s - m] is not None:
-                        acc += cur[s - m] * f(m, ka)
-                        hit = True
-                new[s] = acc if hit else None
-            cur = new
-        val = cur[n] if cur[n] is not None else mp.mpc(0)
+        val = sums.composition_sum(index, n, f, mp.mpc(0))
         if normalized:
             val /= (mp.expjpi(mp.mpf(1) / n) * n / mp.pi * sin_pi_n) ** sum(index)
         return BigComplex(BigReal(+val.real, digits), BigReal(+val.imag, digits))

@@ -16,7 +16,6 @@ and `conjectural` otherwise.  Dimension = generators - relations.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,44 +95,7 @@ def primitive_integer(vector):
 
 
 # ---------------------------------------------------------------------------
-# integer lattices: HNF and LLL
-
-
-def hnf(rows):
-    """Row-style Hermite normal form (canonical basis of the row lattice)."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    out = []
-    col = 0
-    while rows and col < ncols:
-        rows.sort(key=lambda r: (r[col] == 0, abs(r[col])))
-        if rows[0][col] == 0:
-            col += 1
-            continue
-        # gcd-reduce every other row against the smallest pivot
-        done = True
-        for r in rows[1:]:
-            if r[col]:
-                q = r[col] // rows[0][col]
-                for j in range(ncols):
-                    r[j] -= q * rows[0][j]
-                done = done and r[col] == 0
-        if not done:
-            continue
-        piv = rows.pop(0)
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        for prev in out:  # entries above a pivot reduced into [0, pivot)
-            q = prev[col] // piv[col]
-            if q:
-                for j in range(ncols):
-                    prev[j] -= q * piv[j]
-        out.append(piv)
-        rows = [r for r in rows if any(r)]
-        col += 1
-    return [tuple(r) for r in out]
+# integer lattices: LLL
 
 
 def lll_reduce(basis, delta=Fraction(3, 4)):
@@ -309,9 +271,8 @@ def _cor52_vectors(weight, gen_pos):
         if min(t) < 2:
             continue
         acc = [0] * len(gen_pos)
-        for j in range(len(t)):
-            dec = tuple(sorted(t[:j] + (t[j] - 1,) + t[j + 1 :], reverse=True))
-            acc[gen_pos[dec]] += 1
+        for dec in words.corollary52_terms(t):
+            acc[gen_pos[tuple(sorted(dec, reverse=True))]] += 1
         out.append(acc)
     return out
 
@@ -334,47 +295,16 @@ def _proven_finite_span(weight, gens):
     return vs
 
 
-def _thm51_instance_vector(ks, gen_pos):
-    """Coefficient vector (over (m, sorted index) generators) of one instance
-    of the binomial-weighted vanishing sum for a tuple with parts >= 2."""
-    acc = {}
-    r = len(ks)
-    for j in range(r):
-        ranges = []
-        for p, kp in enumerate(ks):
-            if p < j:
-                ranges.append(range(2, kp + 1))
-            elif p == j:
-                ranges.append(range(1, kp))
-            else:
-                ranges.append(range(1, kp + 1))
-        for ls in itertools.product(*ranges):
-            coeff = 1
-            for p, (kp, lp) in enumerate(zip(ks, ls)):
-                if p < j:
-                    coeff *= math.comb(kp - 2, lp - 2)
-                elif p == j:
-                    coeff *= math.comb(kp - 2, lp - 1)
-                else:
-                    coeff *= math.comb(kp - 1, lp - 1)
-            if not coeff:
-                continue
-            m = sum(ks) - sum(ls) - 1
-            key = (m, tuple(sorted(ls, reverse=True)))
-            acc[key] = acc.get(key, 0) + coeff
-    v = [0] * len(gen_pos)
-    for key, c in acc.items():
-        v[gen_pos[key]] += c
-    return v
-
-
 def _proven_cyclo_span(weight, gens):
     """Span of cyclotomic relations proved by the all-n vanishing theorem,
     together with (1 - zeta) shifts of the proven span one weight down."""
     gen_pos = {g: i for i, g in enumerate(gens)}
     vs = []
-    for ks in _compositions_min2(weight + 1):
-        vs.append(_thm51_instance_vector(ks, gen_pos))
+    for ks in words.indices_of_weight(weight + 1, min_len=2, min_part=2):
+        v = [0] * len(gens)
+        for key, c in words.vanishing_sum_terms(ks).items():
+            v[gen_pos[key]] += c
+        vs.append(v)
     if weight >= 3:
         lower = cyclo_generators(weight - 1)
         for v in _proven_cyclo_span(weight - 1, lower):
@@ -386,24 +316,21 @@ def _proven_cyclo_span(weight, gens):
     return vs
 
 
-def _compositions_min2(total):
-    """Ordered tuples with all parts >= 2 (at least two parts)."""
-    out = []
+def _mined(provenance, weight, labels, vectors, is_proven=None, dimension=None):
+    """Relation basis and dimension report of one miner's result.
 
-    def rec(rest, parts):
-        if rest == 0 and len(parts) >= 2:
-            out.append(tuple(parts))
-        for k in range(2, rest + 1):
-            if rest - k == 0 or rest - k >= 2:
-                rec(rest - k, parts + [k])
-
-    rec(total, [])
-    return out
-
-
-def _statuses(vectors, proven_span):
-    return tuple(
-        "proven" if in_span(v, proven_span) else "conjectural" for v in vectors
+    The vectors are sorted by (1-norm, entries) and each is tagged by
+    `is_proven`; the dimension defaults to generators - relations.  With no
+    generators this is the proven dimension 0.
+    """
+    vectors = sorted(vectors, key=lambda v: (sum(abs(x) for x in v), v))
+    statuses = tuple("proven" if is_proven(v) else "conjectural" for v in vectors)
+    d = len(labels)
+    if dimension is None:
+        dimension = d - len(vectors)
+    return (
+        RelationBasis(tuple(labels), tuple(vectors), statuses, provenance),
+        DimReport(weight, d, len(vectors), dimension, _overall_status(statuses, dimension, d)),
     )
 
 
@@ -450,10 +377,7 @@ def finite_relation_space(
     gens = finite_generators(weight)
     d = len(gens)
     if d == 0:
-        return (
-            RelationBasis((), (), (), "finite"),
-            DimReport(weight, 0, 0, 0, "proven"),
-        )
+        return _mined("finite", weight, (), ())
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
     for p in training_primes:
         c = [modular.omega_mod(g, p) for g in gens]
@@ -479,17 +403,10 @@ def finite_relation_space(
             for q in holdout_primes
         ):
             kept.append(primitive_integer(row))
-    kept.sort(key=lambda v: (sum(abs(x) for x in v), v))
     proven = _proven_finite_span(weight, gens)
-    statuses = _statuses(kept, proven)
-    basis_out = RelationBasis(
-        tuple((0, g) for g in gens), tuple(kept), statuses, "finite"
+    return _mined(
+        "finite", weight, [(0, g) for g in gens], kept, lambda v: in_span(v, proven)
     )
-    report = DimReport(
-        weight, d, len(kept), d - len(kept),
-        _overall_status(statuses, d - len(kept), d),
-    )
-    return basis_out, report
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +422,6 @@ def cyclo_generators(weight):
     return tuple(out)
 
 
-def _cyclo_gen_value(gen, n):
-    m, idx = gen
-    val = cyclo.omega_at_root(idx, n)
-    if m:
-        val = val * cyclo._one_minus_zeta_pow(n, m)
-    return val
-
-
 def cyclotomic_relation_space(weight: int, n_range=None):
     """Exact rational kernel of the stacked Q(zeta_n) constraints.
 
@@ -526,15 +435,12 @@ def cyclotomic_relation_space(weight: int, n_range=None):
     gens = cyclo_generators(weight)
     d = len(gens)
     if d == 0:
-        return (
-            RelationBasis((), (), (), "cyclotomic"),
-            DimReport(weight, 0, 0, 0, "proven"),
-        )
+        return _mined("cyclotomic", weight, (), ())
     kernel = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     for n in n_range:
         if not kernel:
             break
-        vals = [_cyclo_gen_value(g, n) for g in gens]
+        vals = [cyclo.omega_gen(m, idx, n) for m, idx in gens]
         degree = cyclo.CycloCtx(n).degree
         rows = []
         for slot in range(degree):
@@ -553,24 +459,11 @@ def cyclotomic_relation_space(weight: int, n_range=None):
             for x in sol
         ]
     red, _ = rref(kernel) if kernel else ([], [])
-    vectors = [primitive_integer(v) for v in red]
-    vectors.sort(key=lambda v: (sum(abs(x) for x in v), v))
     proven = _proven_cyclo_span(weight, gens)
-    statuses = _statuses(vectors, proven)
-    basis_out = RelationBasis(gens, tuple(vectors), statuses, "cyclotomic")
-    report = DimReport(
-        weight, d, len(vectors), d - len(vectors),
-        _overall_status(statuses, d - len(vectors), d),
+    return _mined(
+        "cyclotomic", weight, gens, [primitive_integer(v) for v in red],
+        lambda v: in_span(v, proven),
     )
-    return basis_out, report
-
-
-def cyclotomic_dimensions(weights, n_range=None):
-    """Dimension and quotient dimension (modulo one more 1-zeta power) per weight."""
-    weights = sorted(set(weights))
-    need = set(weights) | {w - 1 for w in weights if w - 1 >= 2}
-    dims = {w: cyclotomic_relation_space(w, n_range)[1].dimension for w in sorted(need)}
-    return {w: (dims[w], dims[w] - dims.get(w - 1, 0)) for w in weights}
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +499,7 @@ def symmetric_relation_space(weight: int, digits: int = 60, max_height: int = 10
     gens = symmetric_generators(weight)
     d = len(gens)
     if d == 0:
-        return (
-            RelationBasis((), (), (), "symmetric"),
-            DimReport(weight, 0, 0, 0, "proven"),
-        )
+        return _mined("symmetric", weight, (), ())
     values = [numeric.omega_limit_num(g, digits) for g in gens]
     aug = _augmentation_words(weight - 2)
     with mp.workdps(digits + numeric.GUARD_DIGITS):
@@ -650,23 +540,15 @@ def symmetric_relation_space(weight: int, digits: int = 60, max_height: int = 10
     # dimension counts the Omega block of the quotient
     omega_parts = [list(v[:d]) for v in found]
     dim = d - rank([r for r in omega_parts if any(r)])
-    vectors = sorted(found, key=lambda v: (sum(abs(x) for x in v), v))
     proven_fin = _proven_finite_span(weight, gens)
     # a relation is proven when its Omega-block statement (mod zeta(2) times a
     # zeta value) follows from the proved special values; pure-augmentation
     # relations are classical zeta identities found numerically, so they stay
     # conjectural here
-    statuses = tuple(
-        "proven" if any(v[:d]) and in_span(v[:d], proven_fin) else "conjectural"
-        for v in vectors
+    return _mined(
+        "symmetric", weight, [(0, g) for g in gens], found,
+        lambda v: any(v[:d]) and in_span(v[:d], proven_fin), dim,
     )
-    basis_out = RelationBasis(
-        tuple((0, g) for g in gens), tuple(vectors), statuses, "symmetric"
-    )
-    report = DimReport(
-        weight, d, len(vectors), dim, _overall_status(statuses, dim, d)
-    )
-    return basis_out, report
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +591,7 @@ def product_identity_checks(n_range=None):
             lhs = cyclo.omega_at_root(ka, n) * cyclo.omega_at_root(kb, n)
             acc = cyclo.CycloElem.zero(cyclo.CycloCtx(n))
             for coeff, m, idx in rhs:
-                term = cyclo.omega_at_root(idx, n) * coeff
-                if m:
-                    term = term * cyclo._one_minus_zeta_pow(n, m)
-                acc = acc + term
+                acc = acc + cyclo.omega_gen(m, idx, n) * coeff
             if lhs != acc:
                 failures.append(n)
         out.append({"identity": name, "ok": not failures, "failures": failures})

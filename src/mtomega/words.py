@@ -22,17 +22,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .errors import (
-    EmptyWordError,
-    InternalClosureError,
-    LengthError,
-    NotInH1Error,
-)
+from .errors import EmptyWordError, LengthError, NotInH1Error
 
 X0 = 0
 X1 = 1
@@ -49,14 +45,6 @@ Scalar = Union[int, Fraction]
 
 # ---------------------------------------------------------------------------
 # indices
-
-
-def weight(index: Index) -> int:
-    return sum(index)
-
-
-def length(index: Index) -> int:
-    return len(index)
 
 
 def is_admissible(index: Index) -> bool:
@@ -104,6 +92,38 @@ def partitions_of_weight(w: int, min_len: int = 2) -> list[Index]:
     rec(w, w, [])
     out.sort(reverse=True)
     return out
+
+
+def vanishing_sum_terms(index: Index) -> dict:
+    """Terms of the binomial-weighted vanishing sum (Theorem 5.1) of an index
+    whose parts are all >= 2, as {(m, l): coefficient} with l sorted
+    descending.  The theorem says that
+
+      sum_j sum_l {prod_{p<j} C(k_p-2, l_p-2)} C(k_j-2, l_j-1)
+                  {prod_{p>j} C(k_p-1, l_p-1)} (1-zeta)^m omega_n(l; zeta_n) = 0
+
+    with m = sum(k) - sum(l) - 1, for every n; omega is symmetric in l, so
+    the terms are collected on the sorted l.
+    """
+    acc = {}
+    for j in range(len(index)):
+        # part p contributes C(top_p, l_p - shift_p) for l_p - shift_p in 0..top_p
+        parts = [
+            (k - 2, 2) if p < j else (k - 2, 1) if p == j else (k - 1, 1)
+            for p, k in enumerate(index)
+        ]
+        for us in itertools.product(*(range(top + 1) for top, _shift in parts)):
+            ls = tuple(u + shift for u, (_top, shift) in zip(us, parts))
+            coeff = math.prod(math.comb(top, u) for u, (top, _shift) in zip(us, parts))
+            key = (sum(index) - sum(ls) - 1, tuple(sorted(ls, reverse=True)))
+            acc[key] = acc.get(key, 0) + coeff
+    return acc
+
+
+def corollary52_terms(index: Index) -> list[Index]:
+    """The indices of Corollary 5.2's vanishing sum over an index with parts
+    >= 2: sum_j omega(k_1, ..., k_j - 1, ..., k_r) = 0, one index per j."""
+    return [index[:j] + (k - 1,) + index[j + 1 :] for j, k in enumerate(index)]
 
 
 def eword_weight(eword: EWord) -> int:
@@ -547,8 +567,7 @@ class HbarSum(_LinComb):
 
 def e(k) -> HbarSum:
     """Single-letter monomial e_k (k a positive integer or HAT1)."""
-    if k != HAT1 and not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"bad e-letter: {k!r}")
+    _check_eword((k,))
     return HbarSum.monomial((k,))
 
 
@@ -723,142 +742,6 @@ def rho(u: HbarSum) -> WordSum:
 
 
 # ---------------------------------------------------------------------------
-# raw-letter oracle for the deformed shuffle (testing / certification)
-
-
-@functools.lru_cache(maxsize=None)
-def _raw_shuffle(u: tuple, v: tuple) -> tuple:
-    """Deformed shuffle on raw {a, b} words: ((hbar, word), coeff) tuples.
-
-    Rules: a leading b on either side pulls out front; two leading a's
-    recurse with an hbar correction term.
-    """
-    if not u:
-        return (((0, v), 1),)
-    if not v:
-        return (((0, u), 1),)
-    if u[0] == "b":
-        return tuple(((h, ("b",) + w), c) for (h, w), c in _raw_shuffle(u[1:], v))
-    if v[0] == "b":
-        return tuple(((h, ("b",) + w), c) for (h, w), c in _raw_shuffle(u, v[1:]))
-    acc = Counter()
-    for (h, w), c in _raw_shuffle(u[1:], v):
-        acc[(h, ("a",) + w)] += c
-    for (h, w), c in _raw_shuffle(u, v[1:]):
-        acc[(h, ("a",) + w)] += c
-    for (h, w), c in _raw_shuffle(u[1:], v[1:]):
-        acc[(h + 1, ("a",) + w)] += c
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
-
-
-def _expand_eword(ew: EWord) -> dict:
-    """Expand an e-word into raw letters: e_1hat = ab, e_k = a^k b + hbar a^(k-1) b."""
-    out = {(0, ()): Fraction(1)}
-    for l in ew:
-        if l == HAT1:
-            pieces = [((0, ("a", "b")), 1)]
-        else:
-            pieces = [((0, ("a",) * l + ("b",)), 1), ((1, ("a",) * (l - 1) + ("b",)), 1)]
-        new = {}
-        for (h, w), c in out.items():
-            for (dh, piece), m in pieces:
-                key = (h + dh, w + piece)
-                new[key] = new.get(key, Fraction(0)) + c * m
-        out = new
-    return out
-
-
-def _block_options(run: int):
-    # which e-letters produce a raw block a^run b, and with what hbar cost
-    if run == 0:
-        return [(1, 1)]
-    if run == 1:
-        return [(1, 0), (HAT1, 0), (2, 1)]
-    return [(run, 0), (run + 1, 1)]
-
-
-def _raw_to_ebasis(raw: dict) -> dict:
-    """Rewrite a raw polynomial into the e-monomial basis by exact solve."""
-    candidates = set()
-    for (h, letters), _c in raw.items():
-        if letters and letters[-1] != "b":
-            raise InternalClosureError(
-                f"raw word outside the e-span: hbar^{h} {''.join(letters)}"
-            )
-        runs = []
-        run = 0
-        for l in letters:
-            if l == "a":
-                run += 1
-            else:
-                runs.append(run)
-                run = 0
-        for choice in itertools.product(*[_block_options(r) for r in runs]):
-            dh = sum(cost for _l, cost in choice)
-            if h - dh >= 0:
-                candidates.add((h - dh, tuple(l for l, _cost in choice)))
-    candidates = sorted(candidates, key=lambda t: (t[0],) + _eword_key(t[1]))
-    expansions = []
-    rows = set(raw)
-    for he, ew in candidates:
-        exp = {(h + he, w): c for (h, w), c in _expand_eword(ew).items()}
-        expansions.append(exp)
-        rows.update(exp)
-    rows = sorted(rows)
-    # exact Gaussian solve of  sum_j x_j * expansions_j = raw
-    a = [[exp.get(r, Fraction(0)) for exp in expansions] for r in rows]
-    b = [raw.get(r, Fraction(0)) for r in rows]
-    ncols = len(expansions)
-    pivots = []
-    ri = 0
-    for col in range(ncols):
-        piv = next((i for i in range(ri, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[ri], a[piv] = a[piv], a[ri]
-        b[ri], b[piv] = b[piv], b[ri]
-        inv = 1 / a[ri][col]
-        a[ri] = [x * inv for x in a[ri]]
-        b[ri] = b[ri] * inv
-        for i in range(len(a)):
-            if i != ri and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[ri])]
-                b[i] = b[i] - f * b[ri]
-        pivots.append(col)
-        ri += 1
-    if any(b[i] for i in range(ri, len(a))):
-        raise InternalClosureError("raw polynomial is not in the e-monomial span")
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = b[i]
-    return {candidates[j]: x[j] for j in range(ncols) if x[j]}
-
-
-def shuffle_hbar_raw(u: HbarSum, v: HbarSum) -> HbarSum:
-    """Oracle route for the deformed shuffle: raw-letter recursion + rewrite.
-
-    Kept separate from shuffle_hbar so the two can certify each other; raises
-    InternalClosureError if the rewrite fails (which would contradict the
-    closure of the deformed shuffle on the e-span).
-    """
-    raw = {}
-    for (h1, w1), c1 in u._terms.items():
-        for (h2, w2), c2 in v._terms.items():
-            for (ha, wa), ca in _expand_eword(w1).items():
-                for (hb, wb), cb in _expand_eword(w2).items():
-                    c = c1 * c2 * ca * cb
-                    for (h, w), m in _raw_shuffle(wa, wb):
-                        key = (h + ha + hb + h1 + h2, w)
-                        s = raw.get(key, Fraction(0)) + m * c
-                        if s:
-                            raw[key] = s
-                        elif key in raw:
-                            del raw[key]
-    return HbarSum(_raw_to_ebasis(raw))
-
-
-# ---------------------------------------------------------------------------
 # generating-series identities
 
 
@@ -960,8 +843,6 @@ def _compositions_with_zeros(total, n):
 
 
 def _multinomial(total, exps):
-    import math
-
     out = math.factorial(total)
     for ei in exps:
         out //= math.factorial(ei)

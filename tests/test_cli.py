@@ -58,6 +58,21 @@ def test_values_bad_index_exits_1():
     assert "index" in err
 
 
+def test_values_composite_modulus_exits_1():
+    code, out, err = run_cli("values", "omega-mod", "2.1", "--primes", "9,15,4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_values_omega_root_small_n_exits_1(n):
+    code, out, err = run_cli("values", "omega-root", "1.1", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bad_flag_exits_1():
     code, _out, _err = run_cli("values", "omega-mod", "2.1", "--nope")
     assert code == 1

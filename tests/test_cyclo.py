@@ -225,6 +225,11 @@ def test_sym_sum_222case_expansion():
                 total = total + term
             assert not total, (n, r)
             assert C.check_sym_sum((2,) * r, n)
+    # the same collapse, read off the enumeration itself
+    for r in range(2, 6):
+        assert W.vanishing_sum_terms((2,) * r) == {
+            (j - 1, (2,) * (r - j) + (1,) * j): math.comb(r, j) for j in range(1, r + 1)
+        }
 
 
 def test_weight3_relation_all_n_to_200():

@@ -166,29 +166,19 @@ def test_corollary_sum_small():
                 assert total % p == 0, (k, p)
 
 
-def test_residue_table():
-    t = M.residue_table([(2, 1)], [5, 7, 11])
-    assert t.rows == ((0, 0, 0),)
-    assert t.primes == (5, 7, 11)
-    t = M.residue_table([(1, 1, 1)], [5])
-    assert t.rows == ((3,),)
-    t = M.residue_table([], [5])
-    assert t.rows == () and t.primes == (5,)
-
-
-def test_residue_table_drops_bad_primes():
-    gens = [(2, 1), Fraction(1, 5) * W.y_word((2,))]
-    t = M.residue_table(gens, [3, 5, 7])
-    assert t.dropped == (5,)
-    assert t.primes == (3, 7)
-    assert t.labels == ("2.1", "w1")
-
-
-def test_residue_table_csv():
-    t = M.residue_table([(2, 1), (1, 1, 1)], [5, 7])
-    # 1.1.1 residues checked against the exact composition-sum oracle
-    assert brute_omega((1, 1, 1), 7) == 1
-    assert t.to_csv() == "index,5,7\n2.1,0,0\n1.1.1,3,1\n"
+def test_composite_modulus_rejected():
+    for p in (1, 4, 9, 15):
+        with pytest.raises(RangeError):
+            M.omega_mod((2, 1), p)
+        with pytest.raises(RangeError):
+            M.hsum_mod((2, 1), p)
+        with pytest.raises(RangeError):
+            M.zeta_word_mod(W.y_word((2,)), p)
+        with pytest.raises(RangeError):
+            M.bern_div_mod(2, p)
+    # the check comes before the empty-composition shortcut for p < r
+    with pytest.raises(RangeError):
+        M.omega_mod((1, 1, 1), 1)
 
 
 def test_index_format_parse():

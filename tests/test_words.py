@@ -13,6 +13,7 @@ from mtomega.errors import (
     NotInH1Error,
 )
 from mtomega.words import HAT1, X0, X1, HbarSum, WordSum
+from oracles import shuffle_hbar_raw
 
 
 def ws(*letters):
@@ -231,7 +232,7 @@ def test_shuffle_hbar_examples():
     )
     assert W.shuffle_hbar(ehat, HbarSum.unit()) == ehat
     # e2 sh ehat via the raw-letter oracle
-    assert W.shuffle_hbar(W.e(2), ehat) == W.shuffle_hbar_raw(W.e(2), ehat)
+    assert W.shuffle_hbar(W.e(2), ehat) == shuffle_hbar_raw(W.e(2), ehat)
 
 
 def test_a_mult_examples():
@@ -276,7 +277,7 @@ def test_shuffle_hbar_against_raw_oracle():
     ewords = [ew for ew in all_ewords(3) if ew]
     for w1, w2 in itertools.product(ewords, ewords):
         u, v = HbarSum.monomial(w1), HbarSum.monomial(w2)
-        assert W.shuffle_hbar(u, v) == W.shuffle_hbar_raw(u, v), (w1, w2)
+        assert W.shuffle_hbar(u, v) == shuffle_hbar_raw(u, v), (w1, w2)
 
 
 def test_shuffle_hbar_commutative_associative():
