@@ -103,6 +103,13 @@ def _parse_weights(spec: str) -> list:
     return sorted(set(out))
 
 
+def _parse_ints(spec: str, flag: str) -> list:
+    try:
+        return [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad {flag} list: {spec!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -253,6 +260,14 @@ def cmd_verify(args) -> int:
 # dims / relations
 
 
+# side -> miner(weight, cfg) returning (RelationBasis, DimReport)
+MINERS = {
+    "finite": lambda w, cfg: relations.finite_relation_space(w, height_bound=cfg.height_bound),
+    "cyclotomic": lambda w, cfg: relations.cyclotomic_relation_space(w, range(2, cfg.n_max + 1)),
+    "symmetric": lambda w, cfg: relations.symmetric_relation_space(w, digits=cfg.digits),
+}
+
+
 def cmd_dims(args) -> int:
     cfg = _build_config(args)
     if not cfg.weights:
@@ -265,29 +280,18 @@ def cmd_dims(args) -> int:
         )
     if max(cfg.weights) > limit:
         sys.stderr.write(f"warning: over guardrail {limit}, this may take long\n")
+    # the cyclotomic quotient by (1-z) shifts needs the dimension one weight down
+    quotient = args.side == "cyclotomic"
+    need = set(cfg.weights) | {w - 1 for w in cfg.weights if quotient and w - 1 >= 2}
+    reps = {w: MINERS[args.side](w, cfg)[1] for w in sorted(need)}
     rows = []
-    if args.side == "finite":
-        for w in cfg.weights:
-            _, rep = relations.finite_relation_space(w, height_bound=cfg.height_bound)
-            rows.append({"weight": w, "dimension": rep.dimension, "status": rep.status})
-    elif args.side == "cyclotomic":
-        n_range = range(2, cfg.n_max + 1)
-        need = sorted(set(cfg.weights) | {w - 1 for w in cfg.weights if w - 1 >= 2})
-        reps = {w: relations.cyclotomic_relation_space(w, n_range)[1] for w in need}
-        for w in cfg.weights:
+    for w in cfg.weights:
+        row = {"weight": w, "dimension": reps[w].dimension}
+        if quotient:
             prev = reps[w - 1].dimension if w - 1 >= 2 else 0
-            rows.append(
-                {
-                    "weight": w,
-                    "dimension": reps[w].dimension,
-                    "quotient_dimension": reps[w].dimension - prev,
-                    "status": reps[w].status,
-                }
-            )
-    else:
-        for w in cfg.weights:
-            _, rep = relations.symmetric_relation_space(w, digits=cfg.digits)
-            rows.append({"weight": w, "dimension": rep.dimension, "status": rep.status})
+            row["quotient_dimension"] = reps[w].dimension - prev
+        row["status"] = reps[w].status
+        rows.append(row)
     if cfg.output_format == "json":
         _emit(json.dumps({"side": args.side, "rows": rows}, sort_keys=True))
     else:
@@ -303,20 +307,13 @@ def cmd_relations(args) -> int:
     if not cfg.weights:
         raise ConfigError("relations needs --weights")
     for w in cfg.weights:
-        if args.side == "finite":
-            basis, rep = relations.finite_relation_space(w, height_bound=cfg.height_bound)
-            _emit(json.dumps(relations.basis_report_json(basis, rep), sort_keys=True))
-        elif args.side == "cyclotomic":
-            basis, rep = relations.cyclotomic_relation_space(w, range(2, cfg.n_max + 1))
-            _emit(json.dumps(relations.basis_report_json(basis, rep), sort_keys=True))
-        elif args.side == "symmetric":
-            basis, rep = relations.symmetric_relation_space(w, digits=cfg.digits)
-            _emit(json.dumps(relations.basis_report_json(basis, rep), sort_keys=True))
-        else:  # conjecture
-            rep = relations.conjecture_report(
+        if args.side == "conjecture":
+            out = relations.conjecture_report(
                 w, n_range=range(2, cfg.n_max + 1), digits=cfg.digits
-            )
-            _emit(json.dumps(rep.to_json(), sort_keys=True))
+            ).to_json()
+        else:
+            out = relations.basis_report_json(*MINERS[args.side](w, cfg))
+        _emit(json.dumps(out, sort_keys=True))
     return 0
 
 
@@ -332,14 +329,14 @@ def cmd_values(args) -> int:
         raise ConfigError(str(exc)) from None
     if args.kind == "omega-mod":
         primes = (
-            [int(p) for p in args.primes.split(",")]
+            _parse_ints(args.primes, "--primes")
             if args.primes
             else modular.primes_in(len(index), cfg.prime_max)
         )
         for p in primes:
             _emit(json.dumps({"index": args.index, "p": p, "res": modular.omega_mod(index, p)}))
     elif args.kind == "omega-root":
-        ns = [int(x) for x in args.n.split(",")] if args.n else [cfg.n_max]
+        ns = _parse_ints(args.n, "--n") if args.n else [cfg.n_max]
         for n in ns:
             val = cyclo.omega_at_root(index, n)
             _emit(json.dumps({"index": args.index, **val.to_json()}))

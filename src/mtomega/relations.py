@@ -55,7 +55,7 @@ def rref(rows):
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of the matrix, canonical from the RREF."""
-    red, pivots = rref(rows) if rows else ([], [])
+    red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     out = []
     for fc in free:
@@ -67,18 +67,23 @@ def kernel_basis(rows, ncols):
     return out
 
 
-def rank(rows):
-    return len(rref(rows)[0]) if rows else 0
+def span_test(basis):
+    """Membership predicate for the rational span of the basis rows.
 
+    The basis is row-reduced once; each test then clears the vector's pivot
+    entries against the reduced rows and checks that nothing is left.
+    """
+    red, pivots = rref(basis)
 
-def in_span(vector, basis) -> bool:
-    """True when the vector lies in the rational span of the basis rows."""
-    basis = [list(b) for b in basis]
-    if not any(vector):
-        return True
-    if not basis:
-        return False
-    return rank(basis) == rank(basis + [list(vector)])
+    def contains(vector) -> bool:
+        v = [Fraction(x) for x in vector]
+        for row, col in zip(red, pivots):
+            f = v[col]
+            if f:
+                v = [x - f * y for x, y in zip(v, row)]
+        return not any(v)
+
+    return contains
 
 
 def primitive_integer(vector):
@@ -403,9 +408,9 @@ def finite_relation_space(
             for q in holdout_primes
         ):
             kept.append(primitive_integer(row))
-    proven = _proven_finite_span(weight, gens)
     return _mined(
-        "finite", weight, [(0, g) for g in gens], kept, lambda v: in_span(v, proven)
+        "finite", weight, [(0, g) for g in gens], kept,
+        span_test(_proven_finite_span(weight, gens)),
     )
 
 
@@ -436,33 +441,19 @@ def cyclotomic_relation_space(weight: int, n_range=None):
     d = len(gens)
     if d == 0:
         return _mined("cyclotomic", weight, (), ())
-    kernel = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    # one row per Q-coordinate (slot) of each n's constraint, kept in RREF;
+    # the kernel is empty once the rank reaches d
+    constraints = []
     for n in n_range:
-        if not kernel:
+        if len(constraints) == d:
             break
-        vals = [cyclo.omega_gen(m, idx, n) for m, idx in gens]
-        degree = cyclo.CycloCtx(n).degree
-        rows = []
-        for slot in range(degree):
-            rows.append(
-                [
-                    sum(k[i] * vals[i].coeffs[slot] for i in range(d))
-                    for k in kernel
-                ]
-            )
-        sol = kernel_basis(rows, len(kernel))
-        kernel = [
-            [
-                sum(x[i] * kernel[i][j] for i in range(len(kernel)))
-                for j in range(d)
-            ]
-            for x in sol
-        ]
-    red, _ = rref(kernel) if kernel else ([], [])
-    proven = _proven_cyclo_span(weight, gens)
+        vals = [cyclo.omega_gen(m, idx, n).coeffs for m, idx in gens]
+        constraints, _ = rref(constraints + list(zip(*vals)))
+    # the final RREF makes the reported basis canonical
+    red, _ = rref(kernel_basis(constraints, d))
     return _mined(
         "cyclotomic", weight, gens, [primitive_integer(v) for v in red],
-        lambda v: in_span(v, proven),
+        span_test(_proven_cyclo_span(weight, gens)),
     )
 
 
@@ -539,15 +530,15 @@ def symmetric_relation_space(weight: int, digits: int = 60, max_height: int = 10
         active.pop(pivot)
     # dimension counts the Omega block of the quotient
     omega_parts = [list(v[:d]) for v in found]
-    dim = d - rank([r for r in omega_parts if any(r)])
-    proven_fin = _proven_finite_span(weight, gens)
+    dim = d - len(rref([r for r in omega_parts if any(r)])[0])
+    in_proven = span_test(_proven_finite_span(weight, gens))
     # a relation is proven when its Omega-block statement (mod zeta(2) times a
     # zeta value) follows from the proved special values; pure-augmentation
     # relations are classical zeta identities found numerically, so they stay
     # conjectural here
     return _mined(
         "symmetric", weight, [(0, g) for g in gens], found,
-        lambda v: any(v[:d]) and in_span(v[:d], proven_fin), dim,
+        lambda v: any(v[:d]) and in_proven(v[:d]), dim,
     )
 
 
@@ -656,28 +647,28 @@ def conjecture_report(
     cyc_m0 = [
         [v[i] for i in m0_positions] for v in cyc[0].vectors
     ]
-    m0_in_finite = tuple(in_span(v, fin_vecs) for v in cyc_m0)
-    finite_in_symmetric = tuple(in_span(v, sym_omega) for v in fin_vecs)
-    symmetric_in_finite = tuple(in_span(v, fin_vecs) for v in sym_omega)
+    in_fin = span_test(fin_vecs)
+    in_sym = span_test(sym_omega)
+    m0_in_finite = tuple(in_fin(v) for v in cyc_m0)
+    finite_in_symmetric = tuple(in_sym(v) for v in fin_vecs)
+    symmetric_in_finite = tuple(in_fin(v) for v in sym_omega)
     kernels_agree = all(finite_in_symmetric) and all(symmetric_in_finite)
     checks = tuple(product_identity_checks(n_range))
-    implied = []
+    # on the finite side omega(1,1) = 0 and (1-z) -> 0, so the m = 0 terms of
+    # each product identity sum to zero: a relation at that identity's weight
     gen_pos = {idx: i for i, (_m, idx) in enumerate(gens)}
-    if weight == 4 and (2, 1, 1) in gen_pos:
+    implied = []
+    for _name, _lhs, rhs in _PRODUCT_CHECKS:
+        terms = [(c, idx) for c, m, idx in rhs if m == 0]
+        if sum(terms[0][1]) != weight:
+            continue
         v = [0] * d
-        v[gen_pos[(2, 1, 1)]] = 1
+        bits = []
+        for c, (_c, idx) in zip(primitive_integer([c for c, _idx in terms]), terms):
+            v[gen_pos[idx]] = c
+            bits.append(("" if c == 1 else f"{c}*") + f"omega({','.join(map(str, idx))})")
         implied.append(
-            {"relation": "omega(2,1,1) = 0", "in_finite_kernel": in_span(v, fin_vecs)}
-        )
-    if weight == 5 and (2, 1, 1, 1) in gen_pos and (3, 1, 1) in gen_pos:
-        v = [0] * d
-        v[gen_pos[(2, 1, 1, 1)]] = 2
-        v[gen_pos[(3, 1, 1)]] = 3
-        implied.append(
-            {
-                "relation": "2*omega(2,1,1,1) + 3*omega(3,1,1) = 0",
-                "in_finite_kernel": in_span(v, fin_vecs),
-            }
+            {"relation": " + ".join(bits) + " = 0", "in_finite_kernel": in_fin(v)}
         )
     return ConjectureReport(
         weight,

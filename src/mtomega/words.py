@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
@@ -142,16 +141,39 @@ def _eword_key(eword: EWord):
 # rational linear combinations of words
 
 
-def _coerce_terms(terms) -> dict:
-    out = {}
-    if terms:
-        for key, c in (terms.items() if hasattr(terms, "items") else terms):
-            c = Fraction(c)
-            if c:
-                out[key] = out.get(key, Fraction(0)) + c
-                if not out[key]:
-                    del out[key]
+def _add_into(out: dict, pairs, scale=1) -> dict:
+    """Add scale * c into out[key] for each (key, c) pair, dropping zero sums."""
+    for key, c in pairs:
+        s = out.get(key, 0) + c * scale
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
     return out
+
+
+def _linear(terms: dict, rule) -> dict:
+    """Extend rule(key) -> ((key', m), ...) linearly to a whole combination."""
+    out = {}
+    for key, c in terms.items():
+        _add_into(out, rule(key), c)
+    return out
+
+
+def _bilinear(t1: dict, t2: dict, rule) -> dict:
+    """Extend rule(key1, key2) -> ((key, m), ...) bilinearly to two combinations."""
+    out = {}
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            _add_into(out, rule(k1, k2), c1 * c2)
+    return out
+
+
+def _coerce_terms(terms) -> dict:
+    if not terms:
+        return {}
+    pairs = terms.items() if hasattr(terms, "items") else terms
+    return _add_into({}, ((key, Fraction(c)) for key, c in pairs))
 
 
 class _LinComb:
@@ -189,14 +211,7 @@ class _LinComb:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return self._wrap(out)
+        return self._wrap(_add_into(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -250,16 +265,7 @@ class WordSum(_LinComb):
 
     def concat(self, other: "WordSum") -> "WordSum":
         """Concatenation (noncommutative) product, extended bilinearly."""
-        out = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                k = w1 + w2
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return self._wrap(out)
+        return self._wrap(_bilinear(self._terms, other._terms, _concat_words))
 
     def prepend(self, word: Word) -> "WordSum":
         word = tuple(word)
@@ -289,6 +295,10 @@ class WordSum(_LinComb):
         return cls(
             {word_from_str(t["word"]): Fraction(t["coeff"]) for t in data["terms"]}
         )
+
+
+def _concat_words(w1: Word, w2: Word) -> tuple:
+    return ((w1 + w2, 1),)
 
 
 def word_to_str(word: Word) -> str:
@@ -321,27 +331,14 @@ def _shuffle_words(w1: Word, w2: Word) -> tuple:
         return ((w2, 1),)
     if not w2:
         return ((w1, 1),)
-    acc = Counter()
-    for word, m in _shuffle_words(w1[1:], w2):
-        acc[(w1[0],) + word] += m
-    for word, m in _shuffle_words(w1, w2[1:]):
-        acc[(w2[0],) + word] += m
+    acc = _add_into({}, (((w1[0],) + w, m) for w, m in _shuffle_words(w1[1:], w2)))
+    _add_into(acc, (((w2[0],) + w, m) for w, m in _shuffle_words(w1, w2[1:])))
     return tuple(sorted(acc.items()))
 
 
 def shuffle(u: WordSum, v: WordSum) -> WordSum:
     """Shuffle product, extended bilinearly from the recursion on words."""
-    out = {}
-    for w1, c1 in u._terms.items():
-        for w2, c2 in v._terms.items():
-            c = c1 * c2
-            for word, m in _shuffle_words(w1, w2):
-                s = out.get(word, Fraction(0)) + m * c
-                if s:
-                    out[word] = s
-                elif word in out:
-                    del out[word]
-    return WordSum._wrap(out)
+    return WordSum._wrap(_bilinear(u._terms, v._terms, _shuffle_words))
 
 
 def shuffle_many(factors: Sequence[WordSum]) -> WordSum:
@@ -403,18 +400,18 @@ def phi(u: WordSum) -> WordSum:
     On a monomial y_{k_1}...y_{k_r} it returns
     sum_{a=0..r} (-1)^{k_1+...+k_a} (y_{k_a}...y_{k_1}) sh (y_{k_{a+1}}...y_{k_r}).
     """
-    out = WordSum.zero()
-    for w, c in u._terms.items():
-        k = index_of_word(w)
-        r = len(k)
-        for a in range(r + 1):
-            sign = (-1) ** sum(k[:a])
-            left = word_of_index(tuple(reversed(k[:a])))
-            right = word_of_index(k[a:])
-            out = out + (c * sign) * WordSum(
-                dict(_shuffle_words(left, right))
-            )
-    return out
+    return WordSum._wrap(_linear(u._terms, _phi_word))
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_word(word: Word) -> tuple:
+    """phi of a monomial, as ((word, coeff), ...)."""
+    k = index_of_word(word)
+    out = {}
+    for a in range(len(k) + 1):
+        left = word_of_index(tuple(reversed(k[:a])))
+        _add_into(out, _shuffle_words(left, word_of_index(k[a:])), (-1) ** sum(k[:a]))
+    return tuple(out.items())
 
 
 @functools.lru_cache(maxsize=None)
@@ -431,14 +428,8 @@ def _reg0_word(word: Word) -> tuple:
         ell += 1
     acc = {}
     for w, m in _shuffle_words((X1,), v):
-        if w == word:
-            continue
-        for w0, c in _reg0_word(w):
-            s = acc.get(w0, Fraction(0)) - Fraction(m, ell) * c
-            if s:
-                acc[w0] = s
-            elif w0 in acc:
-                del acc[w0]
+        if w != word:
+            _add_into(acc, _reg0_word(w), -Fraction(m, ell))
     return tuple(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
@@ -450,15 +441,7 @@ def reg_shuffle0(u: WordSum) -> WordSum:
     """
     if not u.in_h1():
         raise NotInH1Error("reg_shuffle0 needs all monomials in h1")
-    out = {}
-    for w, c in u._terms.items():
-        for w0, c0 in _reg0_word(w):
-            s = out.get(w0, Fraction(0)) + c * c0
-            if s:
-                out[w0] = s
-            elif w0 in out:
-                del out[w0]
-    return WordSum._wrap(out)
+    return WordSum._wrap(_linear(u._terms, _reg0_word))
 
 
 def zeta_s_word(index: Index) -> WordSum:
@@ -577,8 +560,9 @@ def _check_eword(ew):
             raise ValueError(f"bad e-letter: {l!r}")
 
 
-def _amult_term(h: int, ew: EWord) -> tuple:
+def _amult_term(key) -> tuple:
     """One left multiplication by a: a e_1hat = e_2 - hbar e_1hat, a e_k = e_{k+1}."""
+    h, ew = key
     if not ew:
         raise EmptyWordError("left multiplication by `a` on an empty e-word")
     if ew[0] == HAT1:
@@ -594,15 +578,7 @@ def a_mult(j: int, u: HbarSum) -> HbarSum:
         if not ew:
             raise EmptyWordError("a_mult needs every monomial nonempty")
     for _ in range(j):
-        out = {}
-        for (h, ew), c in u._terms.items():
-            for key, m in _amult_term(h, ew):
-                s = out.get(key, Fraction(0)) + m * c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        u = HbarSum._wrap(out)
+        u = HbarSum._wrap(_linear(u._terms, _amult_term))
     return u
 
 
@@ -615,24 +591,12 @@ def _sh_e_hshift(terms):
 
 
 def _sh_e_amult(terms):
-    acc = Counter()
-    for (h, ew), c in terms:
-        for key, m in _amult_term(h, ew):
-            acc[key] += m * c
-    return tuple((k, v) for k, v in acc.items() if v)
+    return tuple(_linear(dict(terms), _amult_term).items())
 
 
 def _sh_e_merge(*parts):
-    acc = Counter()
-    for part in parts:
-        for key, c in part:
-            acc[key] += c
-    return tuple(
-        sorted(
-            ((k, v) for k, v in acc.items() if v),
-            key=lambda kv: (kv[0][0],) + _eword_key(kv[0][1]),
-        )
-    )
+    acc = _add_into({}, itertools.chain(*parts))
+    return tuple(sorted(acc.items(), key=lambda kv: HbarSum._key(kv[0])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -698,18 +662,12 @@ def _shuffle_ewords(w1: EWord, w2: EWord) -> tuple:
 
 def shuffle_hbar(u: HbarSum, v: HbarSum) -> HbarSum:
     """Deformed shuffle product, bilinear over the hbar coefficient ring."""
-    out = {}
-    for (h1, w1), c1 in u._terms.items():
-        for (h2, w2), c2 in v._terms.items():
-            c = c1 * c2
-            for (h, ew), m in _shuffle_ewords(w1, w2):
-                key = (h + h1 + h2, ew)
-                s = out.get(key, Fraction(0)) + m * c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return HbarSum._wrap(out)
+
+    def rule(k1, k2):
+        h12 = k1[0] + k2[0]
+        return (((h + h12, ew), m) for (h, ew), m in _shuffle_ewords(k1[1], k2[1]))
+
+    return HbarSum._wrap(_bilinear(u._terms, v._terms, rule))
 
 
 def shuffle_hbar_many(factors: Sequence[HbarSum]) -> HbarSum:
@@ -721,24 +679,14 @@ def shuffle_hbar_many(factors: Sequence[HbarSum]) -> HbarSum:
 
 def rho(u: HbarSum) -> WordSum:
     """Algebra map to h1: kills hbar, sends e_1hat to y_1 and e_k to y_k."""
-    out = {}
-    for (h, ew), c in u._terms.items():
+
+    def rule(key):
+        h, ew = key
         if h > 0:
-            continue
-        word = []
-        for l in ew:
-            if l == HAT1:
-                word.append(X1)
-            else:
-                word.extend([X0] * (l - 1))
-                word.append(X1)
-        key = tuple(word)
-        s = out.get(key, Fraction(0)) + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return WordSum._wrap(out)
+            return ()
+        return ((word_of_index(tuple(1 if l == HAT1 else l for l in ew)), 1),)
+
+    return WordSum._wrap(_linear(u._terms, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -748,88 +696,63 @@ def rho(u: HbarSum) -> WordSum:
 class TPoly:
     """Polynomial in commuting variables t_1..t_m with WordSum coefficients.
 
-    Truncated at a fixed total degree; used to verify the generating-series
-    identities behind the word identity theorem by coefficient extraction.
+    Stored as {(exponents, word): Fraction} and truncated at a fixed total
+    degree; used to verify the generating-series identities behind the word
+    identity theorem by coefficient extraction.
     """
 
-    __slots__ = ("nvars", "maxdeg", "coeffs")
+    __slots__ = ("maxdeg", "terms")
 
-    def __init__(self, nvars: int, maxdeg: int, coeffs=None):
-        self.nvars = nvars
+    def __init__(self, maxdeg: int, terms=None):
         self.maxdeg = maxdeg
-        self.coeffs = {}
-        if coeffs:
-            for exps, ws in coeffs.items():
-                if sum(exps) <= maxdeg and ws:
-                    self.coeffs[exps] = ws
+        self.terms = {k: c for k, c in (terms or {}).items() if sum(k[0]) <= maxdeg}
 
     @classmethod
     def unit(cls, nvars, maxdeg):
-        return cls(nvars, maxdeg, {(0,) * nvars: WordSum.unit()})
-
-    def __eq__(self, other):
-        return (
-            self.nvars == other.nvars
-            and {k: v for k, v in self.coeffs.items() if v}
-            == {k: v for k, v in other.coeffs.items() if v}
-        )
+        return cls(maxdeg, {((0,) * nvars, ()): Fraction(1)})
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, ws in other.coeffs.items():
-            s = out.get(e, WordSum.zero()) + ws
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return TPoly(self.nvars, self.maxdeg, out)
+        return TPoly(self.maxdeg, _add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return TPoly(self.maxdeg, _add_into(dict(self.terms), other.terms.items(), -1))
 
-    def __rmul__(self, scalar):
-        return TPoly(
-            self.nvars, self.maxdeg, {e: scalar * ws for e, ws in self.coeffs.items()}
-        )
+    def _product(self, other, word_rule):
+        maxdeg = self.maxdeg
 
-    def _binary(self, other, combine):
-        out = {}
-        for e1, w1 in self.coeffs.items():
-            for e2, w2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > self.maxdeg:
-                    continue
-                s = out.get(e, WordSum.zero()) + combine(w1, w2)
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return TPoly(self.nvars, self.maxdeg, out)
+        def rule(k1, k2):
+            e = tuple(a + b for a, b in zip(k1[0], k2[0]))
+            if sum(e) > maxdeg:
+                return ()
+            return (((e, w), m) for w, m in word_rule(k1[1], k2[1]))
+
+        return TPoly(maxdeg, _bilinear(self.terms, other.terms, rule))
 
     def concat(self, other):
-        return self._binary(other, lambda a, b: a.concat(b))
+        return self._product(other, _concat_words)
 
     def shuffle(self, other):
-        return self._binary(other, shuffle)
+        return self._product(other, _shuffle_words)
 
-    def map_coeffs(self, f):
-        return TPoly(self.nvars, self.maxdeg, {e: f(ws) for e, ws in self.coeffs.items()})
+    def map_words(self, word_rule):
+        """Apply a linear map, given on monomials, to every coefficient."""
+        return TPoly(
+            self.maxdeg,
+            _linear(self.terms, lambda k: (((k[0], w), m) for w, m in word_rule(k[1]))),
+        )
 
 
 def y_series(nvars: int, maxdeg: int, form: Sequence[int]) -> TPoly:
     """y evaluated at the linear form sum_i form[i]*t_i, truncated."""
-    coeffs = {}
+    terms = {}
     for d in range(maxdeg + 1):
         for exps in _compositions_with_zeros(d, nvars):
             c = _multinomial(d, exps)
             for i, ei in enumerate(exps):
                 c *= form[i] ** ei
-            if not c:
-                continue
-            ws = WordSum.monomial(word_of_index((d + 1,)), c)
-            key = exps
-            coeffs[key] = coeffs.get(key, WordSum.zero()) + ws
-    return TPoly(nvars, maxdeg, coeffs)
+            if c:
+                terms[(exps, word_of_index((d + 1,)))] = Fraction(c)
+    return TPoly(maxdeg, terms)
 
 
 def _compositions_with_zeros(total, n):
@@ -872,15 +795,11 @@ class IdentityCheck:
 
 
 def _tpoly_compare(identity, instance, lhs, rhs) -> IdentityCheck:
-    keys = set(lhs.coeffs) | set(rhs.coeffs)
-    failures = tuple(
-        sorted(
-            e
-            for e in keys
-            if lhs.coeffs.get(e, WordSum.zero()) != rhs.coeffs.get(e, WordSum.zero())
-        )
-    )
-    return IdentityCheck(identity, instance, len(keys), failures)
+    """Compare two TPolys coefficient by coefficient; `checked` counts the
+    exponent tuples with a nonzero coefficient on either side."""
+    exps = {e for e, _w in lhs.terms} | {e for e, _w in rhs.terms}
+    failures = tuple(sorted({e for e, _w in (lhs - rhs).terms}))
+    return IdentityCheck(identity, instance, len(exps), failures)
 
 
 def check_generating_identities(max_weight: int) -> list[IdentityCheck]:
@@ -903,8 +822,8 @@ def check_generating_identities(max_weight: int) -> list[IdentityCheck]:
             d = max_weight - base
             if d < 0:
                 continue
-            mw1 = TPoly(2, d, {(0, 0): WordSum.monomial(w1)})
-            mw2 = TPoly(2, d, {(0, 0): WordSum.monomial(w2)})
+            mw1 = TPoly(d, {((0, 0), w1): Fraction(1)})
+            mw2 = TPoly(d, {((0, 0), w2): Fraction(1)})
             y1 = y_series(2, d, [1, 0]).concat(mw1)
             y2 = y_series(2, d, [0, 1]).concat(mw2)
             lhs = y1.shuffle(y2)
@@ -924,7 +843,7 @@ def check_generating_identities(max_weight: int) -> list[IdentityCheck]:
         if d < 0:
             continue
         lhs = s_subset(r, d, range(1, r + 1))
-        rhs = TPoly(r, d)
+        rhs = TPoly(d)
         for sigma in itertools.permutations(range(r)):
             prod = TPoly.unit(r, d)
             for j in range(1, r + 1):
@@ -961,7 +880,7 @@ def check_generating_identities(max_weight: int) -> list[IdentityCheck]:
         mu_form = [0] * nv
         mu_form[0] = -1
         s_full = s_sub(subset)
-        lhs = yv(u_form).concat(s_full).map_coeffs(phi)
+        lhs = yv(u_form).concat(s_full).map_words(_phi_word)
         rhs = yv(u_form).concat(s_full) - yv(mu_form).shuffle(s_full)
         for b in subset:
             form = [0] * nv
@@ -980,8 +899,8 @@ def check_generating_identities(max_weight: int) -> list[IdentityCheck]:
             continue
         subset = list(range(1, s + 1))
         s_full = s_subset(nv, d, subset)
-        lhs = s_full.map_coeffs(phi)
-        rhs = TPoly(nv, d) + s_full
+        lhs = s_full.map_words(_phi_word)
+        rhs = s_full
         for b in subset:
             form = [0] * nv
             form[b - 1] = -1

@@ -73,9 +73,9 @@ def test_criterion_02_cyclotomic_tables():
         (0, 0, 0, 3, 0, 0, 0, 0, 3, 0, 0, 1, 0),
     ]
     recovered = (
-        all(R.in_span(v, k3) for v in paper3)
-        and all(R.in_span(v, k4) for v in paper4)
-        and all(R.in_span(v, k5) for v in paper5)
+        all(R.span_test(k3)(v) for v in paper3)
+        and all(R.span_test(k4)(v) for v in paper4)
+        and all(R.span_test(k5)(v) for v in paper5)
     )
     # every dimension value is numerically observed; the lone proven label
     # belongs to the weight-3 relation itself

@@ -73,6 +73,21 @@ def test_values_omega_root_small_n_exits_1(n):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("omega-root", "1.1", "--n", "x"),
+        ("omega-mod", "2.1", "--primes", "x"),
+        ("omega-mod", "2.1", "--primes", "5,,7"),
+    ],
+)
+def test_values_bad_int_list_exits_1(argv):
+    code, out, err = run_cli("values", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_bad_flag_exits_1():
     code, _out, _err = run_cli("values", "omega-mod", "2.1", "--nope")
     assert code == 1

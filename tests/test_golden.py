@@ -1,9 +1,12 @@
 """Byte-identity gate: fixed CLI commands must keep their exact stdout.
 
 Each command runs in-process through `cli.main`; the SHA-256 digest of its
-stdout must match the digest recorded before the nested-sum refactor.  A
+stdout must match the digest recorded before the refactor that added it.  A
 mismatch means some value, ordering or formatting changed.  Regenerate a
 digest only for an intended change of output, and say so in the changelog.
+
+Run directly (`PYTHONPATH=src python tests/test_golden.py`), the file prints
+the command/digest pairs of the current tree.
 """
 
 import hashlib
@@ -28,13 +31,26 @@ GOLDEN = (
     ("values omega-mod 2.1.1 --primes 5,7,11", "5a306550d3b5a54383e408de9d079cc6f78b8bb30929615653e8d39e248ecef7"),
     ("dims finite --weights 1..9 --format json", "f374933d7724090ef7861595e5b3b380293d901fbc80338daaa765bb6fd3adb0"),
     ("dims cyclotomic --weights 2..5 --n-max 12 --format json", "02548c7ef1d30f82a3ac28151b234e143633b7f37c72fabbe0c8331f362e16b8"),
+    ("verify identity-words --max-weight 8 --format json", "e040d7f52f7f6ee4cb5b649ff16c728005f2025463e0b2101e9c91b8feb754d2"),
+    ("verify generating --max-weight 6 --format json", "c41a5c101cca00f84958210cc5a297f2f0be696fd39c490cd890d784682ffe7a"),
+    ("relations conjecture --weights 5 --n-max 12", "78d001a388915080e014541fd7c1656f94d05f02afd7fd3e918a1aca5dfab994"),
 )
+
+
+def stdout_digest(command):
+    """(exit code, SHA-256 of stdout) of one in-process CLI run."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(command.split())
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_cli_output_digest(command, digest):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli.main(command.split())
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert stdout_digest(command) == (0, digest)
+
+
+if __name__ == "__main__":
+    for command, _digest in GOLDEN:
+        code, digest = stdout_digest(command)
+        print(f'    ("{command}", "{digest}"),' + (f"  # exit {code}" if code else ""))
