@@ -73,7 +73,7 @@ def _build_config(args) -> RunConfig:
         if isinstance(cur, bool):
             setattr(cfg, key, val.lower() in ("1", "true", "yes"))
         elif isinstance(cur, int):
-            setattr(cfg, key, int(val))
+            setattr(cfg, key, _parse_int(val, f"value for {key}"))
         elif isinstance(cur, list):
             setattr(cfg, key, _parse_weights(val))
         else:
@@ -89,25 +89,29 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"bad {what}: {text!r}") from None
+
+
 def _parse_weights(spec: str) -> list:
     out = []
     for part in str(spec).split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (_parse_int(x, "weights spec") for x in part.split("..", 1))
+            out.extend(range(lo, hi + 1))
         elif part:
-            out.append(int(part))
+            out.append(_parse_int(part, "weights spec"))
     if not out or any(w < 1 for w in out):
         raise ConfigError(f"bad weights spec: {spec!r}")
     return sorted(set(out))
 
 
 def _parse_ints(spec: str, flag: str) -> list:
-    try:
-        return [int(x) for x in spec.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad {flag} list: {spec!r}") from None
+    return [_parse_int(x, f"{flag} entry") for x in spec.split(",")]
 
 
 class _Parser(argparse.ArgumentParser):

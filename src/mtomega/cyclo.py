@@ -1,15 +1,26 @@
 """Exact arithmetic in cyclotomic fields and q-series evaluation.
 
-Elements of Q(zeta_n) are stored as an integer coefficient vector of length
-phi(n) (a polynomial in zeta reduced mod the n-th cyclotomic polynomial) over
-a single positive integer denominator, kept in lowest terms.  This keeps the
-hot loops in plain integer arithmetic; the `coeffs` property exposes the
-rational vector.
+Elements of Q(zeta_n) (CycloElem) are stored as an integer coefficient
+vector of length phi(n) (a polynomial in zeta reduced mod the n-th
+cyclotomic polynomial Phi_n) over a single positive integer denominator,
+kept in lowest terms; the `coeffs` property exposes the rational vector.
 
 The evaluators here are the exact counterparts of the finite-side sums:
 omega_at_root sums over compositions of n, z_at_root over strictly decreasing
 tuples below n, both with the q-power weights F_k(m) = q^((k-1)m)/[m]^k and
 F_1hat(m) = q^m/[m], and hbar specializing to 1 - zeta_n.
+
+They evaluate in the group ring Z[x]/(x^n - 1), which maps onto Z[zeta_n]
+by x -> zeta_n, and reduce mod Phi_n once per value.  1/[m] is the 0/1
+vector sum_{i<m'} x^(m i) (m m' = 1 mod n) when [m] is a unit, and
+-(1 - x) sum_{j<N} j x^(m j) / N with N = n/gcd(m, n) otherwise, so every
+weight is an integer vector over a power of one per-n denominator and no
+field inverse is needed.  Adding multiples of 1 + x + ... + x^(n-1), which
+vanishes at zeta_n, makes all entries nonnegative; a vector is then packed
+into one Python int, a_i in bits [b i, b (i+1)), so a polynomial product is
+one integer product (Kronecker substitution).  The width b comes from a
+bound on the coefficient sum of every partial result, which bounds every
+coefficient, so the packed arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -26,6 +37,13 @@ from .errors import (
     RangeError,
 )
 from .words import HAT1, HbarSum
+
+
+# Cache bounds.  The most distinct keys a benchmark workload uses are 642
+# omega values, 116 powers of 1 - zeta and 29 values of n (cyclotomic) and
+# 627 z values (verify).
+_CACHE_VALUES = 2048  # omega and z values, powers of 1 - zeta
+_CACHE_N = 128  # packed rings with their weight tables, one per n
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,7 +82,7 @@ def _poly_divide_exact(num, den):
 
 
 class CycloCtx:
-    """Shared immutable data for Q(zeta_n): the modulus and small caches."""
+    """Shared immutable data for Q(zeta_n): n and the cyclotomic modulus."""
 
     _instances: dict = {}
 
@@ -77,8 +95,6 @@ class CycloCtx:
         self.n = n
         self.phi_n = cyclotomic_poly(n)
         self.degree = len(self.phi_n) - 1
-        self._f_cache = {}
-        self._qint_inv = {}
         cls._instances[n] = self
         return self
 
@@ -293,55 +309,134 @@ def one_minus_zeta(ctx: CycloCtx) -> CycloElem:
     return CycloElem(ctx, [1, -1])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_VALUES)
 def _one_minus_zeta_pow(n: int, m: int) -> CycloElem:
     ctx = CycloCtx(n)
     return one_minus_zeta(ctx) ** m
 
 
-def _qint_inverse(ctx: CycloCtx, m: int) -> CycloElem:
-    inv = ctx._qint_inv.get(m)
-    if inv is not None:
-        return inv
-    n = ctx.n
+# ---------------------------------------------------------------------------
+# the group ring Z[x]/(x^n - 1), packed into one integer
+
+
+def _exponent(k) -> int:
+    """The power of 1/[m] in the weight of the letter k (the hat letter has 1)."""
+    return 1 if k == HAT1 else k
+
+
+def _scaled_inverse(n: int, den: int, m: int) -> list:
+    """den/[m] at x = zeta_n as a nonnegative integer vector of length n,
+    for 1 <= m < n and den a multiple of n/gcd(m, n) (_PackedRing.den).
+
+    A unit [m] (gcd(m, n) = 1) has 1/[m] = (1 - x)/(1 - x^m) =
+    sum_{i<m'} x^(m i) with m m' = 1 mod n.  Otherwise y = x^m has order
+    N = n/gcd(m, n), and (1 - y) sum_{j<N} j y^j = -N gives
+    1/[m] = -(1 - x) sum_{j<N} j x^(m j) / N; adding N - 1 times
+    1 + x + ... + x^(n-1), which is zero at zeta_n, makes every entry
+    nonnegative.
+    """
     if math.gcd(m, n) == 1:
-        # cyclotomic unit: 1/[m] = (1-zeta)/(1-zeta^m) = sum_{i<m'} zeta^(m i)
-        # with m m' = 1 mod n, avoiding the polynomial Euclid entirely
-        mi = pow(m, -1, n)
-        coeffs = [0] * n
-        for i in range(mi):
-            coeffs[(m * i) % n] += 1
-        inv = CycloElem(ctx, coeffs)
-    else:
-        qm = q_int(ctx, m)
-        if not qm:
-            raise PoleError(f"[{m}] = 0 at a primitive {ctx.n}-th root of unity")
-        inv = cyclo_inv(qm)
-    ctx._qint_inv[m] = inv
-    return inv
+        vec = [0] * n
+        for i in range(pow(m, -1, n)):
+            vec[m * i % n] = den
+        return vec
+    order = n // math.gcd(m, n)
+    step = den // order
+    vec = [step * (order - 1)] * n
+    for j in range(order):
+        vec[m * j % n] -= step * j
+        vec[(m * j + 1) % n] += step * j
+    return vec
 
 
-def _f_weight(ctx: CycloCtx, m: int, k) -> CycloElem:
-    """F_k(m) at q = zeta_n: q^((k-1)m)/[m]^k, or q^m/[m] for the hat letter."""
-    key = (m, k)
-    cached = ctx._f_cache.get(key)
-    if cached is not None:
-        return cached
-    inv = _qint_inverse(ctx, m)
-    if k == HAT1:
-        val = CycloElem.zeta_pow(ctx, m) * inv
-    else:
-        val = CycloElem.zeta_pow(ctx, (k - 1) * m) * inv**k
-    ctx._f_cache[key] = val
-    return val
+class _PackedRing:
+    """Z[x]/(x^n - 1) with every element a Python int sum_i a_i 2^(bits i)
+    (Kronecker substitution), all a_i nonnegative and below 2^bits - 1.
+
+    Then the integer product is the polynomial product, and folding the
+    slots at and above n back onto slot mod n (_fold) reduces mod x^n - 1;
+    both are exact while no coefficient reaches 2^bits - 1, which widen()
+    guarantees.  The nested sums get the packed weights den^e F_k(m) with
+    e = _exponent(k), multiply them as plain ints, and may leave products
+    unfolded; element() folds once and reduces mod Phi_n once.
+
+    den is the lcm of the orders n/gcd(m, n) of the non-unit [m], m < n
+    (1 when n is prime), and masses[m] the coefficient sum of
+    _scaled_inverse(n, den, m) (masses[0] = 0).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        orders = [n // math.gcd(m, n) for m in range(1, n)]  # the order of x^m
+        self.den = den = math.lcm(*(o for o in orders if o < n))
+        self.masses = [0] + [
+            den * pow(m, -1, n) if order == n else den // order * (order - 1) * n
+            for m, order in enumerate(orders, 1)
+        ]
+        self.nbytes = 0
+
+    def widen(self, index) -> "_PackedRing":
+        """Make the coefficients wide enough for the nested sums over index.
+
+        Every vector is nonnegative, so no coefficient exceeds the
+        coefficient sum (the value at x = 1), which is additive and
+        multiplicative.  Each value the chain or composition sum forms,
+        partial sums included, is a sub-sum of the expansion of
+        prod_a sum_{m<n} den^e F_{k_a}(m), so the coefficient sum of that
+        product bounds every coefficient.  A ring already wide enough keeps
+        its weights.
+        """
+        bound = math.prod(sum(c ** _exponent(k) for c in self.masses) for k in index)
+        nbytes = bound.bit_length() // 8 + 1
+        if nbytes > self.nbytes:
+            self.nbytes = nbytes
+            self.bits = 8 * nbytes
+            self.size = self.bits * self.n
+            self.mask = (1 << self.size) - 1
+            self._weights = {}
+        return self
+
+    def _fold(self, p: int) -> int:
+        size, mask = self.size, self.mask
+        while p >> size:
+            p = (p & mask) + (p >> size)
+        return p
+
+    def weight(self, m: int, k) -> int:
+        """den^e F_k(m): den/[m] for k = 1, x^m den/[m] for the hat letter,
+        and F_k(m) = F_(k-1)(m) F_1hat(m) = x^((k-1)m) (den/[m])^k above."""
+        key = (m, k)
+        w = self._weights.get(key)
+        if w is None:
+            if k == 1:
+                vec = _scaled_inverse(self.n, self.den, m)
+                nb = self.nbytes
+                w = int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in vec]), "little")
+            elif k == HAT1:
+                w = self._fold(self.weight(m, 1) << (self.bits * m))
+            else:
+                w = self._fold(self.weight(m, k - 1) * self.weight(m, HAT1))
+            self._weights[key] = w
+        return w
+
+    def element(self, p: int, index) -> CycloElem:
+        """The value p / den^(sum of the exponents of index) in Q(zeta_n)."""
+        nb = self.nbytes
+        data = self._fold(p).to_bytes(self.size // 8, "little")
+        vec = [int.from_bytes(data[i : i + nb], "little") for i in range(0, len(data), nb)]
+        weight = sum(map(_exponent, index))
+        return CycloElem(CycloCtx(self.n), vec, self.den**weight)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_N)
+def _packed_ring(n: int) -> _PackedRing:
+    return _PackedRing(n)
+
+
+@functools.lru_cache(maxsize=_CACHE_VALUES)
 def _omega_at_root_sorted(index, n: int) -> CycloElem:
-    ctx = CycloCtx(n)
-    return sums.composition_sum(
-        index, n, functools.partial(_f_weight, ctx), CycloElem.zero(ctx)
-    )
+    ring = _packed_ring(n).widen(index)
+    return ring.element(sums.composition_sum(index, n, ring.weight, 0), index)
 
 
 def omega_at_root(index, n: int) -> CycloElem:
@@ -365,13 +460,12 @@ def omega_gen(m: int, index, n: int) -> CycloElem:
     return val * _one_minus_zeta_pow(n, m) if m else val
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_VALUES)
 def _z_at_root_eword(eword, n: int) -> CycloElem:
-    ctx = CycloCtx(n)
     if not eword:
-        return CycloElem.one(ctx)
-    zero = CycloElem.zero(ctx)
-    return sum(sums.chain_levels(eword, n, functools.partial(_f_weight, ctx), zero), zero)
+        return CycloElem.one(CycloCtx(n))
+    ring = _packed_ring(n).widen(eword)
+    return ring.element(sum(sums.chain_levels(eword, n, ring.weight, 0)), eword)
 
 
 def z_at_root(u, n: int) -> CycloElem:
@@ -414,14 +508,12 @@ def reduce_at_one(x: CycloElem, p: int) -> int:
     if s == 0:
         return sum(x.num) * pow(d % p, p - 2, p) % p if d % p else 0
     ctx = x.ctx
-    # c = prod_{j=2}^{p-1} (1 - zeta^j); then (1 - zeta) * c = p up to nothing:
+    # c = p/(1 - zeta) = -sum_{j<p} j zeta^j, from (1 - zeta) sum_{j<p} j zeta^j = -p:
     # dividing by 1 - zeta is multiplying by c and dividing by p.
-    c = CycloElem.one(ctx)
-    for j in range(2, p):
-        c = c * CycloElem(ctx, [1] + [0] * (j - 1) + [-1])
+    c = CycloElem(ctx, [-j for j in range(p)]).num
     num = list(x.num)
     for _ in range(s * (p - 1)):
-        num = list(ctx._reduce(_convolve(num, c.num)))
+        num = list(ctx._reduce(_convolve(num, c)))
         if any(v % p for v in num):
             raise NotIntegralError(
                 "element is not integral at (1 - zeta_p) after clearing units"

@@ -174,8 +174,10 @@ def pslq(xs, digits: int = 60, max_height: int = 10**6):
     """Integer-relation search on certified BigReal values.
 
     Returns a primitive integer vector a with |sum a_i x_i| < 10^(-digits/2)
-    and max |a_i| <= max_height, or None.  Candidates from the underlying
-    search are re-verified at 1.5x the working digits before being accepted.
+    and max |a_i| <= max_height, or None.  A candidate from the underlying
+    search is accepted only if its residual, summed at 1.5x the working
+    digits, is below 10^(-digits/2); the residual uses the same input values,
+    which are not re-evaluated at the higher precision.
     """
     xs = list(xs)
     if len(xs) < 2:

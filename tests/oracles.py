@@ -4,14 +4,18 @@
 e-words into the raw letters a, b, shuffle there, and solve for the result in
 the e-monomial basis.  `hnf` is the row-style Hermite normal form, a
 canonical basis of an integer lattice, so two bases span the same lattice
-exactly when their forms are equal.
+exactly when their forms are equal.  `omega_at_root` and `z_at_root` sum the
+q-series values at a root of unity term by term, one CycloElem product per
+composition or chain.
 """
 
 import functools
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
+from mtomega import cyclo as C
 from mtomega import relations as R
 from mtomega.errors import InternalClosureError
 from mtomega.words import HAT1, EWord, HbarSum, _eword_key
@@ -171,3 +175,68 @@ def hnf(rows):
         rows = [r for r in rows if any(r)]
         col += 1
     return [tuple(r) for r in out]
+
+
+# ---------------------------------------------------------------------------
+# omega and z at a root of unity, term by term in Q(zeta_n)
+
+
+@functools.lru_cache(maxsize=None)
+def qint_inverse(n: int, m: int) -> C.CycloElem:
+    """1/[m] at zeta_n: sum_{i<m'} zeta^(m i) with m m' = 1 mod n when [m]
+    is a unit, the Euclidean inverse (cyclo_inv) otherwise."""
+    ctx = C.CycloCtx(n)
+    if math.gcd(m, n) > 1:
+        return C.cyclo_inv(C.q_int(ctx, m))
+    coeffs = [0] * n
+    for i in range(pow(m, -1, n)):
+        coeffs[m * i % n] += 1
+    return C.CycloElem(ctx, coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def f_weight(n: int, m: int, k) -> C.CycloElem:
+    """F_k(m) at q = zeta_n: q^((k-1)m)/[m]^k, or q^m/[m] for the hat letter."""
+    ctx = C.CycloCtx(n)
+    inv = qint_inverse(n, m)
+    if k == HAT1:
+        return C.CycloElem.zeta_pow(ctx, m) * inv
+    return C.CycloElem.zeta_pow(ctx, (k - 1) * m) * inv**k
+
+
+def _sum_of_products(n: int, tuples, index) -> C.CycloElem:
+    """Sum of f_weight(n, m_1, k_1) * ... * f_weight(n, m_r, k_r) over the
+    tuples; the tuples come in lexicographic order, so the products of a
+    shared prefix are kept on a stack."""
+    total = C.CycloElem.zero(C.CycloCtx(n))
+    prev, prefix = (), [C.CycloElem.one(C.CycloCtx(n))]
+    for ms in tuples:
+        same = 0
+        while same < len(prev) - 1 and prev[same] == ms[same]:
+            same += 1
+        del prefix[same + 1 :]
+        for m, k in zip(ms[same:], index[same:]):
+            prefix.append(prefix[-1] * f_weight(n, m, k))
+        total = total + prefix[-1]
+        prev = ms
+    return total
+
+
+def omega_at_root(index, n: int) -> C.CycloElem:
+    """Sum over the compositions m_1 + ... + m_r = n, read off the cut points."""
+    cuts = itertools.combinations(range(1, n), len(index) - 1)
+    compositions = ([b - a for a, b in zip((0,) + cut, cut + (n,))] for cut in cuts)
+    return _sum_of_products(n, compositions, index)
+
+
+def z_at_root(u, n: int) -> C.CycloElem:
+    """Sum over the chains n > m_1 > ... > m_r > 0, for an e-word or an
+    HbarSum, with hbar acting as 1 - zeta_n."""
+    if not isinstance(u, HbarSum):
+        u = HbarSum.monomial(tuple(u))
+    lam = C.one_minus_zeta(C.CycloCtx(n))
+    total = C.CycloElem.zero(C.CycloCtx(n))
+    for (h, ew), c in u.items():
+        chains = itertools.combinations(range(n - 1, 0, -1), len(ew))
+        total = total + _sum_of_products(n, chains, ew) * lam**h * c
+    return total

@@ -88,6 +88,23 @@ def test_values_bad_int_list_exits_1(argv):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["x", "2..y", "1,z"])
+def test_dims_bad_weights_exits_1(spec):
+    code, out, err = run_cli("dims", "finite", "--weights", spec)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_config_file_bad_int_exits_1(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits = abc\n")
+    code, out, err = run_cli("values", "omega-limit", "1.1", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_bad_flag_exits_1():
     code, _out, _err = run_cli("values", "omega-mod", "2.1", "--nope")
     assert code == 1

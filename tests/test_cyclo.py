@@ -11,6 +11,8 @@ from mtomega import words as W
 from mtomega.errors import LengthError, NotIntegralError, PoleError, RangeError
 from mtomega.words import HAT1, HbarSum
 
+import oracles as O
+
 
 def elem(n, *coeffs):
     return C.CycloElem.from_coeffs(C.CycloCtx(n), [Fraction(c) for c in coeffs])
@@ -53,11 +55,16 @@ def test_cyclo_inverse_examples():
 
 
 def test_qint_units():
+    # den/[m] as a nonnegative vector in Z[x]/(x^n - 1): the 0/1 unit form
+    # when gcd(m, n) = 1, the closed form over n/gcd(m, n) otherwise
     for n in range(2, 21):
         ctx = C.CycloCtx(n)
         one = C.CycloElem.one(ctx)
+        ring = C._packed_ring(n)
         for m in range(1, n):
-            assert C.q_int(ctx, m) * C._qint_inverse(ctx, m) == one, (n, m)
+            vec = C._scaled_inverse(n, ring.den, m)
+            assert len(vec) == n and min(vec) >= 0 and sum(vec) == ring.masses[m], (n, m)
+            assert C.q_int(ctx, m) * C.CycloElem(ctx, vec, ring.den) == one, (n, m)
 
 
 def test_field_axioms_sample():
@@ -82,24 +89,43 @@ def test_omega_at_root_examples():
         C.omega_at_root((2,), 5)
 
 
-def brute_omega_at_root(index, n):
-    ctx = C.CycloCtx(n)
-    total = C.CycloElem.zero(ctx)
-    r = len(index)
-    for cut in itertools.combinations(range(1, n), r - 1):
-        ms = [b - a for a, b in zip((0,) + cut, cut + (n,))]
-        term = C.CycloElem.one(ctx)
-        for m, k in zip(ms, index):
-            term = term * C._f_weight(ctx, m, k)
-        total = total + term
-    return total
-
-
 def test_omega_at_root_bruteforce():
     for n in range(2, 9):
         for w in range(2, 5):
             for k in W.indices_of_weight(w, min_len=2):
-                assert C.omega_at_root(k, n) == brute_omega_at_root(k, n), (k, n)
+                assert C.omega_at_root(k, n) == O.omega_at_root(k, n), (k, n)
+
+
+# omega is symmetric in the index, so the sorted indices cover weight <= 5
+ORACLE_INDICES = [
+    k for w in range(2, 6) for k in W.indices_of_weight(w, min_len=2) if k == tuple(sorted(k))[::-1]
+]
+ORACLE_EWORDS = [(1,), (3,), (HAT1,), (2, 1), (HAT1, 2), (1, HAT1, 1), (2, 2, 1), (HAT1, 1, 2)]
+# a weight-5 HbarSum with hbar terms, hat letters and a negative coefficient
+ORACLE_HBAR = W.a_mult(2, W.shuffle_hbar(W.e(2), W.e(HAT1)))
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_values_at_root_match_termwise_oracle(n):
+    # primes, the prime powers 4, 8, 9, 16, 25, 27, composites with non-unit [m]
+    for k in ORACLE_INDICES:
+        assert C.omega_at_root(k, n) == O.omega_at_root(k, n), (k, n)
+    for u in ORACLE_EWORDS + [ORACLE_HBAR]:
+        assert C.z_at_root(u, n) == O.z_at_root(u, n), (u, n)
+
+
+@pytest.mark.parametrize("n", [97, 120, 199])
+def test_omega_at_root_large_n_matches_oracle(n):
+    assert C.omega_at_root((2, 1), n) == O.omega_at_root((2, 1), n)
+
+
+def test_wide_coefficients_match_oracle():
+    # at n = 30 (den = 30) these weight-6 coefficient bounds need more than 64 bits
+    n = 30
+    for k in [(4, 2), (4, HAT1, 1)]:
+        assert C._PackedRing(n).widen(k).bits > 64, k
+    assert C.omega_at_root((4, 2), n) == O.omega_at_root((4, 2), n)
+    assert C.z_at_root((4, HAT1, 1), n) == O.z_at_root((4, HAT1, 1), n)
 
 
 def test_omega_at_root_symmetry():
@@ -118,9 +144,7 @@ def test_z_at_root_examples():
     u = W.e(2).hbar_shift(1)
     assert C.z_at_root(u, 3) == C.one_minus_zeta(C.CycloCtx(3)) * C.z_at_root((2,), 3)
     # extended letter
-    assert C.z_at_root((HAT1,), 3) == C._f_weight(C.CycloCtx(3), 1, HAT1) + C._f_weight(
-        C.CycloCtx(3), 2, HAT1
-    )
+    assert C.z_at_root((HAT1,), 3) == O.f_weight(3, 1, HAT1) + O.f_weight(3, 2, HAT1)
 
 
 def test_reduce_at_one_examples():
@@ -143,6 +167,19 @@ def test_reduce_at_one_after_unit_clearing():
     # (1 - zeta)^3 / 3 has positive valuation: reduces to zero
     x3 = lam2 * C.one_minus_zeta(ctx) * Fraction(1, 3)
     assert C.reduce_at_one(x3, 3) == 0
+
+
+def test_reduce_at_one_with_p_in_the_denominator():
+    # at p = 5: (1 - zeta)^4 = 5 u, u = 1/([1][2][3][4]) = -1 mod (1 - zeta) (Wilson)
+    ctx = C.CycloCtx(5)
+    lam = C.one_minus_zeta(ctx)
+    assert C.reduce_at_one(lam**4 * Fraction(1, 5), 5) == 4
+    assert C.reduce_at_one(lam**4 * Fraction(1, 15), 5) == 3  # -1/3 = 3 mod 5
+    # (1 - zeta)^3 / 5 keeps the denominator 5 (s = 1) and has valuation -1
+    x = lam**3 * Fraction(1, 5)
+    assert x.den == 5
+    with pytest.raises(NotIntegralError):
+        C.reduce_at_one(x, 5)
 
 
 def test_fmzv_reduction_small_sweep():
