@@ -29,8 +29,7 @@ DIMS_GUARDRAILS = {"finite": 10, "cyclotomic": 8, "symmetric": 7}
 @dataclass
 class RunConfig:
     weights: list = field(default_factory=list)
-    prime_min: int = 0  # 0 = derive from weight
-    prime_max: int = 200
+    prime_max: int = 0  # 0 = command default
     n_max: int = 20
     digits: int = 60
     height_bound: int = 2**10
@@ -41,11 +40,8 @@ class RunConfig:
     def validate(self):
         if self.digits < 30:
             raise ConfigError("digits must be >= 30")
-        if self.prime_max <= 2 or self.n_max < 2 or self.height_bound < 1:
+        if (self.prime_max and self.prime_max <= 2) or self.n_max < 2 or self.height_bound < 1:
             raise ConfigError("bounds must be positive (prime_max > 2, n_max >= 2)")
-        if self.weights and self.prime_min:
-            if self.prime_min <= max(self.weights) + 2:
-                raise ConfigError("prime_min must exceed max weight + 2")
 
 
 def _load_config_file(path) -> dict:
@@ -129,10 +125,10 @@ def _emit(line: str):
 
 def _suite_fmzv_reduction(cfg):
     max_w = cfg.max_weight or 5
-    prime_max = min(cfg.prime_max, 50) if cfg.prime_max == 200 else cfg.prime_max
+    primes = modular.primes_upto(cfg.prime_max or 50)
     for w in range(2, max_w + 1):
         for k in words.indices_of_weight(w, min_len=2):
-            for p in modular.primes_upto(prime_max):
+            for p in primes:
                 ok = (
                     cyclo.reduce_at_one(cyclo.omega_at_root(k, p), p)
                     == modular.omega_mod(k, p)
@@ -171,7 +167,7 @@ def _suite_sym_sum(cfg):
 
 def _suite_corollary52(cfg):
     max_w = cfg.max_weight or 8
-    primes = modular.primes_upto(cfg.prime_max)
+    primes = modular.primes_upto(cfg.prime_max or 200)
     for w in range(4, max_w + 1):
         for k in words.indices_of_weight(w, min_len=2, min_part=2):
             terms = words.corollary52_terms(k)
@@ -193,7 +189,7 @@ def _suite_corollary52(cfg):
 def _suite_specials(cfg):
     # almost-all-primes identities bind above the weight floor; see ledger
     max_w = cfg.max_weight or 8
-    primes = modular.primes_upto(cfg.prime_max)
+    primes = modular.primes_upto(cfg.prime_max or 200)
     for w in range(2, max_w + 1):
         for k1 in range(1, w):
             k = (k1, w - k1)
@@ -335,7 +331,7 @@ def cmd_values(args) -> int:
         primes = (
             _parse_ints(args.primes, "--primes")
             if args.primes
-            else modular.primes_in(len(index), cfg.prime_max)
+            else modular.primes_in(len(index), cfg.prime_max or 200)
         )
         for p in primes:
             _emit(json.dumps({"index": args.index, "p": p, "res": modular.omega_mod(index, p)}))
@@ -358,7 +354,6 @@ def cmd_values(args) -> int:
 
 def _add_common(p):
     p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--prime-min", dest="prime_min", type=int, default=None)
     p.add_argument("--prime-max", dest="prime_max", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--height-bound", dest="height_bound", type=int, default=None)

@@ -116,17 +116,6 @@ class CycloCtx:
         return tuple(c)
 
 
-def _convolve(a, b) -> list:
-    """Product of two integer polynomials given as coefficient sequences."""
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    conv[i + j] += x * y
-    return conv
-
-
 class CycloElem:
     """Element of Q(zeta_n): integer vector over a positive denominator."""
 
@@ -225,13 +214,19 @@ class CycloElem:
         if isinstance(other, (int, Fraction)):
             other = CycloElem.from_rational(self.ctx, other)
         self._check(other)
-        return CycloElem(self.ctx, _convolve(self.num, other.num), self.den * other.den)
+        conv = [0] * (len(self.num) + len(other.num) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(other.num):
+                    if y:
+                        conv[i + j] += x * y
+        return CycloElem(self.ctx, conv, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
+            raise RangeError(f"negative exponent {k}: no field inverse is provided")
         out = CycloElem.one(self.ctx)
         base = self
         while k:
@@ -241,9 +236,6 @@ class CycloElem:
             k >>= 1
         return out
 
-    def inverse(self) -> "CycloElem":
-        return cyclo_inv(self)
-
     def to_json(self) -> dict:
         return {"n": self.ctx.n, "coeffs": [str(c) for c in self.coeffs]}
 
@@ -251,51 +243,6 @@ class CycloElem:
     def from_json(cls, data: dict) -> "CycloElem":
         ctx = CycloCtx(int(data["n"]))
         return cls.from_coeffs(ctx, [Fraction(c) for c in data["coeffs"]])
-
-
-def cyclo_inv(x: CycloElem) -> CycloElem:
-    """Field inverse via the extended Euclidean algorithm against the modulus."""
-    if not x:
-        raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-    ctx = x.ctx
-    # work over Q[x]: r0 = modulus, r1 = x; keep only the x-cofactor
-    r0 = [Fraction(c) for c in ctx.phi_n]
-    r1 = [Fraction(c, x.den) for c in x.num]
-    t0 = [Fraction(0)]
-    t1 = [Fraction(1)]
-
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and not p[d]:
-            d -= 1
-        return d
-
-    while True:
-        d1 = deg(r1)
-        if d1 < 0:
-            raise ZeroDivisionError("not invertible (should not happen mod Phi_n)")
-        if d1 == 0:
-            c = r1[0]
-            return CycloElem.from_coeffs(ctx, [t / c for t in t1])
-        d0 = deg(r0)
-        q = [Fraction(0)] * (d0 - d1 + 1)
-        r = list(r0)
-        for i in range(d0, d1 - 1, -1):
-            f = r[i] / r1[d1]
-            q[i - d1] = f
-            if f:
-                for j in range(d1 + 1):
-                    r[i - d1 + j] -= f * r1[j]
-        # t_next = t0 - q * t1
-        tn = [Fraction(0)] * max(len(t0), len(q) + len(t1) - 1)
-        for i, c in enumerate(t0):
-            tn[i] += c
-        for i, a in enumerate(q):
-            if a:
-                for j, b in enumerate(t1):
-                    tn[i + j] -= a * b
-        r0, r1 = r1, r
-        t0, t1 = t1, tn
 
 
 def q_int(ctx: CycloCtx, m: int) -> CycloElem:
@@ -491,36 +438,20 @@ def z_at_root(u, n: int) -> CycloElem:
 def reduce_at_one(x: CycloElem, p: int) -> int:
     """Image of x under Z[zeta_p] -> Z[zeta_p]/(1 - zeta_p) = F_p.
 
-    The residue of an integral element is its coefficient sum mod p.  A
-    denominator divisible by p is cleared by exact division by 1 - zeta_p,
-    using (1-zeta_p)^(p-1) = p * u with u = 1/([1][2]...[p-1]) of residue -1
-    (Wilson); non-integral inputs raise NotIntegralError.
+    The residue of an integral element y/d is the coefficient sum of y over
+    d, mod p.  An element y/d in lowest terms with p | d is never integral:
+    p does not divide every coefficient of y, and the power basis is a
+    Z-basis of Z[zeta_p], so p does not divide y in Z[zeta_p].  Since
+    (p) = (1 - zeta_p)^(p-1), y has (1 - zeta_p)-valuation below p - 1
+    while d has at least p - 1.  Such inputs raise NotIntegralError.
     """
     from .modular import is_prime
 
     if x.ctx.n != p or not is_prime(p):
         raise RangeError(f"reduce_at_one needs a prime context matching p={p}")
-    s = 0
-    d = x.den
-    while d % p == 0:
-        d //= p
-        s += 1
-    if s == 0:
-        return sum(x.num) * pow(d % p, p - 2, p) % p if d % p else 0
-    ctx = x.ctx
-    # c = p/(1 - zeta) = -sum_{j<p} j zeta^j, from (1 - zeta) sum_{j<p} j zeta^j = -p:
-    # dividing by 1 - zeta is multiplying by c and dividing by p.
-    c = CycloElem(ctx, [-j for j in range(p)]).num
-    num = list(x.num)
-    for _ in range(s * (p - 1)):
-        num = list(ctx._reduce(_convolve(num, c)))
-        if any(v % p for v in num):
-            raise NotIntegralError(
-                "element is not integral at (1 - zeta_p) after clearing units"
-            )
-        num = [v // p for v in num]
-    res = sum(num) * pow(d % p, p - 2, p) % p
-    return (-res) % p if s % 2 else res
+    if x.den % p == 0:
+        raise NotIntegralError("element is not integral at (1 - zeta_p): p divides its denominator")
+    return sum(x.num) * pow(x.den, p - 2, p) % p
 
 
 def l_series_rational(u, q, order: int) -> list:

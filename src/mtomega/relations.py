@@ -41,11 +41,14 @@ def rref(rows):
             continue
         rows[ri], rows[piv] = rows[piv], rows[ri]
         inv = 1 / rows[ri][col]
-        rows[ri] = [x * inv for x in rows[ri]]
-        for i in range(len(rows)):
-            if i != ri and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[ri])]
+        prow = rows[ri] = [x * inv for x in rows[ri]]
+        # the pivot row is zero left of col, so only its nonzero entries act
+        support = [j for j in range(col, ncols) if prow[j]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != ri:
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(col)
         ri += 1
         if ri == len(rows):
@@ -174,14 +177,14 @@ def pslq(xs, digits: int = 60, max_height: int = 10**6):
     """Integer-relation search on certified BigReal values.
 
     Returns a primitive integer vector a with |sum a_i x_i| < 10^(-digits/2)
-    and max |a_i| <= max_height, or None.  A candidate from the underlying
-    search is accepted only if its residual, summed at 1.5x the working
-    digits, is below 10^(-digits/2); the residual uses the same input values,
-    which are not re-evaluated at the higher precision.
+    and max |a_i| <= max_height, or None.  A numerically zero coordinate x_i
+    gives the unit vector e_i, so a single value gives (1,) when it is zero
+    and None otherwise.  A candidate from the underlying search is accepted
+    only if its residual, summed at 1.5x the working digits, is below
+    10^(-digits/2); the residual uses the same input values, which are not
+    re-evaluated at the higher precision.
     """
     xs = list(xs)
-    if len(xs) < 2:
-        raise ValueError("pslq needs at least two values")
     for x in xs:
         if x.certified_digits < digits:
             raise PrecisionError(
@@ -191,13 +194,15 @@ def pslq(xs, digits: int = 60, max_height: int = 10**6):
     with mp.workdps(verify_dps):
         vals = [mp.mpf(x.value) for x in xs]
         tol = mp.mpf(10) ** (-(digits - 10))
-        scale = max(abs(v) for v in vals)
+        scale = max((abs(v) for v in vals), default=0)
         # exact-zero coordinates make the search degenerate; report e_i instead
         for i, v in enumerate(vals):
             if abs(v) < tol * max(1, scale):
                 out = [0] * len(vals)
                 out[i] = 1
                 return tuple(out)
+        if len(vals) < 2:
+            return None
         with mp.workdps(digits):
             cand = mp.pslq(vals, tol=tol, maxcoeff=max_height, maxsteps=50000)
         if cand is None:
@@ -385,6 +390,7 @@ def finite_relation_space(
     d = len(gens)
     if d == 0:
         return _mined("finite", weight, (), ())
+    holdout = [(q, [modular.omega_mod(g, q) for g in gens]) for q in holdout_primes]
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
     for p in training_primes:
         c = [modular.omega_mod(g, p) for g in gens]
@@ -405,10 +411,7 @@ def finite_relation_space(
     for row in basis:
         if max(abs(x) for x in row) > height_bound:
             continue
-        if all(
-            sum(a * modular.omega_mod(g, q) for a, g in zip(row, gens)) % q == 0
-            for q in holdout_primes
-        ):
+        if all(sum(a * c for a, c in zip(row, res)) % q == 0 for q, res in holdout):
             kept.append(primitive_integer(row))
     return _mined(
         "finite", weight, [(0, g) for g in gens], kept,
@@ -443,14 +446,11 @@ def cyclotomic_relation_space(weight: int, n_range=None):
     d = len(gens)
     if d == 0:
         return _mined("cyclotomic", weight, (), ())
-    # one row per Q-coordinate (slot) of each n's constraint, kept in RREF;
-    # the kernel is empty once the rank reaches d
+    # one row per Q-coordinate (slot) of each n's constraint
     constraints = []
     for n in n_range:
-        if len(constraints) == d:
-            break
         vals = [cyclo.omega_gen(m, idx, n).coeffs for m, idx in gens]
-        constraints, _ = rref(constraints + list(zip(*vals)))
+        constraints.extend(zip(*vals))
     # the final RREF makes the reported basis canonical
     red, _ = rref(kernel_basis(constraints, d))
     return _mined(
@@ -507,18 +507,7 @@ def symmetric_relation_space(weight: int, digits: int = 60, max_height: int = 10
     nvals = len(values)
     active = list(range(nvals))
     found = []
-    while True:
-        if len(active) < 2:
-            # a lone numerically-zero value is still a relation
-            if active:
-                i = active[0]
-                with mp.workdps(digits):
-                    if abs(values[i].value) < mp.mpf(10) ** (-(digits - 10)):
-                        v = [0] * nvals
-                        v[i] = 1
-                        found.append(tuple(v))
-                        active = []
-            break
+    while active:
         rel = pslq([values[i] for i in active], digits, max_height)
         if rel is None:
             break

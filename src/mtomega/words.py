@@ -605,24 +605,21 @@ def _shuffle_ewords(w1: EWord, w2: EWord) -> tuple:
 
     The recursion below implements the five leading-letter case rules plus
     the peeling rule e_1 w = e_1hat w + (e_1 - e_1hat) w, which reduces a
-    leading e_1 on either side to the cases the other rules cover.
+    leading e_1 to the cases the other rules cover.  The product is
+    commutative, so the arguments are swapped to put a leading e_1, and
+    failing that a leading e_1hat, first; only those orders have rules.
     """
     if not w1:
         return (((0, w2), 1),)
     if not w2:
         return (((0, w1), 1),)
     k1, k2 = w1[0], w2[0]
+    if (k2 == 1 and k1 != 1) or (k2 == HAT1 and k1 not in (1, HAT1)):
+        return _shuffle_ewords(w2, w1)
     if k1 == 1:
         rest = _shuffle_ewords(w1[1:], w2)
         return _sh_e_merge(
             _shuffle_ewords((HAT1,) + w1[1:], w2),
-            _sh_e_prepend(1, rest),
-            _sh_e_prepend(HAT1, rest, -1),
-        )
-    if k2 == 1:
-        rest = _shuffle_ewords(w1, w2[1:])
-        return _sh_e_merge(
-            _shuffle_ewords(w1, (HAT1,) + w2[1:]),
             _sh_e_prepend(1, rest),
             _sh_e_prepend(HAT1, rest, -1),
         )
@@ -640,13 +637,6 @@ def _shuffle_ewords(w1: EWord, w2: EWord) -> tuple:
             _sh_e_prepend(HAT1, _shuffle_ewords(w1[1:], w2)),
             _sh_e_amult(_shuffle_ewords(w1, w2d)),
             _sh_e_hshift(_sh_e_prepend(HAT1, _shuffle_ewords(w1[1:], w2d))),
-        )
-    if k2 == HAT1:
-        w1d = (k1 - 1,) + w1[1:]
-        return _sh_e_merge(
-            _sh_e_prepend(HAT1, _shuffle_ewords(w1, w2[1:])),
-            _sh_e_amult(_shuffle_ewords(w1d, w2)),
-            _sh_e_hshift(_sh_e_prepend(HAT1, _shuffle_ewords(w1d, w2[1:]))),
         )
     # both letters >= 2: w_i = a w_id
     w1d = (k1 - 1,) + w1[1:]
@@ -858,35 +848,23 @@ def check_generating_identities(max_weight: int) -> list[IdentityCheck]:
 
     # phi on y(u) S_I and on S_I
     for s in range(0, 3):
-        nv = s + 1  # variable 0 is u, variables 1..s are t_1..t_s
+        nv = s + 1  # slot 0 is u, slots 1..s are t_1..t_s
         d = max_weight - (s + 1)
         if d < 0:
             continue
-        subset = list(range(1, s + 1))
-
-        def yv(formvals):
-            return y_series(nv, d, formvals)
-
-        def s_sub(sub):
-            out = TPoly.unit(nv, d)
-            for p in sub:
-                form = [0] * nv
-                form[p] = 1  # t_p sits at slot p
-                out = out.shuffle(yv(form))
-            return out
-
+        subset = list(range(2, s + 2))  # s_subset's 1-based labels of t_1..t_s
         u_form = [0] * nv
         u_form[0] = 1
         mu_form = [0] * nv
         mu_form[0] = -1
-        s_full = s_sub(subset)
-        lhs = yv(u_form).concat(s_full).map_words(_phi_word)
-        rhs = yv(u_form).concat(s_full) - yv(mu_form).shuffle(s_full)
+        s_full = s_subset(nv, d, subset)
+        lhs = y_series(nv, d, u_form).concat(s_full).map_words(_phi_word)
+        rhs = y_series(nv, d, u_form).concat(s_full) - y_series(nv, d, mu_form).shuffle(s_full)
         for b in subset:
             form = [0] * nv
-            form[b] = -1
-            rhs = rhs + yv(form).concat(
-                yv(mu_form).shuffle(s_sub([p for p in subset if p != b]))
+            form[b - 1] = -1
+            rhs = rhs + y_series(nv, d, form).concat(
+                y_series(nv, d, mu_form).shuffle(s_subset(nv, d, [p for p in subset if p != b]))
             )
         results.append(
             _tpoly_compare("phi-of-y(u)-times-shuffles", f"|I|={s}", lhs, rhs)

@@ -4,9 +4,10 @@
 e-words into the raw letters a, b, shuffle there, and solve for the result in
 the e-monomial basis.  `hnf` is the row-style Hermite normal form, a
 canonical basis of an integer lattice, so two bases span the same lattice
-exactly when their forms are equal.  `omega_at_root` and `z_at_root` sum the
-q-series values at a root of unity term by term, one CycloElem product per
-composition or chain.
+exactly when their forms are equal.  `cyclo_inv` is the field inverse in
+Q(zeta_n) by the extended Euclidean algorithm.  `omega_at_root` and
+`z_at_root` sum the q-series values at a root of unity term by term, one
+CycloElem product per composition or chain.
 """
 
 import functools
@@ -181,13 +182,58 @@ def hnf(rows):
 # omega and z at a root of unity, term by term in Q(zeta_n)
 
 
+def cyclo_inv(x: C.CycloElem) -> C.CycloElem:
+    """Field inverse via the extended Euclidean algorithm against the modulus."""
+    if not x:
+        raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
+    ctx = x.ctx
+    # work over Q[x]: r0 = modulus, r1 = x; keep only the x-cofactor
+    r0 = [Fraction(c) for c in ctx.phi_n]
+    r1 = [Fraction(c, x.den) for c in x.num]
+    t0 = [Fraction(0)]
+    t1 = [Fraction(1)]
+
+    def deg(p):
+        d = len(p) - 1
+        while d >= 0 and not p[d]:
+            d -= 1
+        return d
+
+    while True:
+        d1 = deg(r1)
+        if d1 < 0:
+            raise ZeroDivisionError("not invertible (should not happen mod Phi_n)")
+        if d1 == 0:
+            c = r1[0]
+            return C.CycloElem.from_coeffs(ctx, [t / c for t in t1])
+        d0 = deg(r0)
+        q = [Fraction(0)] * (d0 - d1 + 1)
+        r = list(r0)
+        for i in range(d0, d1 - 1, -1):
+            f = r[i] / r1[d1]
+            q[i - d1] = f
+            if f:
+                for j in range(d1 + 1):
+                    r[i - d1 + j] -= f * r1[j]
+        # t_next = t0 - q * t1
+        tn = [Fraction(0)] * max(len(t0), len(q) + len(t1) - 1)
+        for i, c in enumerate(t0):
+            tn[i] += c
+        for i, a in enumerate(q):
+            if a:
+                for j, b in enumerate(t1):
+                    tn[i + j] -= a * b
+        r0, r1 = r1, r
+        t0, t1 = t1, tn
+
+
 @functools.lru_cache(maxsize=None)
 def qint_inverse(n: int, m: int) -> C.CycloElem:
     """1/[m] at zeta_n: sum_{i<m'} zeta^(m i) with m m' = 1 mod n when [m]
     is a unit, the Euclidean inverse (cyclo_inv) otherwise."""
     ctx = C.CycloCtx(n)
     if math.gcd(m, n) > 1:
-        return C.cyclo_inv(C.q_int(ctx, m))
+        return cyclo_inv(C.q_int(ctx, m))
     coeffs = [0] * n
     for i in range(pow(m, -1, n)):
         coeffs[m * i % n] += 1

@@ -108,6 +108,24 @@ def test_config_file_bad_int_exits_1(tmp_path):
 def test_bad_flag_exits_1():
     code, _out, _err = run_cli("values", "omega-mod", "2.1", "--nope")
     assert code == 1
+    code, out, _err = run_cli("dims", "finite", "--weights", "3", "--prime-min", "7")
+    assert code == 1 and out == ""
+
+
+def test_config_file_unknown_key_exits_1(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("prime_min = 7\n")
+    code, out, err = run_cli("dims", "finite", "--weights", "3", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == "config error: unknown config key: prime_min\n"
+
+
+@pytest.mark.parametrize("extra,checks", [((), 15), (("--prime-max", "200"), 46)])
+def test_fmzv_reduction_prime_max(extra, checks):
+    # the suite's own default is 50; an explicit --prime-max, 200 included, is kept
+    code, out, _ = run_cli("verify", "fmzv-reduction", "--max-weight", "2", *extra)
+    assert code == 0
+    assert out.splitlines()[-1] == f"{checks} checks, 0 failures"
 
 
 def test_dims_finite_csv():

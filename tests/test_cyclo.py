@@ -47,11 +47,11 @@ def test_cyclo_elem_normalization():
 def test_cyclo_inverse_examples():
     ctx3, ctx4 = C.CycloCtx(3), C.CycloCtx(4)
     one3 = C.CycloElem.one(ctx3)
-    assert C.cyclo_inv(one3) == one3
-    assert C.cyclo_inv(elem(3, 1, 1)) == elem(3, 0, -1)
-    assert C.cyclo_inv(C.CycloElem.zeta_pow(ctx4, 1)) == elem(4, 0, -1)
+    assert O.cyclo_inv(one3) == one3
+    assert O.cyclo_inv(elem(3, 1, 1)) == elem(3, 0, -1)
+    assert O.cyclo_inv(C.CycloElem.zeta_pow(ctx4, 1)) == elem(4, 0, -1)
     with pytest.raises(ZeroDivisionError):
-        C.cyclo_inv(C.CycloElem.zero(ctx3))
+        O.cyclo_inv(C.CycloElem.zero(ctx3))
 
 
 def test_qint_units():
@@ -75,8 +75,10 @@ def test_field_axioms_sample():
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert a * C.cyclo_inv(a) == C.CycloElem.one(ctx)
+    assert a * O.cyclo_inv(a) == C.CycloElem.one(ctx)
     assert a**3 == a * a * a
+    with pytest.raises(RangeError):  # the field inverse lives in the test oracles
+        a**-1
 
 
 def test_omega_at_root_examples():
@@ -175,7 +177,7 @@ def test_reduce_at_one_with_p_in_the_denominator():
     lam = C.one_minus_zeta(ctx)
     assert C.reduce_at_one(lam**4 * Fraction(1, 5), 5) == 4
     assert C.reduce_at_one(lam**4 * Fraction(1, 15), 5) == 3  # -1/3 = 3 mod 5
-    # (1 - zeta)^3 / 5 keeps the denominator 5 (s = 1) and has valuation -1
+    # (1 - zeta)^3 / 5 keeps the denominator 5 and has valuation -1
     x = lam**3 * Fraction(1, 5)
     assert x.den == 5
     with pytest.raises(NotIntegralError):

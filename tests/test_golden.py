@@ -34,6 +34,11 @@ GOLDEN = (
     ("verify identity-words --max-weight 8 --format json", "e040d7f52f7f6ee4cb5b649ff16c728005f2025463e0b2101e9c91b8feb754d2"),
     ("verify generating --max-weight 6 --format json", "c41a5c101cca00f84958210cc5a297f2f0be696fd39c490cd890d784682ffe7a"),
     ("relations conjecture --weights 5 --n-max 12", "78d001a388915080e014541fd7c1656f94d05f02afd7fd3e918a1aca5dfab994"),
+    ("relations symmetric --weights 2..3", "3e9de1ebec09ad72815c89eef5d297d977b765a1903a91e156828bf4ab4c7af2"),
+    ("relations cyclotomic --weights 2..3 --n-max 20", "8e435db6692cee83bcc2b0bc1499aa184572414998048eb66c6d8255ba406e3d"),
+    ("relations finite --weights 10", "c1e4b41badea3c0503ed65bb23002dcc0ef1dd07d21a3bb76a6f406b93539ea8"),
+    ("verify q-kamano --max-weight 5 --n-max 6 --format json", "7771afec36c4091d89d24eebd55529dc8c8dff7e4d2ec687c397ef418ccf6045"),
+    ("verify fmzv-reduction --max-weight 3 --format json", "f9f34214f83c610fbce766af65916cd7b5e73186b6d696743bc1a9947040018c"),
 )
 
 

@@ -101,11 +101,11 @@ def test_mt_depth2_truncated_sum_bracket():
     with mp.workdps(30):
         for index, l in [((1, 1), 1), ((2, 1), 1), ((1, 2), 2)]:
             k1, k2 = index
-            partial = mp.fsum(
-                mp.mpf(a) ** (-k1) * mp.mpf(b) ** (-k2) * mp.mpf(a + b) ** (-l)
-                for a in range(1, m_max + 1)
-                for b in range(1, m_max + 1)
-            )
+            # the powers a^(-k1), b^(-k2), (a+b)^(-l), each computed once
+            pa = {a: mp.mpf(a) ** (-k1) for a in range(1, m_max + 1)}
+            pb = {b: mp.mpf(b) ** (-k2) for b in range(1, m_max + 1)}
+            ps = {s: mp.mpf(s) ** (-l) for s in range(2, 2 * m_max + 1)}
+            partial = mp.fsum(pa[a] * pb[b] * ps[a + b] for a in pa for b in pb)
             tail_bound = 4 * (2 + mp.log(m_max)) / m_max
             got = N.mt_num(index, l, 40).value
             assert partial < got < partial + tail_bound, (index, l)

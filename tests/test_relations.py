@@ -175,6 +175,18 @@ def test_pslq_zero_input():
     assert R.pslq(vals, 60) == (0, 1)
 
 
+def test_pslq_single_value():
+    # one value is a relation exactly when it is numerically zero
+    with mp.workdps(80):
+        zero = N.BigReal(mp.mpf(10) ** -70, 60)
+        small = N.BigReal(mp.mpf(10) ** -20, 60)
+        pi = N.BigReal(+mp.pi, 60)
+    assert R.pslq([zero], 60) == (1,)
+    assert R.pslq([small], 60) is None
+    assert R.pslq([pi], 60) is None
+    assert R.pslq([], 60) is None
+
+
 def test_pslq_precision_error():
     with mp.workdps(80):
         vals = [N.BigReal(mp.mpf(1), 30), N.BigReal(+mp.pi, 30)]
