@@ -24,6 +24,9 @@ from . import cyclo, modular, numeric, relations, words
 from .errors import ConfigError, MTOmegaError
 
 DIMS_GUARDRAILS = {"finite": 10, "cyclotomic": 8, "symmetric": 7}
+#: Largest accepted --digits: far above every table's need, far below what
+#: exhausts memory.
+MAX_DIGITS = 10_000
 
 
 @dataclass
@@ -38,8 +41,8 @@ class RunConfig:
     max_weight: int = 0  # 0 = suite default
 
     def validate(self):
-        if self.digits < 30:
-            raise ConfigError("digits must be >= 30")
+        if not 30 <= self.digits <= MAX_DIGITS:
+            raise ConfigError(f"digits must be in 30..{MAX_DIGITS}")
         if (self.prime_max and self.prime_max <= 2) or self.n_max < 2 or self.height_bound < 1:
             raise ConfigError("bounds must be positive (prime_max > 2, n_max >= 2)")
 

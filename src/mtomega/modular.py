@@ -75,21 +75,26 @@ def hsum_mod(index, p: int) -> Residue:
     return sum(sums.chain_levels(index, p, lambda m, k: pow(inv[m], k, p), 0)) % p
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _power_array(p: int, k: int) -> np.ndarray:
+    """m^(-k) mod p at position m, for 0 <= m < p (position 0 holds 0)."""
     inv = _inverses(p)
     arr = np.zeros(p, dtype=np.int64)
     for m in range(1, p):
         arr[m] = pow(inv[m], k, p)
+    arr.setflags(write=False)  # cached and shared by every caller
     return arr
 
 
-@functools.lru_cache(maxsize=None)
-def _omega_mod_sorted(index, p: int) -> Residue:
-    c = _power_array(p, index[0])
-    for ka in index[1:]:
-        c = np.convolve(c, _power_array(p, ka))[: p + 1] % p
-    return int(c[p]) if len(c) > p else 0
+@functools.lru_cache(maxsize=256)
+def _series_mod(prefix, p: int) -> np.ndarray:
+    """Coefficients of x^0..x^(p-1), mod p, of the product over the parts k
+    of sum_m m^(-k) x^m; cached per prefix, which the callers share."""
+    if len(prefix) == 1:
+        return _power_array(p, prefix[0])
+    series = np.convolve(_series_mod(prefix[:-1], p), _power_array(p, prefix[-1]))[:p] % p
+    series.setflags(write=False)
+    return series
 
 
 def omega_mod(index, p: int) -> Residue:
@@ -99,10 +104,12 @@ def omega_mod(index, p: int) -> Residue:
     if len(index) < 2:
         raise LengthError(f"omega_mod needs length >= 2, got {index}")
     _check_prime(p)
-    if p < len(index):
-        return 0
-    # symmetric in the index, so cache on the sorted tuple
-    return _omega_mod_sorted(tuple(sorted(index, reverse=True)), p)
+    # symmetric in the index: sorted ascending, indices of one weight share
+    # their leading parts, and only the coefficient of x^p of the last
+    # product is formed (0 when p < r, as no composition exists)
+    index = tuple(sorted(index))
+    head = _series_mod(index[:-1], p)
+    return int(np.dot(head[1:], _power_array(p, index[-1])[p - 1 : 0 : -1])) % p
 
 
 def zeta_word_mod(u: words.WordSum, p: int) -> Residue:

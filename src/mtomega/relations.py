@@ -2,12 +2,13 @@
 
 Three miners share one report format.  The finite miner intersects, prime by
 prime, the congruence kernels of the residue vectors, keeping the integer
-lattice LLL-reduced as it shrinks; surviving short vectors are re-verified on
-holdout primes.  The cyclotomic miner stacks exact linear constraints over
-Q(zeta_n) for a range of n and takes the rational kernel.  The symmetric
-miner runs PSLQ over certified high-precision values, with the quotient by
-zeta(2)-multiples realized by augmenting the value vector with
-zeta(2) * (monomial zeta values of weight k-2).
+lattice LLL-reduced as it shrinks; the Gram-Schmidt data of the rows a prime
+leaves unchanged carries over to the next reduction.  Surviving short
+vectors are re-verified on holdout primes.  The cyclotomic miner stacks exact
+linear constraints over Q(zeta_n) for a range of n and takes the rational
+kernel.  The symmetric miner runs PSLQ over certified high-precision
+values, with the quotient by zeta(2)-multiples realized by augmenting the
+value vector with zeta(2) * (monomial zeta values of weight k-2).
 
 Relation vectors are primitive integer vectors; each is tagged `proven` when
 it lies in the rational span of relations the underlying theorems supply,
@@ -17,7 +18,8 @@ and `conjectural` otherwise.  Dimension = generators - relations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -106,11 +108,31 @@ def primitive_integer(vector):
 # integer lattices: LLL
 
 
-def lll_reduce(basis, delta=Fraction(3, 4)):
+@dataclass
+class GramSchmidt:
+    """Integral Gram-Schmidt data of the last `lll_reduce` result: its rows,
+    d_0..d_n, the lambda table and the delta it was reduced at."""
+
+    rows: list = field(default_factory=list)
+    d: list = None
+    lam: list = None
+    delta: Fraction = None
+
+
+def lll_reduce(basis, delta=Fraction(3, 4), gs=None):
     """LLL reduction with exact integer arithmetic (integral Gram-Schmidt).
 
     Same lattice in, same lattice out; the Lovasz condition holds at the
     given delta on return.  Input vectors must be linearly independent.
+
+    `gs`, a `GramSchmidt` owned by the caller, carries the data of one call
+    over to the next.  The leading input rows equal to the previous result's,
+    found by comparing rows, keep their Gram-Schmidt data, and the swap loop
+    starts after them: that prefix is already size-reduced and meets the
+    Lovasz condition at the same delta, so a cold run would leave it as it is
+    and the result is the same with or without `gs`.  The state is taken out
+    of `gs` on entry and written back only on return, so nothing is reused
+    after an exception.
     """
     b = [list(v) for v in basis]
     n = len(b)
@@ -119,11 +141,21 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
     dn, dd = delta.numerator, delta.denominator
 
     def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
+        return sum(map(operator.mul, u, v))
 
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
-    for i in range(n):
+    start = 0
+    if gs is not None:
+        prev, gs.rows = gs.rows, []
+        if gs.delta == delta:
+            while start < min(n, len(prev)) and tuple(b[start]) == prev[start]:
+                start += 1
+        if start:
+            d[: start + 1] = gs.d[: start + 1]
+            for i in range(start):
+                lam[i][:i] = gs.lam[i][:i]
+    for i in range(start, n):
         for j in range(i + 1):
             u = dot(b[i], b[j])
             for k in range(j):
@@ -138,8 +170,7 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
     def redi(k, l):
         if 2 * abs(lam[k][l]) > d[l + 1]:
             q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            for j in range(len(b[k])):
-                b[k][j] -= q * b[l][j]
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
             lam[k][l] -= q * d[l + 1]
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
@@ -156,7 +187,7 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
             lam[i][k - 1] = (bb * t + lam_ * lam[i][k]) // d[k + 1]
         d[k] = bb
 
-    k = 1
+    k = max(1, start)
     while k < n:
         redi(k, k - 1)
         if dd * d[k + 1] * d[k - 1] < dn * d[k] * d[k] - dd * lam[k][k - 1] ** 2:
@@ -166,7 +197,10 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
             for l in range(k - 2, -1, -1):
                 redi(k, l)
             k += 1
-    return [tuple(v) for v in b]
+    out = [tuple(v) for v in b]
+    if gs is not None:
+        gs.rows, gs.d, gs.lam, gs.delta = out, d, lam, delta
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +413,10 @@ def finite_relation_space(
 
     The lattice of integer vectors whose residue combination vanishes at every
     training prime is computed by iterated kernel preimages, LLL-reduced after
-    each prime to keep entries small; vectors within the height bound that
-    also vanish at every holdout prime are the relations.
+    each prime to keep entries small.  A prime keeps the rows before its
+    pivot, so each reduction resumes from the previous one's Gram-Schmidt
+    data for those rows.  Vectors within the height bound that also vanish
+    at every holdout prime are the relations.
     """
     if training_primes is None or holdout_primes is None:
         tr, ho = default_prime_split(weight)
@@ -392,6 +428,7 @@ def finite_relation_space(
         return _mined("finite", weight, (), ())
     holdout = [(q, [modular.omega_mod(g, q) for g in gens]) for q in holdout_primes]
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    gs = GramSchmidt()
     for p in training_primes:
         c = [modular.omega_mod(g, p) for g in gens]
         v = [sum(row[i] * c[i] for i in range(d)) % p for row in basis]
@@ -406,7 +443,7 @@ def finite_relation_space(
             f = v[i] * inv % p
             newbasis.append([a - f * b for a, b in zip(row, basis[j])])
         newbasis.append([p * x for x in basis[j]])
-        basis = [list(r) for r in lll_reduce(newbasis)]
+        basis = lll_reduce(newbasis, gs=gs)
     kept = []
     for row in basis:
         if max(abs(x) for x in row) > height_bound:

@@ -105,6 +105,18 @@ def test_config_file_bad_int_exits_1(tmp_path):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_huge_digits_exits_1(tmp_path):
+    # rejected by validation, before any value is evaluated
+    code, out, err = run_cli("values", "omega-limit", "3.1.1", "--digits", "40000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits = 40000000000\n")
+    code, out, err = run_cli("values", "omega-limit", "3.1.1", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_bad_flag_exits_1():
     code, _out, _err = run_cli("values", "omega-mod", "2.1", "--nope")
     assert code == 1

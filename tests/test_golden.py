@@ -39,6 +39,7 @@ GOLDEN = (
     ("relations finite --weights 10", "c1e4b41badea3c0503ed65bb23002dcc0ef1dd07d21a3bb76a6f406b93539ea8"),
     ("verify q-kamano --max-weight 5 --n-max 6 --format json", "7771afec36c4091d89d24eebd55529dc8c8dff7e4d2ec687c397ef418ccf6045"),
     ("verify fmzv-reduction --max-weight 3 --format json", "f9f34214f83c610fbce766af65916cd7b5e73186b6d696743bc1a9947040018c"),
+    ("relations finite --weights 11..12 --force", "6ab98b34b137e6941bf590ec61e3a2b243e80f40a3c64c258527b4a7afd244d0"),
 )
 
 

@@ -77,8 +77,9 @@ def test_omega_examples():
 
 
 def test_omega_against_bruteforce():
-    for p in (5, 7, 11, 13):
-        for w in range(2, 6):
+    # p = 2, 3 give p < r and p = r; weight 6 gives length-6 prefixes
+    for p in (2, 3, 5, 7, 11, 13):
+        for w in range(2, 7):
             for k in W.indices_of_weight(w, min_len=2):
                 assert M.omega_mod(k, p) == brute_omega(k, p), (k, p)
 

@@ -137,6 +137,113 @@ def test_lll_random_lattices():
         gram_schmidt_check(red)
 
 
+def integral_gram_schmidt(rows):
+    """(d_0..d_n, lambda) of the rows from rational Gram-Schmidt:
+    d_(i+1) = prod_(t<=i) |b*_t|^2 and lambda_(i,j) = d_(j+1) mu_(i,j)."""
+    ortho, norms, d = [], [], [1]
+    lam = {}
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu = sum(a * c for a, c in zip(row, ortho[j])) / norms[j]
+            lam[(i, j)] = d[j + 1] * mu
+            v = [a - mu * c for a, c in zip(v, ortho[j])]
+        ortho.append(v)
+        norms.append(sum(x * x for x in v))
+        d.append(d[-1] * norms[-1])
+    return d, lam
+
+
+def assert_state_describes(gs, rows, delta=Fraction(3, 4)):
+    d, lam = integral_gram_schmidt(rows)
+    assert gs.rows == rows and gs.delta == delta
+    assert gs.d == d
+    assert {(i, j): gs.lam[i][j] for i in range(len(rows)) for j in range(i)} == lam
+
+
+def test_lll_resumed_matches_cold():
+    """Replay the finite miner's update on lattices with planted relations:
+    the resumed reduction equals the cold one at every prime."""
+    import random
+
+    rng = random.Random(6)
+    primes = [5, 7, 11, 13, 17, 19, 23]
+    resumed = 0
+    for n in range(4, 11):
+        for _trial in range(3):
+            # a few short relations that vanish at every prime, so the
+            # leading rows settle as they do in the miner
+            planted = [
+                [int(i == t) for i in range(m)] + [rng.randint(-2, 2) for _ in range(n - m)]
+                for m in [rng.randint(1, n - 2)]
+                for t in range(m)
+            ]
+            m = len(planted)
+            basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            gs = R.GramSchmidt()
+            for p in rng.sample(primes, 4):
+                free = [rng.randrange(p) for _ in range(n - m)]
+                c = [-sum(a * x for a, x in zip(r[m:], free)) % p for r in planted] + free
+                v = [sum(a * x for a, x in zip(row, c)) % p for row in basis]
+                if not any(v):
+                    continue
+                j = next(i for i, x in enumerate(v) if x)
+                inv = pow(v[j], p - 2, p)
+                newbasis = [
+                    [a - v[i] * inv % p * b for a, b in zip(row, basis[j])]
+                    for i, row in enumerate(basis) if i != j
+                ]
+                newbasis.append([p * x for x in basis[j]])
+                resumed += j > 0
+                warm = R.lll_reduce(newbasis, gs=gs)
+                assert warm == R.lll_reduce(newbasis)
+                assert_state_describes(gs, warm)
+                basis = warm
+    # the warm start was exercised, not only the cold path
+    assert resumed >= 10
+
+
+def test_lll_resumed_state_mismatch_is_cold():
+    rng = __import__("random").Random(7)
+    basis = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
+    gs = R.GramSchmidt()
+    red = R.lll_reduce(basis, gs=gs)
+    assert_state_describes(gs, red)
+    cases = [
+        [list(v) for v in red[:4]],  # one row fewer, all of them shared
+        [list(v) for v in red] + [[0, 0, 0, 0, 0, 3]],  # one row more
+        [list(v) for v in reversed(red)],  # other leading rows
+    ]
+    for other in cases:
+        R.lll_reduce(basis, gs=gs)
+        cold = R.lll_reduce(other)
+        assert R.lll_reduce(other, gs=gs) == cold
+        assert_state_describes(gs, cold)
+    # another delta
+    R.lll_reduce(basis, gs=gs)
+    delta = Fraction(99, 100)
+    cold = R.lll_reduce(red, delta)
+    assert R.lll_reduce(red, delta, gs=gs) == cold
+    assert_state_describes(gs, cold, delta)
+
+
+def test_lll_resumed_after_dependent_input():
+    rng = __import__("random").Random(8)
+    basis = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
+    gs = R.GramSchmidt()
+    red = R.lll_reduce(basis, gs=gs)
+    assert_state_describes(gs, red)
+    # shares four leading rows with the state, then a dependent row
+    dependent = [list(v) for v in red[:4]] + [[a + b for a, b in zip(red[0], red[1])]]
+    with pytest.raises(DependentInputError):
+        R.lll_reduce(dependent, gs=gs)
+    assert gs.rows == []
+    # the next call shares leading rows with the stale result, yet runs cold
+    again = [list(v) for v in red[:4]] + [[x * 2 for x in red[4]]]
+    assert R.lll_reduce(again, gs=gs) == R.lll_reduce(again)
+    assert_state_describes(gs, R.lll_reduce(again))
+
+
 # ---------------------------------------------------------------------------
 # PSLQ
 
