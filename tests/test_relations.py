@@ -1,6 +1,7 @@
 """Tests for lattice reduction, PSLQ, and the three relation miners."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -164,8 +165,6 @@ def assert_state_describes(gs, rows, delta=Fraction(3, 4)):
 def test_lll_resumed_matches_cold():
     """Replay the finite miner's update on lattices with planted relations:
     the resumed reduction equals the cold one at every prime."""
-    import random
-
     rng = random.Random(6)
     primes = [5, 7, 11, 13, 17, 19, 23]
     resumed = 0
@@ -173,12 +172,11 @@ def test_lll_resumed_matches_cold():
         for _trial in range(3):
             # a few short relations that vanish at every prime, so the
             # leading rows settle as they do in the miner
+            m = rng.randint(1, n - 2)
             planted = [
                 [int(i == t) for i in range(m)] + [rng.randint(-2, 2) for _ in range(n - m)]
-                for m in [rng.randint(1, n - 2)]
                 for t in range(m)
             ]
-            m = len(planted)
             basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
             gs = R.GramSchmidt()
             for p in rng.sample(primes, 4):
@@ -204,7 +202,7 @@ def test_lll_resumed_matches_cold():
 
 
 def test_lll_resumed_state_mismatch_is_cold():
-    rng = __import__("random").Random(7)
+    rng = random.Random(7)
     basis = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
     gs = R.GramSchmidt()
     red = R.lll_reduce(basis, gs=gs)
@@ -228,7 +226,7 @@ def test_lll_resumed_state_mismatch_is_cold():
 
 
 def test_lll_resumed_after_dependent_input():
-    rng = __import__("random").Random(8)
+    rng = random.Random(8)
     basis = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
     gs = R.GramSchmidt()
     red = R.lll_reduce(basis, gs=gs)
