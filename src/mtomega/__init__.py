@@ -1,7 +1,7 @@
 """mtomega: finite, cyclotomic, and symmetric Mordell-Tornheim multiple omega values.
 
 Exact word-algebra computations, modular and cyclotomic evaluation, certified
-high-precision numerics, and lattice/PSLQ relation mining for the dimension
+high-precision numerics, and lattice relation mining for the dimension
 tables of the omega-value spaces.
 """
 

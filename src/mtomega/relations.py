@@ -6,9 +6,10 @@ lattice LLL-reduced as it shrinks; the Gram-Schmidt data of the rows a prime
 leaves unchanged carries over to the next reduction.  Surviving short
 vectors are re-verified on holdout primes.  The cyclotomic miner stacks exact
 linear constraints over Q(zeta_n) for a range of n and takes the rational
-kernel.  The symmetric miner runs PSLQ over certified high-precision
-values, with the quotient by zeta(2)-multiples realized by augmenting the
-value vector with zeta(2) * (monomial zeta values of weight k-2).
+kernel.  The symmetric miner reduces one integer lattice built from
+certified high-precision values, with the quotient by zeta(2)-multiples
+realized by augmenting the value vector with zeta(2) * (Hoffman's zeta
+values of weight k-2).
 
 Relation vectors are primitive integer vectors; each is tagged `proven` when
 it lies in the rational span of relations the underlying theorems supply,
@@ -204,19 +205,30 @@ def lll_reduce(basis, delta=Fraction(3, 4), gs=None):
 
 
 # ---------------------------------------------------------------------------
-# PSLQ
+# integer relations among real numbers: one LLL reduction
 
 
-def pslq(xs, digits: int = 60, max_height: int = 10**6):
-    """Integer-relation search on certified BigReal values.
+def _round_scaled(x, scale: int) -> int:
+    """round(x * scale) for an mpf x, in exact integer arithmetic."""
+    man, exp = x.man_exp  # the mantissa comes without its sign
+    if x < 0:
+        man = -man
+    if exp >= 0:
+        return (man << exp) * scale
+    return (2 * man * scale + (1 << -exp)) >> (1 - exp)
 
-    Returns a primitive integer vector a with |sum a_i x_i| < 10^(-digits/2)
-    and max |a_i| <= max_height, or None.  A numerically zero coordinate x_i
-    gives the unit vector e_i, so a single value gives (1,) when it is zero
-    and None otherwise.  A candidate from the underlying search is accepted
-    only if its residual, summed at 1.5x the working digits, is below
-    10^(-digits/2); the residual uses the same input values, which are not
-    re-evaluated at the higher precision.
+
+def integer_relations(xs, digits: int = 60, max_height: int = 10**4):
+    """Basis of the integer relations among certified BigReal values.
+
+    One LLL reduction of the rows (e_i, round(10^(digits-5) * x_i)) (Cohen,
+    A Course in Computational Algebraic Number Theory, 1993, 2.7).  A reduced
+    row is accepted, as a primitive vector of its first N = len(xs) entries,
+    when its height is at most max_height and its last entry, the scaled
+    residual, is within N * max_height; a zero x_i gives e_i.  PrecisionError
+    when the inputs certify fewer digits, when all N rows pass though some
+    value is not zero, or when the lattice gap (shortest rejected row over
+    longest accepted row) is below 10^2.
     """
     xs = list(xs)
     for x in xs:
@@ -224,35 +236,23 @@ def pslq(xs, digits: int = 60, max_height: int = 10**6):
             raise PrecisionError(
                 f"input certified to {x.certified_digits} < {digits} digits"
             )
-    verify_dps = int(digits * 3 / 2) + 10
-    with mp.workdps(verify_dps):
-        vals = [mp.mpf(x.value) for x in xs]
-        tol = mp.mpf(10) ** (-(digits - 10))
-        scale = max((abs(v) for v in vals), default=0)
-        # exact-zero coordinates make the search degenerate; report e_i instead
-        for i, v in enumerate(vals):
-            if abs(v) < tol * max(1, scale):
-                out = [0] * len(vals)
-                out[i] = 1
-                return tuple(out)
-        if len(vals) < 2:
-            return None
-        with mp.workdps(digits):
-            cand = mp.pslq(vals, tol=tol, maxcoeff=max_height, maxsteps=50000)
-        if cand is None:
-            return None
-        g = math.gcd(*cand)
-        if g:
-            cand = [c // g for c in cand]
-        lead = next((c for c in cand if c), 0)
-        if lead < 0:
-            cand = [-c for c in cand]
-        if max(abs(c) for c in cand) > max_height:
-            return None
-        err = abs(mp.fsum(c * v for c, v in zip(cand, vals)))
-        if err >= mp.mpf(10) ** (-(digits / 2)):
-            return None
-    return tuple(cand)
+    n = len(xs)
+    scaled = [_round_scaled(x.value, 10 ** (digits - 5)) for x in xs]
+    rows = [[int(i == j) for j in range(n)] + [s] for i, s in enumerate(scaled)]
+    accepted, rejected, found = [], [], []
+    for row in lll_reduce(rows):
+        norm2 = sum(x * x for x in row)
+        if max(map(abs, row[:n])) <= max_height and abs(row[n]) <= n * max_height:
+            accepted.append(norm2)
+            found.append(primitive_integer(row[:n]))
+        else:
+            rejected.append(norm2)
+    if len(found) == n and any(scaled):
+        raise PrecisionError(f"no lattice gap at {digits} digits: all {n} rows pass")
+    if accepted and rejected and min(rejected) < 10**4 * max(accepted):
+        gap = math.sqrt(min(rejected) / max(accepted))
+        raise PrecisionError(f"lattice gap {gap:.3g} < 1e2 at {digits} digits")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -504,24 +504,22 @@ def symmetric_generators(weight):
     return tuple(words.partitions_of_weight(weight))
 
 
-def _augmentation_words(weight):
-    """Admissible monomials of the given weight (empty list when weight < 2)."""
+def _hoffman_indices(weight):
+    """Compositions of the weight into 2s and 3s; their zeta values span the
+    multiple zeta values of that weight (Brown, Annals 2012)."""
     if weight == 0:
         return [()]
-    out = []
-    for idx in words.indices_of_weight(weight):
-        if words.is_admissible(idx):
-            out.append(words.word_of_index(idx))
-    return out
+    return [(k,) + rest for k in (2, 3) if k <= weight for rest in _hoffman_indices(weight - k)]
 
 
 def symmetric_relation_space(weight: int, digits: int = 60, max_height: int = 10**4):
-    """PSLQ-mine relations among limit omega values modulo zeta(2) multiples.
+    """Mine relations among limit Omega values modulo zeta(2) multiples.
 
     The value vector is the Omega values of one weight followed by
-    zeta(2) * zeta(monomial) for every admissible monomial of weight - 2; a
-    relation touching the augmented block means "zero modulo zeta(2) times a
-    zeta value".  The reported dimension counts only the Omega block of the
+    zeta(2) * zeta(k) for the Hoffman indices k of weight - 2, and one LLL
+    reduction finds its integer relations (`integer_relations`); a relation
+    touching the augmented block means "zero modulo zeta(2) times a zeta
+    value".  The reported dimension counts only the Omega block of the
     quotient.
     """
     if digits < 50:
@@ -531,31 +529,16 @@ def symmetric_relation_space(weight: int, digits: int = 60, max_height: int = 10
     if d == 0:
         return _mined("symmetric", weight, (), ())
     values = [numeric.omega_limit_num(g, digits) for g in gens]
-    aug = _augmentation_words(weight - 2)
     with mp.workdps(digits + numeric.GUARD_DIGITS):
         z2 = numeric.mzv_num(words.y_word((2,)), digits).value
-        for w in aug:
+        for k in _hoffman_indices(weight - 2):
             values.append(
-                numeric.BigReal(
-                    +(z2 * numeric.mzv_num(words.WordSum.monomial(w), digits).value),
-                    digits,
-                )
+                numeric.BigReal(+(z2 * numeric.mzv_num(words.y_word(k), digits).value), digits)
             )
-    nvals = len(values)
-    active = list(range(nvals))
-    found = []
-    while active:
-        rel = pslq([values[i] for i in active], digits, max_height)
-        if rel is None:
-            break
-        full = [0] * nvals
-        for i, c in zip(active, rel):
-            full[i] = c
-        found.append(tuple(full))
-        pivot = max(
-            range(len(rel)), key=lambda i: (abs(rel[i]), -i)
-        )  # deterministic
-        active.pop(pivot)
+    try:
+        found = integer_relations(values, digits, max_height)
+    except PrecisionError as exc:
+        raise PrecisionError(f"weight {weight}: {exc}") from None
     # dimension counts the Omega block of the quotient
     omega_parts = [list(v[:d]) for v in found]
     dim = d - len(rref([r for r in omega_parts if any(r)])[0])

@@ -8,28 +8,31 @@ f(m_a, k_a) over one of two ranges of positive integers (m_1, ..., m_r):
 * compositions m_1 + ... + m_r = n (omega values).
 
 Each caller supplies its weight f(m, k) and the zero of its ring (residues,
-Fraction, CycloElem, mpf, mpc); the sums use only + and * on the values,
-always in the same order, so exact and fixed-precision callers get the same
-results as their own loops would.
+Fraction, CycloElem, fixed-point integers, mpc); the sums use only + and the
+ring's product on the values, always in the same order, so exact and
+fixed-precision callers get the same results as their own loops would.
 """
 
 from __future__ import annotations
 
+import operator
 
-def chain_levels(index, top: int, f, zero) -> list:
+
+def chain_levels(index, top: int, f, zero, mul=operator.mul) -> list:
     """Levels of the sum over top > m_1 > ... > m_r > 0 for r = len(index) >= 1.
 
     Returns `level` of length top with level[m] the sum of
     f(m_1, k_1) * ... * f(m_r, k_r) over the chains with m_1 = m (level[0]
     is zero); sum(level) is the full nested sum.  One prefix-sum pass per
-    entry of the index, last entry first.
+    entry of the index, last entry first.  `mul` is the ring's product
+    (a fixed-point caller rescales there).
     """
     level = [zero] + [f(m, index[-1]) for m in range(1, top)]
     for k in reversed(index[:-1]):
         prefix = zero
         new = [zero] * top
         for m in range(1, top):
-            new[m] = f(m, k) * prefix
+            new[m] = mul(f(m, k), prefix)
             prefix = prefix + level[m]
         level = new
     return level

@@ -41,14 +41,12 @@ EWord = tuple  # tuple over {1, 2, ...} | {HAT1}
 
 Scalar = Union[int, Fraction]
 
+# A benchmark command uses at most 1654 keys per word-product cache.
+_CACHE_WORDS = 8192
+
 
 # ---------------------------------------------------------------------------
 # indices
-
-
-def is_admissible(index: Index) -> bool:
-    """True when the index is empty or its first part is at least 2."""
-    return not index or index[0] >= 2
 
 
 def check_index(index) -> Index:
@@ -324,7 +322,7 @@ def word_from_str(s: str) -> Word:
 # the shuffle product
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_WORDS)
 def _shuffle_words(w1: Word, w2: Word) -> tuple:
     """Shuffle of two monomials as a sorted tuple of (word, multiplicity)."""
     if not w1:
@@ -403,7 +401,7 @@ def phi(u: WordSum) -> WordSum:
     return WordSum._wrap(_linear(u._terms, _phi_word))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_WORDS)
 def _phi_word(word: Word) -> tuple:
     """phi of a monomial, as ((word, coeff), ...)."""
     k = index_of_word(word)
@@ -414,7 +412,7 @@ def _phi_word(word: Word) -> tuple:
     return tuple(out.items())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_WORDS)
 def _reg0_word(word: Word) -> tuple:
     """T=0 shuffle regularization of a monomial, as ((word, coeff), ...)."""
     if not word or word[0] == X0:
@@ -599,7 +597,7 @@ def _sh_e_merge(*parts):
     return tuple(sorted(acc.items(), key=lambda kv: HbarSum._key(kv[0])))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_WORDS)
 def _shuffle_ewords(w1: EWord, w2: EWord) -> tuple:
     """Deformed shuffle of two e-monomials, closed in the e-basis.
 

@@ -7,7 +7,8 @@ canonical basis of an integer lattice, so two bases span the same lattice
 exactly when their forms are equal.  `cyclo_inv` is the field inverse in
 Q(zeta_n) by the extended Euclidean algorithm.  `omega_at_root` and
 `z_at_root` sum the q-series values at a root of unity term by term, one
-CycloElem product per composition or chain.
+CycloElem product per composition or chain.  `li_half` sums the Li(1/2)
+series in mpmath floats at the working digits plus guard digits.
 """
 
 import functools
@@ -16,8 +17,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath as mp
+
 from mtomega import cyclo as C
+from mtomega import numeric as N
 from mtomega import relations as R
+from mtomega import sums
 from mtomega.errors import InternalClosureError
 from mtomega.words import HAT1, EWord, HbarSum, _eword_key
 
@@ -286,3 +291,25 @@ def z_at_root(u, n: int) -> C.CycloElem:
         chains = itertools.combinations(range(n - 1, 0, -1), len(ew))
         total = total + _sum_of_products(n, chains, ew) * lam**h * c
     return total
+
+
+# ---------------------------------------------------------------------------
+# Li(1/2) series in mpmath floats
+
+
+def li_half(index, digits: int) -> mp.mpf:
+    """Li_{s_1,...,s_r}(1/2) = sum over m_1 > ... > m_r of 2^-m_1 / prod m^s,
+    truncated with a certified geometric tail bound."""
+    if not index:
+        return mp.mpf(1)
+    r = len(index)
+    order = N._li_truncation_order(r, digits)
+    with mp.workdps(digits + N.GUARD_DIGITS):
+        level = sums.chain_levels(index, order + 1, lambda m, s: mp.mpf(m) ** (-s), mp.mpf(0))
+        half = mp.mpf(1) / 2
+        total = mp.mpf(0)
+        power = mp.mpf(1)
+        for m in range(1, order + 1):
+            power *= half
+            total += power * level[m]
+        return +total

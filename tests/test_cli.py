@@ -155,6 +155,15 @@ def test_dims_guardrail():
     assert "guardrail" in err
 
 
+def test_dims_symmetric_precision_refusal_exits_1():
+    code, out, err = run_cli("dims", "symmetric", "--weights", "10", "--force")
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "weight 10" in errors[0] and "60 digits" in errors[0] and "gap" in errors[0]
+
+
 def test_dims_cyclotomic_json():
     code, out, _ = run_cli(
         "dims", "cyclotomic", "--weights", "2..3", "--n-max", "12", "--format", "json"

@@ -18,10 +18,10 @@ import pytest
 from mtomega import cli
 
 GOLDEN = (
-    ("relations conjecture --weights 4 --n-max 12", "269aafa70d794d4151ba55adeda97b5d3fa285f8f71761c0c61f84e9d6b33a19"),
+    ("relations conjecture --weights 4 --n-max 12", "97279a024d0df2891faee928be49028d0cd8c1d55357c418c6a67a886f345eed"),
     ("relations cyclotomic --weights 5 --n-max 12", "bc6b3cf7f9e1500659daf7804e466426d44cc858957c509c764a59e740e031d6"),
     ("relations finite --weights 8", "046129d968bf00d30e29863ac511b36b9525451a67bb181a9ed2b2fb2c43d5a3"),
-    ("relations symmetric --weights 6", "eaba8632938c2ffe37f735502e40961bb1bc34ab910dafc9385b6e305cc750a6"),
+    ("relations symmetric --weights 6", "f851b8887a4f55226897acc7b787075d16957c776052e127cdfa1c062bbfa8fe"),
     ("verify sym-sum --max-weight 6 --n-max 8 --format json", "d8044ebbb203bb003c82ce3422d9637d069d00224780dca071fd932e156fd510"),
     ("verify q-kamano --max-weight 4 --n-max 8 --format json", "539a3d683e12bc301d318f49f54057cdb46a4814b416a3afa828641663fc3811"),
     ("verify corollary52 --max-weight 6 --prime-max 40 --format json", "1cb78034ab0f7e08e9755f9729ea96d658445604f34bc6354af35471b0aff980"),
@@ -33,13 +33,15 @@ GOLDEN = (
     ("dims cyclotomic --weights 2..5 --n-max 12 --format json", "02548c7ef1d30f82a3ac28151b234e143633b7f37c72fabbe0c8331f362e16b8"),
     ("verify identity-words --max-weight 8 --format json", "e040d7f52f7f6ee4cb5b649ff16c728005f2025463e0b2101e9c91b8feb754d2"),
     ("verify generating --max-weight 6 --format json", "c41a5c101cca00f84958210cc5a297f2f0be696fd39c490cd890d784682ffe7a"),
-    ("relations conjecture --weights 5 --n-max 12", "78d001a388915080e014541fd7c1656f94d05f02afd7fd3e918a1aca5dfab994"),
+    ("relations conjecture --weights 5 --n-max 12", "f491775bb57f406f20596607bf55862373f394c2577ebb27b46d2a31586d569b"),
     ("relations symmetric --weights 2..3", "3e9de1ebec09ad72815c89eef5d297d977b765a1903a91e156828bf4ab4c7af2"),
     ("relations cyclotomic --weights 2..3 --n-max 20", "8e435db6692cee83bcc2b0bc1499aa184572414998048eb66c6d8255ba406e3d"),
     ("relations finite --weights 10", "c1e4b41badea3c0503ed65bb23002dcc0ef1dd07d21a3bb76a6f406b93539ea8"),
     ("verify q-kamano --max-weight 5 --n-max 6 --format json", "7771afec36c4091d89d24eebd55529dc8c8dff7e4d2ec687c397ef418ccf6045"),
     ("verify fmzv-reduction --max-weight 3 --format json", "f9f34214f83c610fbce766af65916cd7b5e73186b6d696743bc1a9947040018c"),
     ("relations finite --weights 11..12 --force", "6ab98b34b137e6941bf590ec61e3a2b243e80f40a3c64c258527b4a7afd244d0"),
+    ("values omega-limit 3.1.1 --digits 300", "3dba74f6332d88da068436a6964978205dc8282e85cad4a9d5e4ecc57501eb31"),
+    ("values zeta-s 4.2.1 --digits 200", "e22ae60906a3596d60e28c473679b418ec1c10469d6e3e6d2bfb3c1834058e87"),
 )
 
 

@@ -15,6 +15,8 @@ from mtomega import words as W
 from mtomega.errors import LengthError, NotAdmissibleError
 from mtomega.words import X0, X1, WordSum
 
+import oracles as O
+
 ZETA2 = "1.64493406684822643647241516664602518921894990120679843773556"
 ZETA3 = "1.20205690315959428539973816151144999076498629234049888179227"
 MINUS_2_ZETA2 = "-3.28986813369645287294483033329205037843789980241359687547112"
@@ -46,6 +48,16 @@ def test_mzv_shuffle_homomorphism_numeric():
         u, v = W.y_word((2,)), W.y_word((3,))
         prod = N.mzv_num(W.shuffle(u, v), 60).value
         assert abs(prod - mp.zeta(2) * mp.zeta(3)) < mp.mpf(10) ** (-58)
+
+
+@pytest.mark.parametrize("digits,max_weight", [(60, 7), (200, 5)])
+def test_li_half_fixed_point_against_mpmath(digits, max_weight):
+    for w in range(1, max_weight + 1):
+        for index in W.indices_of_weight(w):
+            got = N._li_half(index, digits)
+            with mp.workdps(digits + 30):
+                err = abs(got - O.li_half(index, digits))
+                assert err < mp.mpf(10) ** (-(digits + 5)), index
 
 
 def test_mzv_rejects_divergent():

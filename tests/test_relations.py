@@ -1,4 +1,4 @@
-"""Tests for lattice reduction, PSLQ, and the three relation miners."""
+"""Tests for lattice reduction, integer relations, and the three relation miners."""
 
 import itertools
 import random
@@ -243,13 +243,13 @@ def test_lll_resumed_after_dependent_input():
 
 
 # ---------------------------------------------------------------------------
-# PSLQ
+# integer relations by one LLL reduction
 
 
-def test_pslq_examples():
+def test_integer_relations_examples():
     z3 = N.mzv_num(W.y_word((3,)), 60)
     z21 = N.mzv_num(W.y_word((2, 1)), 60)
-    assert R.pslq([z3, z21], 60) == (1, -1)
+    assert R.integer_relations([z3, z21], 60) == [(1, -1)]
 
     with mp.workdps(80):
         phi = (1 + mp.sqrt(5)) / 2
@@ -258,45 +258,55 @@ def test_pslq_examples():
             N.BigReal(+phi, 60),
             N.BigReal(+(phi**2), 60),
         ]
-    assert R.pslq(vals, 60) == (1, 1, -1)
+    assert R.integer_relations(vals, 60) == [(1, 1, -1)]
 
     with mp.workdps(80):
         one = N.BigReal(mp.mpf(1), 60)
         pi = N.BigReal(+mp.pi, 60)
-    assert R.pslq([one, pi], 60, max_height=1000) is None
+    assert R.integer_relations([one, pi], 60, max_height=1000) == []
 
 
-def test_pslq_scaling_invariance():
+def test_integer_relations_scaling_invariance():
     with mp.workdps(80):
         phi = (1 + mp.sqrt(5)) / 2
         vals = [mp.mpf(1), phi, phi**2]
         scaled = [N.BigReal(+(v * 7 / 3), 60) for v in vals]
-    assert R.pslq(scaled, 60) == (1, 1, -1)
+    assert R.integer_relations(scaled, 60) == [(1, 1, -1)]
 
 
-def test_pslq_zero_input():
+def test_integer_relations_zero_input():
     with mp.workdps(80):
         vals = [N.BigReal(mp.mpf(1), 60), N.BigReal(mp.mpf(0), 60)]
-    assert R.pslq(vals, 60) == (0, 1)
+    assert R.integer_relations(vals, 60) == [(0, 1)]
 
 
-def test_pslq_single_value():
+def test_integer_relations_single_value():
     # one value is a relation exactly when it is numerically zero
     with mp.workdps(80):
         zero = N.BigReal(mp.mpf(10) ** -70, 60)
         small = N.BigReal(mp.mpf(10) ** -20, 60)
         pi = N.BigReal(+mp.pi, 60)
-    assert R.pslq([zero], 60) == (1,)
-    assert R.pslq([small], 60) is None
-    assert R.pslq([pi], 60) is None
-    assert R.pslq([], 60) is None
+    assert R.integer_relations([zero], 60) == [(1,)]
+    assert R.integer_relations([small], 60) == []
+    assert R.integer_relations([pi], 60) == []
+    assert R.integer_relations([], 60) == []
 
 
-def test_pslq_precision_error():
+def test_integer_relations_precision_error():
     with mp.workdps(80):
         vals = [N.BigReal(mp.mpf(1), 30), N.BigReal(+mp.pi, 30)]
     with pytest.raises(PrecisionError):
-        R.pslq(vals, 60)
+        R.integer_relations(vals, 60)
+
+
+def test_integer_relations_refuse_a_small_gap():
+    # at 20 digits a relation of height 10^7 leaves the other reduced row
+    # only 9 times longer, too close to tell relations from chance
+    with mp.workdps(40):
+        vals = [N.BigReal(mp.mpf(1), 20), N.BigReal(mp.mpf(4567891) / 9876543, 20)]
+    assert R.integer_relations(vals, 20, max_height=10**6) == []
+    with pytest.raises(PrecisionError, match="lattice gap 9.04 < 1e2 at 20 digits"):
+        R.integer_relations(vals, 20, max_height=10**7)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +454,63 @@ def test_symmetric_weight2_proven():
 def test_symmetric_needs_digits():
     with pytest.raises(PrecisionError):
         R.symmetric_relation_space(3, digits=40)
+
+
+def zagier_d(k_max):
+    """d_0..d_k_max of d_k = d_{k-2} + d_{k-3}, d_0 = 1, d_1 = 0, d_2 = 1."""
+    d = [1, 0, 1]
+    while len(d) <= k_max:
+        d.append(d[-2] + d[-3])
+    return d
+
+
+@pytest.mark.parametrize("weight,digits", [(9, 60), (10, 110)])
+def test_symmetric_dimension_matches_zagier(weight, digits):
+    d = zagier_d(weight)
+    _basis, rep = R.symmetric_relation_space(weight, digits=digits)
+    assert rep.dimension == d[weight] - d[weight - 2]
+
+
+def test_symmetric_refuses_too_few_digits():
+    # at 60 digits every weight-10 row passes the height and residual tests
+    with pytest.raises(PrecisionError, match="weight 10: no lattice gap at 60 digits"):
+        R.symmetric_relation_space(10, digits=60)
+
+
+# Relation span of the Omega block at weights 3..8 as the PSLQ miner found it
+# before the lattice miner replaced it: weight -> (generator count, the
+# primitive rows of its RREF as {column: entry}).
+PSLQ_OMEGA_SPANS = {
+    3: (2, ({0: 1},)),
+    4: (4, ({0: 1}, {1: 1}, {2: 1}, {3: 1})),
+    5: (6, ({0: 1}, {1: 1}, {2: 12, 5: -1}, {3: 1}, {4: 8, 5: 1})),
+    6: (10, (
+        {0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: 1}, {5: 4, 8: 1}, {6: 1},
+        {7: 6, 8: 1}, {9: 1},
+    )),
+    7: (14, (
+        {0: 1}, {1: 1}, {2: 360, 13: -1}, {3: 1}, {4: 720, 13: -1},
+        {5: 120, 13: 1}, {6: 180, 13: -1}, {7: 360, 13: 1}, {8: 90, 13: 1},
+        {9: 160, 13: -9}, {10: 1}, {11: 320, 13: -13}, {12: 6, 13: 1},
+    )),
+    8: (21, (
+        {0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: 1}, {5: 120, 19: 1}, {6: 1},
+        {7: 1}, {8: 1}, {9: 192, 17: 24, 19: 1}, {10: 160, 17: -40, 19: -7},
+        {11: 1}, {12: 1440, 17: 600, 19: 1}, {13: 120, 17: 40, 19: -1},
+        {14: 640, 17: -840, 19: -11}, {15: 32, 17: 40, 19: 7},
+        {16: 40, 17: -40, 19: 1}, {18: 10, 19: 3}, {20: 1},
+    )),
+}
+
+
+@pytest.mark.parametrize("weight", sorted(PSLQ_OMEGA_SPANS))
+def test_symmetric_omega_span_pinned(weight):
+    d, rows = PSLQ_OMEGA_SPANS[weight]
+    basis, rep = R.symmetric_relation_space(weight, digits=60)
+    assert rep.generator_count == d
+    red, _ = R.rref([list(v[:d]) for v in basis.vectors if any(v[:d])])
+    want = [tuple(row.get(i, 0) for i in range(d)) for row in rows]
+    assert [R.primitive_integer(r) for r in red] == want
 
 
 # ---------------------------------------------------------------------------
