@@ -23,10 +23,13 @@ import mpmath as mp
 from . import cyclo, modular, numeric, relations, words
 from .errors import ConfigError, MTOmegaError
 
-DIMS_GUARDRAILS = {"finite": 10, "cyclotomic": 8, "symmetric": 7}
+#: Largest weight each side mines without --force; conjecture mines all three
+#: sides, so it takes the smallest limit.
+GUARDRAILS = {"finite": 10, "cyclotomic": 8, "symmetric": 7, "conjecture": 7}
 #: Largest accepted --digits: far above every table's need, far below what
 #: exhausts memory.
 MAX_DIGITS = 10_000
+FORMATS = ("text", "json")
 
 
 @dataclass
@@ -35,16 +38,19 @@ class RunConfig:
     prime_max: int = 0  # 0 = command default
     n_max: int = 20
     digits: int = 60
-    height_bound: int = 2**10
-    output_format: str = "text"  # text | json | csv
+    output_format: str = "text"
     force: bool = False
     max_weight: int = 0  # 0 = suite default
 
     def validate(self):
         if not 30 <= self.digits <= MAX_DIGITS:
             raise ConfigError(f"digits must be in 30..{MAX_DIGITS}")
-        if (self.prime_max and self.prime_max <= 2) or self.n_max < 2 or self.height_bound < 1:
+        if (self.prime_max and self.prime_max <= 2) or self.n_max < 2:
             raise ConfigError("bounds must be positive (prime_max > 2, n_max >= 2)")
+        if self.max_weight and self.max_weight < 2:
+            raise ConfigError("max_weight must be >= 2")
+        if self.output_format not in FORMATS:
+            raise ConfigError(f"output_format must be one of {'|'.join(FORMATS)}")
 
 
 def _load_config_file(path) -> dict:
@@ -62,11 +68,11 @@ def _load_config_file(path) -> dict:
 
 
 def _build_config(args) -> RunConfig:
+    """RunConfig from the defaults, then the --config file, then the flags."""
     cfg = RunConfig()
-    file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    typed = {f.name: f.type for f in fields(RunConfig)}
-    for key, val in file_vals.items():
-        if key not in typed:
+    names = {f.name for f in fields(RunConfig)}
+    for key, val in (_load_config_file(args.config) if args.config else {}).items():
+        if key not in names:
             raise ConfigError(f"unknown config key: {key}")
         cur = getattr(cfg, key)
         if isinstance(cur, bool):
@@ -77,13 +83,11 @@ def _build_config(args) -> RunConfig:
             setattr(cfg, key, _parse_weights(val))
         else:
             setattr(cfg, key, val)
-    for key in typed:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
-    if getattr(args, "format", None):
-        cfg.output_format = args.format
-    if getattr(args, "weights", None):
-        cfg.weights = _parse_weights(args.weights)
+    # a subcommand's namespace holds only the flags it declares
+    for key in names:
+        val = getattr(args, key, None)
+        if val is not None:
+            setattr(cfg, key, _parse_weights(val) if key == "weights" else val)
     cfg.validate()
     return cfg
 
@@ -114,6 +118,10 @@ def _parse_ints(spec: str, flag: str) -> list:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # a flag is accepted only as spelled in FLAGS, not as a prefix of one
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -265,30 +273,35 @@ def cmd_verify(args) -> int:
 
 # side -> miner(weight, cfg) returning (RelationBasis, DimReport)
 MINERS = {
-    "finite": lambda w, cfg: relations.finite_relation_space(w, height_bound=cfg.height_bound),
+    "finite": lambda w, cfg: relations.finite_relation_space(w),
     "cyclotomic": lambda w, cfg: relations.cyclotomic_relation_space(w, range(2, cfg.n_max + 1)),
     "symmetric": lambda w, cfg: relations.symmetric_relation_space(w, digits=cfg.digits),
 }
 
 
+def _guarded_weights(cfg, args) -> list:
+    """The run's weights, refused past the side's guardrail unless forced."""
+    if not cfg.weights:
+        raise ConfigError(f"{args.command} needs --weights")
+    top, limit = max(cfg.weights), GUARDRAILS[args.side]
+    if top > limit:
+        if not cfg.force:
+            raise ConfigError(
+                f"weight {top} over the {args.side} guardrail {limit}; use --force to override"
+            )
+        sys.stderr.write(f"warning: over guardrail {limit}, this may take long\n")
+    return cfg.weights
+
+
 def cmd_dims(args) -> int:
     cfg = _build_config(args)
-    if not cfg.weights:
-        raise ConfigError("dims needs --weights")
-    limit = DIMS_GUARDRAILS[args.side]
-    if max(cfg.weights) > limit and not cfg.force:
-        raise ConfigError(
-            f"weight {max(cfg.weights)} over the {args.side} guardrail {limit}; "
-            "use --force to override"
-        )
-    if max(cfg.weights) > limit:
-        sys.stderr.write(f"warning: over guardrail {limit}, this may take long\n")
+    weights = _guarded_weights(cfg, args)
     # the cyclotomic quotient by (1-z) shifts needs the dimension one weight down
     quotient = args.side == "cyclotomic"
-    need = set(cfg.weights) | {w - 1 for w in cfg.weights if quotient and w - 1 >= 2}
+    need = set(weights) | {w - 1 for w in weights if quotient and w - 1 >= 2}
     reps = {w: MINERS[args.side](w, cfg)[1] for w in sorted(need)}
     rows = []
-    for w in cfg.weights:
+    for w in weights:
         row = {"weight": w, "dimension": reps[w].dimension}
         if quotient:
             prev = reps[w - 1].dimension if w - 1 >= 2 else 0
@@ -307,9 +320,7 @@ def cmd_dims(args) -> int:
 
 def cmd_relations(args) -> int:
     cfg = _build_config(args)
-    if not cfg.weights:
-        raise ConfigError("relations needs --weights")
-    for w in cfg.weights:
+    for w in _guarded_weights(cfg, args):
         if args.side == "conjecture":
             out = relations.conjecture_report(
                 w, n_range=range(2, cfg.n_max + 1), digits=cfg.digits
@@ -355,14 +366,25 @@ def cmd_values(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--prime-max", dest="prime_max", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--height-bound", dest="height_bound", type=int, default=None)
-    p.add_argument("--format", choices=["text", "json", "csv"], default=None)
-    p.add_argument("--force", action="store_true", default=None)
-    p.add_argument("--config", default=None, help="key = value config file")
+# Every flag; each subcommand declares the ones it reads.  A flag whose dest
+# is a RunConfig field sets that field.
+FLAGS = {
+    "--weights": {"help": "e.g. 3..8 or 2,3,5"},
+    "--max-weight": {"type": int},
+    "--primes": {"help": "comma-separated primes"},
+    "--n": {"help": "comma-separated n values"},
+    "--prime-max": {"type": int},
+    "--n-max": {"type": int},
+    "--digits": {"type": int},
+    "--format": {"dest": "output_format", "choices": FORMATS},
+    "--force": {"action": "store_true", "default": None},
+    "--config": {"help": "key = value config file"},
+}
+
+
+def _add_flags(p, *names):
+    for name in names:
+        p.add_argument(name, **FLAGS[name])
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -371,28 +393,23 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="machine-check the identities")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--max-weight", dest="max_weight", type=int, default=None)
-    _add_common(p)
+    _add_flags(p, "--max-weight", "--prime-max", "--n-max", "--format", "--config")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dims", help="dimension tables")
     p.add_argument("side", choices=["finite", "cyclotomic", "symmetric"])
-    p.add_argument("--weights", required=True, help="e.g. 3..8 or 2,3,5")
-    _add_common(p)
+    _add_flags(p, "--weights", "--n-max", "--digits", "--format", "--force", "--config")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("relations", help="relation mining reports (JSON)")
     p.add_argument("side", choices=["finite", "cyclotomic", "symmetric", "conjecture"])
-    p.add_argument("--weights", required=True)
-    _add_common(p)
+    _add_flags(p, "--weights", "--n-max", "--digits", "--force", "--config")
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("values", help="stream individual values as JSON")
     p.add_argument("kind", choices=["omega-mod", "omega-root", "omega-limit", "zeta-s"])
     p.add_argument("index", help="dot-separated index, e.g. 2.1.1")
-    p.add_argument("--primes", default=None, help="comma-separated primes")
-    p.add_argument("--n", default=None, help="comma-separated n values")
-    _add_common(p)
+    _add_flags(p, "--primes", "--n", "--prime-max", "--n-max", "--digits", "--config")
     p.set_defaults(func=cmd_values)
 
     return parser

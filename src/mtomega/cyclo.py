@@ -239,11 +239,6 @@ class CycloElem:
     def to_json(self) -> dict:
         return {"n": self.ctx.n, "coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CycloElem":
-        ctx = CycloCtx(int(data["n"]))
-        return cls.from_coeffs(ctx, [Fraction(c) for c in data["coeffs"]])
-
 
 def q_int(ctx: CycloCtx, m: int) -> CycloElem:
     """The q-integer [m] = 1 + zeta + ... + zeta^(m-1) at q = zeta_n."""

@@ -56,13 +56,6 @@ class BigComplex:
     def value(self) -> mp.mpc:
         return mp.mpc(self.re.value, self.im.value)
 
-    def to_json(self) -> dict:
-        return {
-            "re": self.re.to_json(),
-            "im": self.im.to_json(),
-            "certified_digits": self.re.certified_digits,
-        }
-
 
 def _li_truncation_order(r: int, digits: int) -> int:
     """Smallest M with 1.5 * 2^-M * (M+1)^(r-1) < 10^-(digits+8)."""

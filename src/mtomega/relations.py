@@ -112,34 +112,33 @@ def primitive_integer(vector):
 @dataclass
 class GramSchmidt:
     """Integral Gram-Schmidt data of the last `lll_reduce` result: its rows,
-    d_0..d_n, the lambda table and the delta it was reduced at."""
+    d_0..d_n and the lambda table."""
 
     rows: list = field(default_factory=list)
     d: list = None
     lam: list = None
-    delta: Fraction = None
 
 
-def lll_reduce(basis, delta=Fraction(3, 4), gs=None):
+def lll_reduce(basis, gs=None):
     """LLL reduction with exact integer arithmetic (integral Gram-Schmidt).
 
-    Same lattice in, same lattice out; the Lovasz condition holds at the
-    given delta on return.  Input vectors must be linearly independent.
+    Same lattice in, same lattice out; the Lovasz condition holds at
+    delta = 3/4 (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982) on
+    return.  Input vectors must be linearly independent.
 
     `gs`, a `GramSchmidt` owned by the caller, carries the data of one call
     over to the next.  The leading input rows equal to the previous result's,
     found by comparing rows, keep their Gram-Schmidt data, and the swap loop
     starts after them: that prefix is already size-reduced and meets the
-    Lovasz condition at the same delta, so a cold run would leave it as it is
-    and the result is the same with or without `gs`.  The state is taken out
-    of `gs` on entry and written back only on return, so nothing is reused
-    after an exception.
+    Lovasz condition, so a cold run would leave it as it is and the result
+    is the same with or without `gs`.  The state is taken out of `gs` on
+    entry and written back only on return, so nothing is reused after an
+    exception.
     """
     b = [list(v) for v in basis]
     n = len(b)
     if n == 0:
         return []
-    dn, dd = delta.numerator, delta.denominator
 
     def dot(u, v):
         return sum(map(operator.mul, u, v))
@@ -149,9 +148,8 @@ def lll_reduce(basis, delta=Fraction(3, 4), gs=None):
     start = 0
     if gs is not None:
         prev, gs.rows = gs.rows, []
-        if gs.delta == delta:
-            while start < min(n, len(prev)) and tuple(b[start]) == prev[start]:
-                start += 1
+        while start < min(n, len(prev)) and tuple(b[start]) == prev[start]:
+            start += 1
         if start:
             d[: start + 1] = gs.d[: start + 1]
             for i in range(start):
@@ -191,7 +189,8 @@ def lll_reduce(basis, delta=Fraction(3, 4), gs=None):
     k = max(1, start)
     while k < n:
         redi(k, k - 1)
-        if dd * d[k + 1] * d[k - 1] < dn * d[k] * d[k] - dd * lam[k][k - 1] ** 2:
+        # the Lovasz condition at delta = 3/4 fails (scaled by 4 d[k]^2)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
             swapi(k)
             k = max(1, k - 1)
         else:
@@ -200,7 +199,7 @@ def lll_reduce(basis, delta=Fraction(3, 4), gs=None):
             k += 1
     out = [tuple(v) for v in b]
     if gs is not None:
-        gs.rows, gs.d, gs.lam, gs.delta = out, d, lam, delta
+        gs.rows, gs.d, gs.lam = out, d, lam
     return out
 
 
@@ -287,15 +286,6 @@ class DimReport:
     relation_count: int
     dimension: int
     status: str  # proven | conjectural-numeric
-
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "generators": self.generator_count,
-            "relations": self.relation_count,
-            "dimension": self.dimension,
-            "status": self.status,
-        }
 
 
 def basis_report_json(basis: RelationBasis, report: DimReport) -> dict:
@@ -393,6 +383,9 @@ def _overall_status(statuses, dimension, ngens):
 # finite miner
 
 
+FINITE_HEIGHT_BOUND = 2**10
+
+
 def default_prime_split(weight):
     """40 training primes above weight + 2 and the next 20 as holdout."""
     ps = [p for p in modular.primes_upto(399) if p > weight + 2]
@@ -403,25 +396,18 @@ def finite_generators(weight):
     return tuple(words.partitions_of_weight(weight))
 
 
-def finite_relation_space(
-    weight: int,
-    training_primes=None,
-    holdout_primes=None,
-    height_bound: int = 2**10,
-):
+def finite_relation_space(weight: int):
     """Mine integer relations among finite omega values of one weight.
 
     The lattice of integer vectors whose residue combination vanishes at every
-    training prime is computed by iterated kernel preimages, LLL-reduced after
-    each prime to keep entries small.  A prime keeps the rows before its
-    pivot, so each reduction resumes from the previous one's Gram-Schmidt
-    data for those rows.  Vectors within the height bound that also vanish
-    at every holdout prime are the relations.
+    training prime (`default_prime_split`) is computed by iterated kernel
+    preimages, LLL-reduced after each prime to keep entries small.  A prime
+    keeps the rows before its pivot, so each reduction resumes from the
+    previous one's Gram-Schmidt data for those rows.  Vectors of height at
+    most FINITE_HEIGHT_BOUND that also vanish at every holdout prime are the
+    relations.
     """
-    if training_primes is None or holdout_primes is None:
-        tr, ho = default_prime_split(weight)
-        training_primes = training_primes or tr
-        holdout_primes = holdout_primes or ho
+    training_primes, holdout_primes = default_prime_split(weight)
     gens = finite_generators(weight)
     d = len(gens)
     if d == 0:
@@ -446,7 +432,7 @@ def finite_relation_space(
         basis = lll_reduce(newbasis, gs=gs)
     kept = []
     for row in basis:
-        if max(abs(x) for x in row) > height_bound:
+        if max(abs(x) for x in row) > FINITE_HEIGHT_BOUND:
             continue
         if all(sum(a * c for a, c in zip(row, res)) % q == 0 for q, res in holdout):
             kept.append(primitive_integer(row))
@@ -512,7 +498,7 @@ def _hoffman_indices(weight):
     return [(k,) + rest for k in (2, 3) if k <= weight for rest in _hoffman_indices(weight - k)]
 
 
-def symmetric_relation_space(weight: int, digits: int = 60, max_height: int = 10**4):
+def symmetric_relation_space(weight: int, digits: int = 60):
     """Mine relations among limit Omega values modulo zeta(2) multiples.
 
     The value vector is the Omega values of one weight followed by
@@ -536,7 +522,7 @@ def symmetric_relation_space(weight: int, digits: int = 60, max_height: int = 10
                 numeric.BigReal(+(z2 * numeric.mzv_num(words.y_word(k), digits).value), digits)
             )
     try:
-        found = integer_relations(values, digits, max_height)
+        found = integer_relations(values, digits)
     except PrecisionError as exc:
         raise PrecisionError(f"weight {weight}: {exc}") from None
     # dimension counts the Omega block of the quotient
@@ -631,13 +617,7 @@ class ConjectureReport:
         }
 
 
-def conjecture_report(
-    weight: int,
-    n_range=None,
-    training_primes=None,
-    holdout_primes=None,
-    digits: int = 60,
-) -> ConjectureReport:
+def conjecture_report(weight: int, n_range=None, digits: int = 60) -> ConjectureReport:
     """Compare the finite, symmetric, and cyclotomic kernels at one weight.
 
     The m = 0 projection of every cyclotomic relation must be a finite
@@ -645,7 +625,7 @@ def conjecture_report(
     Also reruns the two product identities and reports whether the relations
     they imply were found by the finite miner.
     """
-    fin = finite_relation_space(weight, training_primes, holdout_primes)
+    fin = finite_relation_space(weight)
     sym = symmetric_relation_space(weight, digits)
     cyc = cyclotomic_relation_space(weight, n_range)
     fin_vecs = [list(v) for v in fin[0].vectors]

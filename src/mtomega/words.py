@@ -15,7 +15,7 @@ they generate, and the deformed shuffle closes on that basis.
 
 Everything is exact: coefficients are `fractions.Fraction`, equality is
 coefficient-wise, and terms are kept in a canonical order (length, then
-lexicographic), so reprs and serializations are deterministic.
+lexicographic), so reprs are deterministic.
 """
 
 from __future__ import annotations
@@ -281,19 +281,6 @@ class WordSum(_LinComb):
     def __repr__(self):
         return f"WordSum({str(self)!r})"
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": str(c), "word": word_to_str(w)} for w, c in self.items()
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WordSum":
-        return cls(
-            {word_from_str(t["word"]): Fraction(t["coeff"]) for t in data["terms"]}
-        )
-
 
 def _concat_words(w1: Word, w2: Word) -> tuple:
     return ((w1 + w2, 1),)
@@ -301,21 +288,6 @@ def _concat_words(w1: Word, w2: Word) -> tuple:
 
 def word_to_str(word: Word) -> str:
     return "".join("x0" if l == X0 else "x1" for l in word)
-
-
-def word_from_str(s: str) -> Word:
-    if len(s) % 2:
-        raise ValueError(f"bad word string: {s!r}")
-    out = []
-    for i in range(0, len(s), 2):
-        pair = s[i : i + 2]
-        if pair == "x0":
-            out.append(X0)
-        elif pair == "x1":
-            out.append(X1)
-        else:
-            raise ValueError(f"bad word string: {s!r}")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -528,22 +500,6 @@ class HbarSum(_LinComb):
 
     def __repr__(self):
         return f"HbarSum({str(self)!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": str(c), "hbar": h, "eword": list(ew)}
-                for (h, ew), c in self.items()
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HbarSum":
-        terms = {}
-        for t in data["terms"]:
-            ew = tuple(l if l == HAT1 else int(l) for l in t["eword"])
-            terms[(int(t["hbar"]), ew)] = Fraction(t["coeff"])
-        return cls(terms)
 
 
 def e(k) -> HbarSum:

@@ -33,8 +33,7 @@ def test_values_omega_root_roundtrip():
     assert code == 0
     data = json.loads(out)
     assert data["n"] == 3 and data["coeffs"] == ["0", "-2"]
-    elem = C.CycloElem.from_json(data)
-    assert elem == C.omega_at_root((1, 1), 3)
+    assert data == {"index": "1.1", **C.omega_at_root((1, 1), 3).to_json()}
 
 
 def test_values_omega_limit():
@@ -117,6 +116,33 @@ def test_huge_digits_exits_1(tmp_path):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # flags a subcommand does not read, and the dropped csv format
+        ("verify", "generating", "--digits", "40"),
+        ("verify", "generating", "--height-bound", "8"),
+        ("verify", "generating", "--force"),
+        ("verify", "generating", "--format", "csv"),
+        ("verify", "q-kamano", "--n", "3"),  # not a prefix of --n-max
+        ("dims", "finite", "--weights", "3", "--prime-max", "50"),
+        ("dims", "finite", "--weights", "3", "--height-bound", "8"),
+        ("dims", "finite", "--weights", "3", "--format", "csv"),
+        ("relations", "finite", "--weights", "3", "--prime-max", "50"),
+        ("relations", "finite", "--weights", "3", "--height-bound", "8"),
+        ("relations", "finite", "--weights", "3", "--format", "json"),
+        ("values", "omega-mod", "2.1", "--height-bound", "8"),
+        ("values", "omega-mod", "2.1", "--format", "json"),
+        ("values", "omega-mod", "2.1", "--force"),
+    ],
+    ids=" ".join,
+)
+def test_undeclared_flag_exits_1(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith("mtomega") and ": error: " in err and err.count("\n") == 1
+
+
 def test_bad_flag_exits_1():
     code, _out, _err = run_cli("values", "omega-mod", "2.1", "--nope")
     assert code == 1
@@ -126,10 +152,31 @@ def test_bad_flag_exits_1():
 
 def test_config_file_unknown_key_exits_1(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("prime_min = 7\n")
+    for key, val in (("prime_min", 7), ("height_bound", 1)):
+        cfg.write_text(f"{key} = {val}\n")
+        code, out, err = run_cli("dims", "finite", "--weights", "3", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"config error: unknown config key: {key}\n"
+
+
+def test_config_file_bad_format_exits_1(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output_format = xml\n")
     code, out, err = run_cli("dims", "finite", "--weights", "3", "--config", str(cfg))
     assert code == 1 and out == ""
-    assert err == "config error: unknown config key: prime_min\n"
+    assert err == "config error: output_format must be one of text|json\n"
+
+
+def test_config_file_weights(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("weights = 2..3\n")
+    code, out, _ = run_cli("dims", "finite", "--config", str(cfg))
+    assert code == 0
+    assert out == "weight,dimension,status\n2,0,proven\n3,1,conjectural-numeric\n"
+    for command in ("dims", "relations"):
+        code, out, err = run_cli(command, "finite")
+        assert code == 1 and out == ""
+        assert err == f"config error: {command} needs --weights\n"
 
 
 @pytest.mark.parametrize("extra,checks", [((), 15), (("--prime-max", "200"), 46)])
@@ -150,9 +197,12 @@ def test_dims_finite_csv():
 
 
 def test_dims_guardrail():
-    code, _out, err = run_cli("dims", "finite", "--weights", "11")
-    assert code == 1
-    assert "guardrail" in err
+    for command in ("dims", "relations"):
+        code, out, err = run_cli(command, "finite", "--weights", "11")
+        assert code == 1 and out == ""
+        assert err == (
+            "config error: weight 11 over the finite guardrail 10; use --force to override\n"
+        )
 
 
 def test_dims_symmetric_precision_refusal_exits_1():
@@ -218,9 +268,14 @@ def test_config_file(tmp_path):
 
 
 def test_config_validation():
-    code, _out, err = run_cli("values", "omega-limit", "1.1", "--digits", "10")
-    assert code == 1
-    assert "digits" in err
+    for argv, key in (
+        (("values", "omega-limit", "1.1", "--digits", "10"), "digits"),
+        (("verify", "generating", "--max-weight", "1"), "max_weight"),
+        (("verify", "q-kamano", "--max-weight", "-3"), "max_weight"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"config error: {key}") and err.count("\n") == 1, argv
 
 
 def test_parse_weights():

@@ -319,29 +319,6 @@ def test_negative_hbar_rejected():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_wordsum_json_roundtrip():
-    u = Fraction(3, 7) * ws(X0, X1, X1) - 2 * ws(X1)
-    data = u.to_json()
-    assert data == {
-        "terms": [
-            {"coeff": "-2", "word": "x1"},
-            {"coeff": "3/7", "word": "x0x1x1"},
-        ]
-    }
-    assert WordSum.from_json(data) == u
-
-
-def test_hbarsum_json_roundtrip():
-    u = HbarSum.monomial((2, HAT1, 1), coeff=Fraction(-5, 3), hbar=1) + W.e(1)
-    data = u.to_json()
-    assert HbarSum.from_json(data) == u
-    assert data["terms"][1]["eword"] == [2, "1hat", 1]
-
-
-# ---------------------------------------------------------------------------
 # generating identities
 
 
