@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
 
 import mpmath as mp
 
@@ -32,64 +31,49 @@ MAX_DIGITS = 10_000
 FORMATS = ("text", "json")
 
 
-@dataclass
-class RunConfig:
-    weights: list = field(default_factory=list)
-    prime_max: int = 0  # 0 = command default
-    n_max: int = 20
-    digits: int = 60
-    output_format: str = "text"
-    force: bool = False
-    max_weight: int = 0  # 0 = suite default
-
-    def validate(self):
-        if not 30 <= self.digits <= MAX_DIGITS:
-            raise ConfigError(f"digits must be in 30..{MAX_DIGITS}")
-        if (self.prime_max and self.prime_max <= 2) or self.n_max < 2:
-            raise ConfigError("bounds must be positive (prime_max > 2, n_max >= 2)")
-        if self.max_weight and self.max_weight < 2:
-            raise ConfigError("max_weight must be >= 2")
-        if self.output_format not in FORMATS:
-            raise ConfigError(f"output_format must be one of {'|'.join(FORMATS)}")
+#: Config-file spellings of a boolean flag's value.
+BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _load_config_file(path) -> dict:
+    """The file's `key = value` lines; `#` starts a comment."""
+    try:
+        with open(path) as fh:
+            lines = [line.split("#", 1)[0].strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+    for line in filter(None, lines):
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        out[key.replace("-", "_")] = val
     return out
 
 
-def _build_config(args) -> RunConfig:
-    """RunConfig from the defaults, then the --config file, then the flags."""
-    cfg = RunConfig()
-    names = {f.name for f in fields(RunConfig)}
-    for key, val in (_load_config_file(args.config) if args.config else {}).items():
-        if key not in names:
+def _config_flags(args) -> list:
+    """The --config file's `key = value` lines as the subcommand's own flags.
+
+    A key is valid only when the subcommand declares its flag; the values are
+    then converted and checked by the flags' own argparse types.
+    """
+    dests = {spec.get("dest", name[2:].replace("-", "_")): name for name, spec in FLAGS.items()}
+    flags = []
+    for key, val in _load_config_file(args.config).items():
+        name = dests.get(key)
+        if name in (None, "--config") or not hasattr(args, key):
             raise ConfigError(f"unknown config key: {key}")
-        cur = getattr(cfg, key)
-        if isinstance(cur, bool):
-            setattr(cfg, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(cur, int):
-            setattr(cfg, key, _parse_int(val, f"value for {key}"))
-        elif isinstance(cur, list):
-            setattr(cfg, key, _parse_weights(val))
+        spec = FLAGS[name]
+        if spec.get("action") == "store_true":
+            if val.lower() not in BOOLEANS:
+                raise ConfigError(f"bad value for {key}: {val!r} (true|yes|1|false|no|0)")
+            if BOOLEANS[val.lower()]:
+                flags.append(name)
+        elif val not in spec.get("choices", [val]):
+            raise ConfigError(f"{key} must be one of {'|'.join(spec['choices'])}")
         else:
-            setattr(cfg, key, val)
-    # a subcommand's namespace holds only the flags it declares
-    for key in names:
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, _parse_weights(val) if key == "weights" else val)
-    cfg.validate()
-    return cfg
+            flags.append(f"{name}={val}")
+    return flags
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -99,9 +83,23 @@ def _parse_int(text: str, what: str) -> int:
         raise ConfigError(f"bad {what}: {text!r}") from None
 
 
+def _bounded(key: str, lo: int, hi: int | None = None):
+    """argparse type: an integer in lo..hi, or at least lo when hi is None."""
+
+    def parse(text: str) -> int:
+        value = _parse_int(text, f"value for {key}")
+        if hi is None and value < lo:
+            raise ConfigError(f"{key} must be >= {lo}")
+        if hi is not None and not lo <= value <= hi:
+            raise ConfigError(f"{key} must be in {lo}..{hi}")
+        return value
+
+    return parse
+
+
 def _parse_weights(spec: str) -> list:
     out = []
-    for part in str(spec).split(","):
+    for part in spec.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = (_parse_int(x, "weights spec") for x in part.split("..", 1))
@@ -113,8 +111,8 @@ def _parse_weights(spec: str) -> list:
     return sorted(set(out))
 
 
-def _parse_ints(spec: str, flag: str) -> list:
-    return [_parse_int(x, f"{flag} entry") for x in spec.split(",")]
+def _parse_ints(spec: str) -> list:
+    return [_parse_int(x, f"entry in {spec!r}") for x in spec.split(",")]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,9 +132,9 @@ def _emit(line: str):
 # verify suites
 
 
-def _suite_fmzv_reduction(cfg):
-    max_w = cfg.max_weight or 5
-    primes = modular.primes_upto(cfg.prime_max or 50)
+def _suite_fmzv_reduction(args):
+    max_w = args.max_weight or 5
+    primes = modular.primes_upto(args.prime_max or 50)
     for w in range(2, max_w + 1):
         for k in words.indices_of_weight(w, min_len=2):
             for p in primes:
@@ -147,38 +145,38 @@ def _suite_fmzv_reduction(cfg):
                 yield (f"reduce_at_one(omega_at_root) == omega_mod {k} p={p}", ok)
 
 
-def _suite_q_kamano(cfg):
-    max_w = cfg.max_weight or 5
+def _suite_q_kamano(args):
+    max_w = args.max_weight or 5
     for w in range(2, max_w + 1):
         for k in words.indices_of_weight(w, min_len=2):
-            for n in range(2, cfg.n_max + 1):
+            for n in range(2, args.n_max + 1):
                 yield (f"q-kamano {k} n={n}", cyclo.check_q_kamano(k, n))
 
 
-def _suite_identity_words(cfg):
-    max_w = cfg.max_weight or 7
+def _suite_identity_words(args):
+    max_w = args.max_weight or 7
     for w in range(2, max_w + 1):
         for k in words.indices_of_weight(w, min_len=2):
             yield (f"word identity {k}", words.check_identity_words(k))
 
 
-def _suite_generating(cfg):
-    max_w = cfg.max_weight or 5
+def _suite_generating(args):
+    max_w = args.max_weight or 5
     for rec in words.check_generating_identities(max_w):
         yield (f"{rec.identity} [{rec.instance}]", rec.ok)
 
 
-def _suite_sym_sum(cfg):
-    max_w = cfg.max_weight or 8
+def _suite_sym_sum(args):
+    max_w = args.max_weight or 8
     for w in range(4, max_w + 1):
         for k in words.indices_of_weight(w, min_len=2, min_part=2):
-            for n in range(2, cfg.n_max + 1):
+            for n in range(2, args.n_max + 1):
                 yield (f"sym-sum {k} n={n}", cyclo.check_sym_sum(k, n))
 
 
-def _suite_corollary52(cfg):
-    max_w = cfg.max_weight or 8
-    primes = modular.primes_upto(cfg.prime_max or 200)
+def _suite_corollary52(args):
+    max_w = args.max_weight or 8
+    primes = modular.primes_upto(args.prime_max or 200)
     for w in range(4, max_w + 1):
         for k in words.indices_of_weight(w, min_len=2, min_part=2):
             terms = words.corollary52_terms(k)
@@ -197,10 +195,10 @@ def _suite_corollary52(cfg):
                 yield (f"corollary52 symmetric {k}", abs(total) < tol)
 
 
-def _suite_specials(cfg):
+def _suite_specials(args):
     # almost-all-primes identities bind above the weight floor; see ledger
-    max_w = cfg.max_weight or 8
-    primes = modular.primes_upto(cfg.prime_max or 200)
+    max_w = args.max_weight or 8
+    primes = modular.primes_upto(args.prime_max or 200)
     for w in range(2, max_w + 1):
         for k1 in range(1, w):
             k = (k1, w - k1)
@@ -237,16 +235,15 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    cfg = _build_config(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     records = []
     failed = 0
     for name in names:
-        for instance, ok in SUITES[name](cfg):
+        for instance, ok in SUITES[name](args):
             records.append((name, instance, ok))
             if not ok:
                 failed += 1
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         _emit(
             json.dumps(
                 {
@@ -271,35 +268,34 @@ def cmd_verify(args) -> int:
 # dims / relations
 
 
-# side -> miner(weight, cfg) returning (RelationBasis, DimReport)
+# side -> miner(weight, args) returning (RelationBasis, DimReport)
 MINERS = {
-    "finite": lambda w, cfg: relations.finite_relation_space(w),
-    "cyclotomic": lambda w, cfg: relations.cyclotomic_relation_space(w, range(2, cfg.n_max + 1)),
-    "symmetric": lambda w, cfg: relations.symmetric_relation_space(w, digits=cfg.digits),
+    "finite": lambda w, args: relations.finite_relation_space(w),
+    "cyclotomic": lambda w, args: relations.cyclotomic_relation_space(w, range(2, args.n_max + 1)),
+    "symmetric": lambda w, args: relations.symmetric_relation_space(w, digits=args.digits),
 }
 
 
-def _guarded_weights(cfg, args) -> list:
+def _guarded_weights(args) -> list:
     """The run's weights, refused past the side's guardrail unless forced."""
-    if not cfg.weights:
+    if not args.weights:
         raise ConfigError(f"{args.command} needs --weights")
-    top, limit = max(cfg.weights), GUARDRAILS[args.side]
+    top, limit = max(args.weights), GUARDRAILS[args.side]
     if top > limit:
-        if not cfg.force:
+        if not args.force:
             raise ConfigError(
                 f"weight {top} over the {args.side} guardrail {limit}; use --force to override"
             )
         sys.stderr.write(f"warning: over guardrail {limit}, this may take long\n")
-    return cfg.weights
+    return args.weights
 
 
 def cmd_dims(args) -> int:
-    cfg = _build_config(args)
-    weights = _guarded_weights(cfg, args)
+    weights = _guarded_weights(args)
     # the cyclotomic quotient by (1-z) shifts needs the dimension one weight down
     quotient = args.side == "cyclotomic"
     need = set(weights) | {w - 1 for w in weights if quotient and w - 1 >= 2}
-    reps = {w: MINERS[args.side](w, cfg)[1] for w in sorted(need)}
+    reps = {w: MINERS[args.side](w, args)[1] for w in sorted(need)}
     rows = []
     for w in weights:
         row = {"weight": w, "dimension": reps[w].dimension}
@@ -308,7 +304,7 @@ def cmd_dims(args) -> int:
             row["quotient_dimension"] = reps[w].dimension - prev
         row["status"] = reps[w].status
         rows.append(row)
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         _emit(json.dumps({"side": args.side, "rows": rows}, sort_keys=True))
     else:
         keys = list(rows[0]) if rows else []
@@ -319,14 +315,13 @@ def cmd_dims(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    cfg = _build_config(args)
-    for w in _guarded_weights(cfg, args):
+    for w in _guarded_weights(args):
         if args.side == "conjecture":
             out = relations.conjecture_report(
-                w, n_range=range(2, cfg.n_max + 1), digits=cfg.digits
+                w, n_range=range(2, args.n_max + 1), digits=args.digits
             ).to_json()
         else:
-            out = relations.basis_report_json(*MINERS[args.side](w, cfg))
+            out = relations.basis_report_json(*MINERS[args.side](w, args))
         _emit(json.dumps(out, sort_keys=True))
     return 0
 
@@ -336,29 +331,23 @@ def cmd_relations(args) -> int:
 
 
 def cmd_values(args) -> int:
-    cfg = _build_config(args)
     try:
         index = modular.parse_index(args.index)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.kind == "omega-mod":
-        primes = (
-            _parse_ints(args.primes, "--primes")
-            if args.primes
-            else modular.primes_in(len(index), cfg.prime_max or 200)
-        )
+        primes = args.primes or modular.primes_in(len(index), args.prime_max or 200)
         for p in primes:
             _emit(json.dumps({"index": args.index, "p": p, "res": modular.omega_mod(index, p)}))
     elif args.kind == "omega-root":
-        ns = _parse_ints(args.n, "--n") if args.n else [cfg.n_max]
-        for n in ns:
+        for n in args.n or [args.n_max]:
             val = cyclo.omega_at_root(index, n)
             _emit(json.dumps({"index": args.index, **val.to_json()}))
     elif args.kind == "omega-limit":
-        val = numeric.omega_limit_num(index, cfg.digits)
+        val = numeric.omega_limit_num(index, args.digits)
         _emit(json.dumps({"index": args.index, **val.to_json()}))
     else:  # zeta-s
-        val = numeric.zeta_s_num(index, cfg.digits)
+        val = numeric.zeta_s_num(index, args.digits)
         _emit(json.dumps({"index": args.index, **val.to_json()}))
     return 0
 
@@ -366,19 +355,20 @@ def cmd_values(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Every flag; each subcommand declares the ones it reads.  A flag whose dest
-# is a RunConfig field sets that field.
+# Every flag with its type, range check and default; each subcommand declares
+# the ones it reads.  A --max-weight or --prime-max left at None takes the
+# verify suite's or the command's own default.
 FLAGS = {
-    "--weights": {"help": "e.g. 3..8 or 2,3,5"},
-    "--max-weight": {"type": int},
-    "--primes": {"help": "comma-separated primes"},
-    "--n": {"help": "comma-separated n values"},
-    "--prime-max": {"type": int},
-    "--n-max": {"type": int},
-    "--digits": {"type": int},
-    "--format": {"dest": "output_format", "choices": FORMATS},
-    "--force": {"action": "store_true", "default": None},
-    "--config": {"help": "key = value config file"},
+    "--weights": {"type": _parse_weights, "help": "e.g. 3..8 or 2,3,5"},
+    "--max-weight": {"type": _bounded("max_weight", 2)},
+    "--primes": {"type": _parse_ints, "help": "comma-separated primes"},
+    "--n": {"type": _parse_ints, "help": "comma-separated n values"},
+    "--prime-max": {"type": _bounded("prime_max", 3)},
+    "--n-max": {"type": _bounded("n_max", 2), "default": 20},
+    "--digits": {"type": _bounded("digits", 30, MAX_DIGITS), "default": 60},
+    "--format": {"dest": "output_format", "choices": FORMATS, "default": "text"},
+    "--force": {"action": "store_true"},
+    "--config": {"help": "key = value config file; flags on the command line win"},
 }
 
 
@@ -416,13 +406,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go right after the subcommand name, so the
+            # command line's own flags come later and win
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1

@@ -156,17 +156,6 @@ class CycloElem:
     def one(cls, ctx) -> "CycloElem":
         return cls(ctx, [1])
 
-    @classmethod
-    def zeta_pow(cls, ctx, j: int) -> "CycloElem":
-        j %= ctx.n
-        return cls(ctx, [0] * j + [1])
-
-    @classmethod
-    def from_coeffs(cls, ctx, coeffs) -> "CycloElem":
-        coeffs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-        return cls(ctx, [int(c * den) for c in coeffs], den)
-
     # -- views -------------------------------------------------------------
     @property
     def coeffs(self) -> tuple:
@@ -238,13 +227,6 @@ class CycloElem:
 
     def to_json(self) -> dict:
         return {"n": self.ctx.n, "coeffs": [str(c) for c in self.coeffs]}
-
-
-def q_int(ctx: CycloCtx, m: int) -> CycloElem:
-    """The q-integer [m] = 1 + zeta + ... + zeta^(m-1) at q = zeta_n."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return CycloElem(ctx, [1] * m)
 
 
 def one_minus_zeta(ctx: CycloCtx) -> CycloElem:

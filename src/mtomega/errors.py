@@ -21,13 +21,6 @@ class EmptyWordError(MTOmegaError):
     """Left multiplication by `a` applied to a term with no leading letter."""
 
 
-class InternalClosureError(MTOmegaError):
-    """Raw-letter rewriting left a residue outside the e-monomial span.
-
-    This never happens for correct inputs; it signals an implementation bug.
-    """
-
-
 class DenominatorError(MTOmegaError):
     """A rational coefficient has denominator divisible by the working prime."""
 

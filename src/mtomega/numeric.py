@@ -43,9 +43,6 @@ class BigReal:
             )
         return {"value": s, "certified_digits": self.certified_digits}
 
-    def __float__(self):
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class BigComplex:

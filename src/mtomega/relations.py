@@ -392,10 +392,6 @@ def default_prime_split(weight):
     return ps[:40], ps[40:60]
 
 
-def finite_generators(weight):
-    return tuple(words.partitions_of_weight(weight))
-
-
 def finite_relation_space(weight: int):
     """Mine integer relations among finite omega values of one weight.
 
@@ -408,7 +404,7 @@ def finite_relation_space(weight: int):
     relations.
     """
     training_primes, holdout_primes = default_prime_split(weight)
-    gens = finite_generators(weight)
+    gens = words.partitions_of_weight(weight)
     d = len(gens)
     if d == 0:
         return _mined("finite", weight, (), ())
@@ -486,10 +482,6 @@ def cyclotomic_relation_space(weight: int, n_range=None):
 # symmetric miner
 
 
-def symmetric_generators(weight):
-    return tuple(words.partitions_of_weight(weight))
-
-
 def _hoffman_indices(weight):
     """Compositions of the weight into 2s and 3s; their zeta values span the
     multiple zeta values of that weight (Brown, Annals 2012)."""
@@ -510,7 +502,7 @@ def symmetric_relation_space(weight: int, digits: int = 60):
     """
     if digits < 50:
         raise PrecisionError("symmetric mining needs digits >= 50")
-    gens = symmetric_generators(weight)
+    gens = words.partitions_of_weight(weight)
     d = len(gens)
     if d == 0:
         return _mined("symmetric", weight, (), ())

@@ -189,22 +189,13 @@ class _LinComb:
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: self._key(kv[0]))
 
-    def coeff(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
-
     def __bool__(self):
         return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -479,11 +470,6 @@ class HbarSum(_LinComb):
 
     def max_weight(self) -> int:
         return max((h + eword_weight(ew) for h, ew in self._terms), default=0)
-
-    def hbar_shift(self, j: int = 1) -> "HbarSum":
-        if j < 0:
-            raise ValueError("negative hbar exponent")
-        return self._wrap({(h + j, ew): c for (h, ew), c in self._terms.items()})
 
     def __str__(self):
         if not self._terms:

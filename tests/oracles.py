@@ -5,7 +5,8 @@ e-words into the raw letters a, b, shuffle there, and solve for the result in
 the e-monomial basis.  `hnf` is the row-style Hermite normal form, a
 canonical basis of an integer lattice, so two bases span the same lattice
 exactly when their forms are equal.  `cyclo_inv` is the field inverse in
-Q(zeta_n) by the extended Euclidean algorithm.  `omega_at_root` and
+Q(zeta_n) by the extended Euclidean algorithm, and `cyclo_elem` builds an
+element from rational coefficients.  `omega_at_root` and
 `z_at_root` sum the q-series values at a root of unity term by term, one
 CycloElem product per composition or chain.  `li_half` sums the Li(1/2)
 series in mpmath floats at the working digits plus guard digits.
@@ -23,8 +24,16 @@ from mtomega import cyclo as C
 from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import sums
-from mtomega.errors import InternalClosureError
+from mtomega.errors import MTOmegaError
 from mtomega.words import HAT1, EWord, HbarSum, _eword_key
+
+
+class InternalClosureError(MTOmegaError):
+    """Raw-letter rewriting left a residue outside the e-monomial span.
+
+    This never happens for correct inputs; it signals an implementation bug.
+    """
+
 
 # ---------------------------------------------------------------------------
 # raw-letter oracle for the deformed shuffle
@@ -187,6 +196,13 @@ def hnf(rows):
 # omega and z at a root of unity, term by term in Q(zeta_n)
 
 
+def cyclo_elem(ctx: C.CycloCtx, coeffs) -> C.CycloElem:
+    """The element sum c_i zeta^i of rational coefficients c_i."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+    return C.CycloElem(ctx, [int(c * den) for c in coeffs], den)
+
+
 def cyclo_inv(x: C.CycloElem) -> C.CycloElem:
     """Field inverse via the extended Euclidean algorithm against the modulus."""
     if not x:
@@ -210,7 +226,7 @@ def cyclo_inv(x: C.CycloElem) -> C.CycloElem:
             raise ZeroDivisionError("not invertible (should not happen mod Phi_n)")
         if d1 == 0:
             c = r1[0]
-            return C.CycloElem.from_coeffs(ctx, [t / c for t in t1])
+            return cyclo_elem(ctx, [t / c for t in t1])
         d0 = deg(r0)
         q = [Fraction(0)] * (d0 - d1 + 1)
         r = list(r0)
@@ -238,7 +254,7 @@ def qint_inverse(n: int, m: int) -> C.CycloElem:
     is a unit, the Euclidean inverse (cyclo_inv) otherwise."""
     ctx = C.CycloCtx(n)
     if math.gcd(m, n) > 1:
-        return cyclo_inv(C.q_int(ctx, m))
+        return cyclo_inv(C.CycloElem(ctx, [1] * m))
     coeffs = [0] * n
     for i in range(pow(m, -1, n)):
         coeffs[m * i % n] += 1
@@ -251,8 +267,8 @@ def f_weight(n: int, m: int, k) -> C.CycloElem:
     ctx = C.CycloCtx(n)
     inv = qint_inverse(n, m)
     if k == HAT1:
-        return C.CycloElem.zeta_pow(ctx, m) * inv
-    return C.CycloElem.zeta_pow(ctx, (k - 1) * m) * inv**k
+        return C.CycloElem(ctx, [0] * (m % n) + [1]) * inv
+    return C.CycloElem(ctx, [0] * ((k - 1) * m % n) + [1]) * inv**k
 
 
 def _sum_of_products(n: int, tuples, index) -> C.CycloElem:

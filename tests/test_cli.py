@@ -3,13 +3,11 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 
 import pytest
 
 from mtomega import cli
 from mtomega import cyclo as C
-from mtomega import numeric as N
 from mtomega.errors import ConfigError
 
 
@@ -167,6 +165,74 @@ def test_config_file_bad_format_exits_1(tmp_path):
     assert err == "config error: output_format must be one of text|json\n"
 
 
+@pytest.mark.parametrize("value", ["ture", "on", ""])
+def test_config_file_bad_boolean_exits_1(tmp_path, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"force = {value}\n")
+    code, out, err = run_cli("dims", "finite", "--weights", "11", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("config error: bad value for force") and err.count("\n") == 1
+
+
+def test_config_file_key_of_another_subcommand_exits_1(tmp_path):
+    # values declares no --weights and no --force, so neither is a key for it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("weights = 3\nforce = yes\n")
+    code, out, err = run_cli("values", "omega-mod", "2.1", "--primes", "5", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == "config error: unknown config key: weights\n"
+
+
+# (command, its flags, the same settings as config-file lines)
+PARITY = (
+    ("dims finite", "--weights 2..4 --format json", "weights = 2..4\noutput_format = json"),
+    ("dims finite", "--weights 11 --force", "weights = 11\nforce = yes"),
+    ("verify q-kamano", "--max-weight 3 --n-max 4 --format json",
+     "max_weight = 3\nn-max = 4\noutput_format = json"),
+    ("verify fmzv-reduction", "--max-weight 3 --prime-max 20", "max_weight = 3\nprime_max = 20"),
+    ("relations cyclotomic", "--weights 3 --n-max 8", "weights = 3\nn_max = 8"),
+    ("values omega-mod 2.1.1", "--primes 5,7,11", "primes = 5,7,11"),
+    ("values omega-root 2.1", "--n 5,6", "n = 5,6"),
+    ("values omega-limit 2.1", "--digits 40", "digits = 40"),
+)
+
+
+@pytest.mark.parametrize("command,flags,lines", PARITY, ids=[f"{c} {f}" for c, f, _ in PARITY])
+def test_config_file_matches_flags(tmp_path, command, flags, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines + "\n")
+    expected = run_cli(*command.split(), *flags.split())
+    assert expected[0] == 0 and expected[1]
+    assert run_cli(*command.split(), "--config", str(cfg)) == expected
+
+
+def test_flag_overrides_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits = 42\n")
+    for argv in (
+        ("values", "omega-limit", "1.1", "--digits", "40", "--config", str(cfg)),
+        ("values", "omega-limit", "1.1", "--config", str(cfg), "--digits", "40"),
+    ):
+        code, out, _ = run_cli(*argv)
+        assert code == 0 and json.loads(out)["certified_digits"] == 40
+    code, out, _ = run_cli("values", "omega-limit", "1.1", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["certified_digits"] == 42
+    # force = false leaves the guardrail in place; --force on the command line lifts it
+    cfg.write_text("weights = 11\nforce = false\n")
+    code, out, err = run_cli("dims", "finite", "--config", str(cfg))
+    assert code == 1 and "guardrail" in err
+    code, out, _ = run_cli("dims", "finite", "--force", "--config", str(cfg))
+    assert code == 0 and out == run_cli("dims", "finite", "--weights", "11", "--force")[1]
+
+
+def test_config_file_unreadable_exits_1(tmp_path):
+    (tmp_path / "bin.cfg").write_bytes(b"digits = \xff\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, tmp_path / "bin.cfg"):
+        code, out, err = run_cli("values", "omega-limit", "1.1", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("config error: cannot read config file") and err.count("\n") == 1
+
+
 def test_config_file_weights(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("weights = 2..3\n")
@@ -272,6 +338,10 @@ def test_config_validation():
         (("values", "omega-limit", "1.1", "--digits", "10"), "digits"),
         (("verify", "generating", "--max-weight", "1"), "max_weight"),
         (("verify", "q-kamano", "--max-weight", "-3"), "max_weight"),
+        # 0 is out of range, not a request for the default
+        (("verify", "q-kamano", "--max-weight", "0", "--n-max", "3"), "max_weight"),
+        (("verify", "fmzv-reduction", "--prime-max", "0"), "prime_max"),
+        (("values", "omega-mod", "2.1", "--prime-max", "0"), "prime_max"),
     ):
         code, out, err = run_cli(*argv)
         assert code == 1 and out == "", argv

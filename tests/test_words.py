@@ -246,7 +246,7 @@ def test_a_mult_examples():
 
 
 def test_rho_examples():
-    assert not W.rho(W.e(2).hbar_shift(1))
+    assert not W.rho(HbarSum.monomial((2,), hbar=1))
     assert W.rho(HbarSum.monomial((HAT1, 2))) == ws(X1, X0, X1)
     e1 = W.e(1)
     assert W.rho(W.shuffle_hbar(e1, e1)) == 2 * ws(X1, X1)
