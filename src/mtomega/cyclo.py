@@ -21,15 +21,23 @@ into one Python int, a_i in bits [b i, b (i+1)), so a polynomial product is
 one integer product (Kronecker substitution).  The width b comes from a
 bound on the coefficient sum of every partial result, which bounds every
 coefficient, so the packed arithmetic is exact.
+
+For the cyclotomic miner omega also runs modulo primes l = 1 (mod n), which
+split in Q(zeta_n): the phi(n) embeddings identify Z[1/n][zeta_n]/(l) with
+F_l^phi(n) (mod_ring), and coordinate_bound lets vanishing modulo enough
+primes prove an integer combination of values zero.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
-from . import sums, words
+import numpy as np
+
+from . import modular, sums, words
 from .errors import (
     LengthError,
     NotIntegralError,
@@ -39,9 +47,9 @@ from .errors import (
 from .words import HAT1, HbarSum
 
 
-# Cache bounds.  The most distinct keys a benchmark workload uses are 642
-# omega values, 116 powers of 1 - zeta and 29 values of n (cyclotomic) and
-# 627 z values (verify).
+# Cache bounds.  The most distinct keys a benchmark workload uses are 713
+# omega values modulo primes and 29 values of n (cyclotomic) and 627 z
+# values (verify).
 _CACHE_VALUES = 2048  # omega and z values, powers of 1 - zeta
 _CACHE_N = 128  # packed rings with their weight tables, one per n
 
@@ -310,8 +318,7 @@ class _PackedRing:
         product bounds every coefficient.  A ring already wide enough keeps
         its weights.
         """
-        bound = math.prod(sum(c ** _exponent(k) for c in self.masses) for k in index)
-        nbytes = bound.bit_length() // 8 + 1
+        nbytes = self.bound(index).bit_length() // 8 + 1
         if nbytes > self.nbytes:
             self.nbytes = nbytes
             self.bits = 8 * nbytes
@@ -319,6 +326,10 @@ class _PackedRing:
             self.mask = (1 << self.size) - 1
             self._weights = {}
         return self
+
+    def bound(self, index) -> int:
+        """The coefficient sum of prod_a sum_{m<n} den^e F_{k_a}(m)."""
+        return math.prod(sum(c ** _exponent(k) for c in self.masses) for k in index)
 
     def _fold(self, p: int) -> int:
         size, mask = self.size, self.mask
@@ -384,6 +395,106 @@ def omega_gen(m: int, index, n: int) -> CycloElem:
     return val * _one_minus_zeta_pow(n, m) if m else val
 
 
+# ---------------------------------------------------------------------------
+# omega values modulo primes l = 1 (mod n), at every embedding
+
+PRIME_LIMIT = 1 << 25  # n < 2^13 products of residues below it fit in int64
+PRIME_BATCH = 4  # primes evaluated together, as one array
+
+
+@functools.lru_cache(maxsize=_CACHE_VALUES)
+def root_primes(n: int, batch: int = 0) -> tuple:
+    """The batch-th PRIME_BATCH primes l = 1 (mod n), counting down from
+    PRIME_LIMIT.  Such an l splits completely in Q(zeta_n)."""
+    if not 2 <= n < 1 << 13:
+        raise RangeError(f"values modulo primes need 2 <= n < 8192, got {n}")
+    ell = root_primes(n, batch - 1)[-1] if batch else (PRIME_LIMIT - 2) // n * n + 1 + n
+    odd = np.arange(3, math.isqrt(PRIME_LIMIT) + 1, 2)  # trial divisors
+    out = []
+    while len(out) < PRIME_BATCH:
+        ell -= n
+        if ell <= odd[-1]:
+            raise RangeError(f"fewer than {PRIME_BATCH * (batch + 1)} primes l = 1 (mod {n})")
+        if ell % 2 and (ell % odd).all():
+            out.append(ell)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=_CACHE_N)
+def mod_ring(n: int, batch: int = 0) -> tuple:
+    """Z[x]/(x^n - 1) mapped to F_l^phi(n) for each prime l of
+    root_primes(n, batch): x -> r^j for the j < n coprime to n, where
+    r = a^((l - 1)/n) for the least a >= 2 of order n.
+
+    Returns the primes as a column and the images of x^m and of 1/[m]
+    (den/[m] of _scaled_inverse, times den^-1), each an int64 array over
+    (m < n, prime, j); the row of 1/[0] is zero.
+    """
+    primes = root_primes(n, batch)
+    divisors = [d for d in range(1, n) if n % d == 0]
+    z = []
+    for ell in primes:
+        roots = (pow(a, (ell - 1) // n, ell) for a in itertools.count(2))
+        r = next(x for x in roots if all(pow(x, d, ell) != 1 for d in divisors))
+        z.append([pow(r, j, ell) for j in range(1, n) if math.gcd(j, n) == 1])
+    col = np.array(primes)[:, None]
+    powers = [np.ones_like(z)]
+    for _ in range(1, n):
+        powers.append(powers[-1] * z % col)
+    powers = np.stack(powers)
+    den = _packed_ring(n).den
+    scaled = np.array([[0] * n] + [_scaled_inverse(n, den, m) for m in range(1, n)])
+    den_inv = np.array([[pow(den, -1, ell)] for ell in primes])
+    return col, powers, np.tensordot(scaled, powers, 1) % col * den_inv % col
+
+
+@functools.lru_cache(maxsize=16)  # the parts k of one n and batch
+def _mod_weights(n: int, batch: int, k: int) -> np.ndarray:
+    """F_k(m) = F_(k-1)(m) x^m/[m] over (m, prime, j)."""
+    col, powers, inverses = mod_ring(n, batch)
+    if k == 1:
+        return inverses
+    return _mod_weights(n, batch, k - 1) * powers % col * inverses % col
+
+
+@functools.lru_cache(maxsize=_CACHE_VALUES)
+def _omega_mod(index, n: int, batch: int) -> np.ndarray:
+    # a truncated product is one reduction: n < 2^13 products below 2^50 fit
+    col, powers, _ = mod_ring(n, batch)
+    val = sums.composition_sum(
+        index, n, lambda m, k: _mod_weights(n, batch, k)[m], np.zeros_like(powers[0]),
+        lambda a, b: np.einsum("i...,i...->...", a, b) % col,
+    ).copy()  # not a view that keeps the last level alive
+    val.setflags(write=False)  # cached and shared by every caller
+    return val
+
+
+def omega_gen_mod(m: int, index, n: int, batch: int = 0) -> np.ndarray:
+    """omega_gen(m, index, n), len(index) >= 2, over (prime, j) of mod_ring."""
+    col, powers, _ = mod_ring(n, batch)
+    val = _omega_mod(index, n, batch)
+    for _ in range(m):
+        val = val * (1 + col - powers[1]) % col
+    return val
+
+
+@functools.lru_cache(maxsize=_CACHE_N)
+def coordinate_bound(m: int, index, n: int) -> int:
+    """beta_g for g = (m, index): den^w sum_g a_g omega_gen(g), a_g integers,
+    w the weight, has power-basis coordinates of size <= sum_g |a_g| beta_g.
+    Its g-term is (den (1 - x))^m P(zeta_n), P of 1-norm at most widen's
+    bound, and each x^i mod Phi_n has coordinates at most _power_norm(n)."""
+    ring = _packed_ring(n)
+    return (2 * ring.den) ** m * ring.bound(index) * _power_norm(n)
+
+
+@functools.lru_cache(maxsize=_CACHE_N)
+def _power_norm(n: int) -> int:
+    """The largest coordinate of any x^i mod Phi_n, i < n."""
+    ctx = CycloCtx(n)
+    return max(max(map(abs, ctx._reduce([0] * i + [1]))) for i in range(n))
+
+
 @functools.lru_cache(maxsize=_CACHE_VALUES)
 def _z_at_root_eword(eword, n: int) -> CycloElem:
     if not eword:
@@ -422,9 +533,7 @@ def reduce_at_one(x: CycloElem, p: int) -> int:
     (p) = (1 - zeta_p)^(p-1), y has (1 - zeta_p)-valuation below p - 1
     while d has at least p - 1.  Such inputs raise NotIntegralError.
     """
-    from .modular import is_prime
-
-    if x.ctx.n != p or not is_prime(p):
+    if x.ctx.n != p or not modular.is_prime(p):
         raise RangeError(f"reduce_at_one needs a prime context matching p={p}")
     if x.den % p == 0:
         raise NotIntegralError("element is not integral at (1 - zeta_p): p divides its denominator")

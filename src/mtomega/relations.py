@@ -4,10 +4,10 @@ Three miners share one report format.  The finite miner intersects, prime by
 prime, the congruence kernels of the residue vectors, keeping the integer
 lattice LLL-reduced as it shrinks; the Gram-Schmidt data of the rows a prime
 leaves unchanged carries over to the next reduction.  Surviving short
-vectors are re-verified on holdout primes.  The cyclotomic miner stacks exact
-linear constraints over Q(zeta_n) for a range of n and takes the rational
-kernel.  The symmetric miner reduces one integer lattice built from
-certified high-precision values, with the quotient by zeta(2)-multiples
+vectors are re-verified on holdout primes.  The cyclotomic miner cuts an
+exact integer basis of the rational kernel of the Q(zeta_n) constraints down
+n by n modulo primes l = 1 (mod n), and certifies each new vector exactly.
+The symmetric miner reduces one integer lattice built from certified high-precision values, with the quotient by zeta(2)-multiples
 realized by augmenting the value vector with zeta(2) * (Hoffman's zeta
 values of weight k-2).
 
@@ -18,12 +18,14 @@ and `conjectural` otherwise.  Dimension = generators - relations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from . import cyclo, modular, numeric, words
 from .errors import DependentInputError, PrecisionError
@@ -59,20 +61,6 @@ def rref(rows):
     return rows[:ri], pivots
 
 
-def kernel_basis(rows, ncols):
-    """Basis of the right kernel of the matrix, canonical from the RREF."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -red[ri][fc]
-        out.append(v)
-    return out
-
-
 def span_test(basis):
     """Membership predicate for the rational span of the basis rows.
 
@@ -94,8 +82,8 @@ def span_test(basis):
 
 def primitive_integer(vector):
     """Scale a rational vector to a primitive integer vector, first entry > 0."""
-    den = math.lcm(*(Fraction(x).denominator for x in vector))
-    ints = [int(Fraction(x) * den) for x in vector]
+    den = math.lcm(*(x.denominator for x in vector))
+    ints = [x.numerator * (den // x.denominator) for x in vector]
     g = math.gcd(*ints)
     if g:
         ints = [x // g for x in ints]
@@ -452,12 +440,13 @@ def cyclo_generators(weight):
 
 
 def cyclotomic_relation_space(weight: int, n_range=None):
-    """Exact rational kernel of the stacked Q(zeta_n) constraints.
+    """Exact rational kernel of the Q(zeta_n) constraints over a range of n.
 
-    Each n imposes phi(n) linear equations on the generator coefficients;
-    relations in the kernel are exact identities for every tested n and are
-    reported as conjectural beyond that (except those the vanishing theorem
-    proves for all n).
+    A primitive integer basis of the kernel for the n done so far starts as
+    the identity and is cut down at each n by `_kernel_at`; its RREF is the
+    reported basis.  Relations in the kernel are exact identities for every
+    tested n and are reported as conjectural beyond that (except those the
+    vanishing theorem proves for all n).
     """
     if n_range is None:
         n_range = range(2, 41)
@@ -465,17 +454,116 @@ def cyclotomic_relation_space(weight: int, n_range=None):
     d = len(gens)
     if d == 0:
         return _mined("cyclotomic", weight, (), ())
-    # one row per Q-coordinate (slot) of each n's constraint
-    constraints = []
+    basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     for n in n_range:
-        vals = [cyclo.omega_gen(m, idx, n).coeffs for m, idx in gens]
-        constraints.extend(zip(*vals))
-    # the final RREF makes the reported basis canonical
-    red, _ = rref(kernel_basis(constraints, d))
+        if basis:
+            basis = _kernel_at(basis, gens, n)
+    red, _ = rref(basis)
     return _mined(
         "cyclotomic", weight, gens, [primitive_integer(v) for v in red],
         span_test(_proven_cyclo_span(weight, gens)),
     )
+
+
+def _values_mod(gens, n):
+    """(l, values over (generator, embedding) mod l), l over root_primes."""
+    for batch in itertools.count():
+        values = [cyclo.omega_gen_mod(m, idx, n, batch) for m, idx in gens]
+        yield from zip(cyclo.root_primes(n, batch), np.stack(values, axis=1))
+
+
+def _residues(vectors, ell):
+    return np.array([[x % ell for x in v] for v in vectors], dtype=np.int64)
+
+
+def _kernel_mod(a, ell):
+    """The pivot columns of the RREF of an int64 matrix mod a prime ell below
+    2^25, and its kernel basis: one vector per free column, 1 there."""
+    pivots = []
+    for col in range(a.shape[1]):
+        r = len(pivots)
+        nonzero = np.flatnonzero(a[r:, col]) + r
+        if nonzero.size:
+            a[[r, nonzero[0]]] = a[[nonzero[0], r]]
+            a[r] = a[r] * pow(int(a[r, col]), -1, ell) % ell
+            a = (a - np.outer(np.where(np.arange(len(a)) == r, 0, a[:, col]), a[r])) % ell
+            pivots.append(col)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    kernel = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    kernel[range(len(free)), free] = 1
+    kernel[:, pivots] = -a[: len(pivots), free].T % ell
+    return tuple(pivots), kernel.tolist()
+
+
+def _rational(x, modulus):
+    """a/b = x (mod modulus) with |a|, b <= sqrt(modulus/2), or None
+    (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982)."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _kernel_at(basis, gens, n):
+    """Primitive integer basis of the combinations of `basis` that vanish on
+    the generator values in Q(zeta_n).
+
+    Mod l = 1 (mod n) an element of Z[1/n][zeta_n] vanishes at all phi(n)
+    embeddings exactly when its power-basis coordinates do, so the values
+    times the basis have rank mod l at most their rank over Q, and the
+    kernel mod l contains the reduction of the rational kernel.  The RREF
+    kernels of the primes with the most pivots, lexicographically least
+    among those, are joined by CRT and lifted by rational reconstruction
+    until `certified` proves every lifted vector.  Then there are as many
+    exact kernel vectors as the kernel mod l has, an upper bound, so they
+    span the kernel.  When the basis vanishes mod l (no pivots), the basis
+    itself is the candidate.
+    """
+    best = None
+    for ell, values in _values_mod(gens, n):
+        pivots, kernel = _kernel_mod((_residues(basis, ell) @ values % ell).T, ell)
+        if best is None or (-len(pivots), pivots) < (-len(best), best):
+            best, modulus, residues = pivots, ell, kernel
+        elif pivots == best:
+            inv = pow(modulus, -1, ell)
+            residues = [
+                [x + modulus * ((y - x) * inv % ell) for x, y in zip(u, v)]
+                for u, v in zip(residues, kernel)
+            ]
+            modulus *= ell
+        else:
+            continue
+        vectors = basis
+        if pivots:
+            lifted = [[_rational(x, modulus) for x in v] for v in residues]
+            if any(None in v for v in lifted):
+                continue
+            vectors = [
+                primitive_integer([sum(c * x for c, x in zip(v, col) if c) for col in zip(*basis)])
+                for v in lifted
+            ]
+        if certified(vectors, gens, n):
+            return vectors
+
+
+def certified(vectors, gens, n) -> bool:
+    """Whether every vector's combination of the generator values is 0 in
+    Q(zeta_n).  Times den^w its power-basis coordinates are integers of
+    absolute value at most B = sum_g |a_g| beta_g (cyclo.coordinate_bound),
+    so vanishing at every embedding mod primes of product > 2B proves it."""
+    bounds = [cyclo.coordinate_bound(m, idx, n) for m, idx in gens]
+    need = max((sum(abs(a) * b for a, b in zip(v, bounds)) for v in vectors), default=0)
+    proved = 1
+    for ell, values in _values_mod(gens, n):
+        if proved > 2 * need:
+            return True
+        if (_residues(vectors, ell) @ values % ell).any():
+            return False
+        proved *= ell
 
 
 # ---------------------------------------------------------------------------

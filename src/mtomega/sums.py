@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import operator
 
+import numpy as np
+
 
 def chain_levels(index, top: int, f, zero, mul=operator.mul) -> list:
     """Levels of the sum over top > m_1 > ... > m_r > 0 for r = len(index) >= 1.
@@ -38,23 +40,29 @@ def chain_levels(index, top: int, f, zero, mul=operator.mul) -> list:
     return level
 
 
-def composition_sum(index, n: int, f, zero):
+def composition_sum(index, n: int, f, zero, dot=None):
     """Sum of f(m_1, k_1) * ... * f(m_r, k_r) over m_1 + ... + m_r = n, m_a >= 1.
 
     Zero when n < r = len(index).  After j parts only the partial sums
     j <= s <= n - (r - j) can still be completed to n, so no other entry is
     formed, and the last part computes the coefficient of n alone.  Each
-    weight f(m, k_a) is evaluated once.
+    weight f(m, k_a) is evaluated once.  dot(cur[s-1 .. j], w[1 .. s-j]) is
+    the truncated product sum_m cur[s - m] w[m]; numpy array elements are
+    stacked per level, so it gets two arrays (a modular caller reduces there).
     """
     r = len(index)
     top = n - r + 1  # the largest part a composition of n into r parts has
+    dot = dot or (lambda a, b: sum(map(operator.mul, a, b), zero))
+    stacked = isinstance(zero, np.ndarray)
+    pack = np.stack if stacked else list
     cur = [zero] * (n + 1)
     for s in range(1, top + 1):
         cur[s] = f(s, index[0])
+    cur = pack(cur)
     for j in range(1, r):
-        w = [zero] + [f(m, index[j]) for m in range(1, top + 1)]
-        new = [zero] * (n + 1)
+        w = pack([zero] + [f(m, index[j]) for m in range(1, top + 1)])
+        new = np.zeros_like(cur) if stacked else [zero] * (n + 1)
         for s in range(n if j == r - 1 else j + 1, top + j + 1):
-            new[s] = sum((cur[s - m] * w[m] for m in range(1, s - j + 1)), zero)
+            new[s] = dot(cur[s - 1 : j - 1 : -1], w[1 : s - j + 1])
         cur = new
     return cur[n]

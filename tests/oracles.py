@@ -4,7 +4,10 @@
 e-words into the raw letters a, b, shuffle there, and solve for the result in
 the e-monomial basis.  `hnf` is the row-style Hermite normal form, a
 canonical basis of an integer lattice, so two bases span the same lattice
-exactly when their forms are equal.  `cyclo_inv` is the field inverse in
+exactly when their forms are equal.  `cyclotomic_kernel_exact` is the
+cyclotomic miner computed the long way: every generator value exactly in
+Q(zeta_n), one Fraction row per coordinate, and the kernel of the whole
+stack (`kernel_basis`).  `cyclo_inv` is the field inverse in
 Q(zeta_n) by the extended Euclidean algorithm, and `cyclo_elem` builds an
 element from rational coefficients.  `omega_at_root` and
 `z_at_root` sum the q-series values at a root of unity term by term, one
@@ -193,6 +196,39 @@ def hnf(rows):
 
 
 # ---------------------------------------------------------------------------
+# the cyclotomic kernel, exactly over Fraction
+
+
+def kernel_basis(rows, ncols):
+    """Basis of the right kernel of the matrix, canonical from the RREF."""
+    red, pivots = R.rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    out = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -red[ri][fc]
+        out.append(v)
+    return out
+
+
+def cyclotomic_kernel_exact(weight: int, n_range) -> tuple:
+    """The cyclotomic miner's relation vectors, from the stacked Fraction
+    constraints: one row per power-basis coordinate of each n's exact
+    generator values, the kernel of the stack, its RREF as primitive
+    vectors, in the miner's order."""
+    gens = R.cyclo_generators(weight)
+    constraints = []
+    for n in n_range:
+        vals = [C.omega_gen(m, idx, n).coeffs for m, idx in gens]
+        constraints.extend(zip(*vals))
+    red, _ = R.rref(kernel_basis(constraints, len(gens)))
+    vectors = (R.primitive_integer(v) for v in red)
+    return tuple(sorted(vectors, key=lambda v: (sum(abs(x) for x in v), v)))
+
+
+# ---------------------------------------------------------------------------
 # omega and z at a root of unity, term by term in Q(zeta_n)
 
 
@@ -329,3 +365,4 @@ def li_half(index, digits: int) -> mp.mpf:
             power *= half
             total += power * level[m]
         return +total
+

@@ -1,6 +1,7 @@
 """Tests for exact cyclotomic arithmetic and the q-series evaluators."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -287,3 +288,72 @@ def test_json_roundtrip():
     assert data == {"n": 3, "coeffs": ["1", "2"]}
     y = elem(5, Fraction(1, 3), 0, -2, Fraction(7, 2))
     assert y.to_json() == {"n": 5, "coeffs": ["1/3", "0", "-2", "7/2"]}
+
+
+# ---------------------------------------------------------------------------
+# values modulo primes l = 1 (mod n)
+
+
+def generators_upto(weight):
+    """(m, index) with r >= 2 and m + |index| <= weight."""
+    return [
+        (m, idx)
+        for w in range(2, weight + 1)
+        for m in range(w - 1)
+        for idx in W.partitions_of_weight(w - m)
+    ]
+
+
+def image_mod(x, ell, z):
+    """x in Q(zeta_n) mapped to F_ell by zeta_n -> z."""
+    num = sum(c * pow(z, i, ell) for i, c in enumerate(x.num))
+    return num * pow(x.den, -1, ell) % ell
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 29, 30])
+def test_root_primes_and_embeddings(n):
+    phi = len(C.cyclotomic_poly(n)) - 1
+    for batch in (0, 1):
+        primes = C.root_primes(n, batch)
+        assert len(set(primes)) == C.PRIME_BATCH
+        assert all(M.is_prime(l) and l % n == 1 and l < C.PRIME_LIMIT for l in primes)
+        emb = C.mod_ring(n, batch)[1][1]  # the images of x = zeta_n
+        assert emb.shape == (len(primes), phi)
+        for ell, row in zip(primes, emb.tolist()):
+            assert len(set(row)) == phi
+            for z in row:
+                orders = [d for d in range(1, n + 1) if pow(z, d, ell) == 1]
+                assert orders[0] == n, (ell, z)
+    assert max(C.root_primes(n, 1)) < min(C.root_primes(n, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 29, 30])
+def test_omega_gen_mod_matches_exact(n):
+    # prime, prime-power and composite n, so non-unit [m] are exercised
+    for batch in (0, 1) if n == 12 else (0,):
+        primes = C.root_primes(n, batch)
+        emb = C.mod_ring(n, batch)[1][1].tolist()
+        for m, idx in generators_upto(6):
+            exact = C.omega_gen(m, idx, n)
+            got = C.omega_gen_mod(m, idx, n, batch)
+            want = [[image_mod(exact, ell, z) for z in row] for ell, row in zip(primes, emb)]
+            assert got.tolist() == want, (m, idx)
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 29, 30])
+def test_coordinate_bound_covers_exact_coordinates(n):
+    # den^w times an integer combination has integer coordinates of absolute
+    # value at most sum |a_g| beta_g: single generators and random samples
+    rng = random.Random(n)
+    den = C._packed_ring(n).den
+    zero = C.CycloElem.zero(C.CycloCtx(n))
+    for w in (3, 5, 6):
+        gens = [(m, idx) for m in range(w - 1) for idx in W.partitions_of_weight(w - m)]
+        samples = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
+        samples += [[rng.randint(-60, 60) for _ in gens] for _ in range(6)]
+        for a in samples:
+            x = sum((c * C.omega_gen(m, idx, n) for c, (m, idx) in zip(a, gens) if c), zero)
+            scaled = x * den**w
+            assert scaled.den == 1
+            bound = sum(abs(c) * C.coordinate_bound(m, idx, n) for c, (m, idx) in zip(a, gens))
+            assert max(map(abs, scaled.num)) <= bound, (w, a)

@@ -1,10 +1,12 @@
 """Tests for lattice reduction, integer relations, and the three relation miners."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from mtomega import cyclo as C
@@ -13,7 +15,7 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import words as W
 from mtomega.errors import DependentInputError, PrecisionError
-from oracles import hnf
+from oracles import cyclotomic_kernel_exact, hnf, kernel_basis
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -23,7 +25,7 @@ def test_rref_kernel():
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     red, pivots = R.rref(rows)
     assert pivots == [0, 1]
-    ker = R.kernel_basis(rows, 3)
+    ker = kernel_basis(rows, 3)
     assert len(ker) == 1
     for row in rows:
         assert sum(a * b for a, b in zip(row, ker[0])) == 0
@@ -417,6 +419,93 @@ def test_cyclotomic_relations_reverify_on_fresh_n():
                 if a:
                     acc = acc + a * val
             assert not acc, (v, n)
+
+
+@pytest.mark.parametrize(
+    "weight,n_max", [(2, 30), (3, 30), (4, 30), (5, 30), (6, 30), (7, 24)]
+)
+def test_cyclotomic_miner_matches_exact_oracle(weight, n_max):
+    basis, _ = R.cyclotomic_relation_space(weight, range(2, n_max + 1))
+    assert basis.vectors == cyclotomic_kernel_exact(weight, range(2, n_max + 1))
+
+
+def test_kernel_mod_matches_exact_kernel():
+    # random integer matrices with planted dependencies: the RREF kernel mod
+    # l is the exact one reduced mod l, and the reconstruction recovers it
+    rng = random.Random(7)
+    ell = C.root_primes(12)[0]
+    for _ in range(30):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        a.append([x - 2 * y for x, y in zip(a[0], a[-1])])
+        exact = kernel_basis(a, cols)
+        pivots, kernel = R._kernel_mod(np.array(a, dtype=np.int64) % ell, ell)
+        assert list(pivots) == R.rref(a)[1]
+        assert kernel == [[x.numerator * pow(x.denominator, -1, ell) % ell for x in v] for v in exact]
+        small = math.isqrt(ell // 2)
+        for v, w in zip(kernel, exact):
+            for x, y in zip(v, w):
+                if abs(y.numerator) <= small and y.denominator <= small:
+                    assert R._rational(x, ell) == y
+
+
+def test_rational_reconstruction_bounds():
+    m = 10007 * 10009
+    for a, b in [(0, 1), (3, 1), (-5, 7), (700, 701), (-7070, 7069)]:
+        assert R._rational(a * pow(b, -1, m) % m, m) == Fraction(a, b)
+    assert R._rational(7077, m) is None  # 7077 > sqrt(m/2), and no a/b fits
+    # past the bound a wrong small fraction can come back: why lifts are certified
+    assert R._rational(9001 * pow(9007, -1, m) % m, m) == Fraction(-6990, 4133)
+
+
+def identity(d):
+    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
+def test_cyclotomic_kernel_after_each_n_is_exact():
+    # the incremental kernel spans, at every n, what the exact stack up to n
+    # spans, and each of its vectors is certified at n
+    gens = R.cyclo_generators(5)
+    basis = identity(len(gens))
+    for n in range(2, 21):
+        basis = R._kernel_at(basis, gens, n)
+        exact = cyclotomic_kernel_exact(5, range(2, n + 1))
+        assert len(basis) == len(exact), n
+        assert all(map(R.span_test(exact), basis)), n
+        assert R.certified(basis, gens, n), n
+
+
+def test_cyclotomic_relations_certified_at_every_n():
+    basis, _ = R.cyclotomic_relation_space(6, range(2, 31))
+    for n in range(2, 31):
+        assert R.certified(basis.vectors, basis.generators, n), n
+
+
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_certificate_refuses_a_forged_candidate(n):
+    # v + l e_i vanishes mod l at every embedding, so a test at the one prime
+    # l passes it; the certificate needs more primes and must refuse it
+    gens = R.cyclo_generators(5)
+    basis, _ = R.cyclotomic_relation_space(5, range(2, 13))
+    ell, values = next(R._values_mod(gens, n))
+    assert ell == C.root_primes(n)[0]
+    nonzero = [i for i, (m, idx) in enumerate(gens) if C.omega_gen(m, idx, n)]
+    assert nonzero
+    for v, i in zip(basis.vectors, itertools.cycle(nonzero)):
+        forged = list(v)
+        forged[i] += ell
+        assert not (np.array(forged) % ell @ values % ell).any()
+        assert R.certified([v], gens, n)
+        assert not R.certified([forged], gens, n)
+        assert not R.certified([v, forged], gens, n)
+
+
+def test_certificate_refuses_a_single_generator():
+    gens = R.cyclo_generators(4)
+    for n in (3, 8, 15):
+        for i, (m, idx) in enumerate(gens):
+            unit = [int(i == j) for j in range(len(gens))]
+            assert R.certified([unit], gens, n) == (not C.omega_gen(m, idx, n)), (n, i)
 
 
 def test_m0_projection_is_finite_relation():

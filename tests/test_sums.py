@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mtomega import sums
@@ -49,3 +50,28 @@ def test_composition_sum_bruteforce(ring):
                     zero,
                 )
                 assert sums.composition_sum(index, n, f, zero) == expected, (index, n)
+
+
+def test_composition_sum_stacked_dot():
+    # int64 arrays over (modulus, column), the truncated products formed by
+    # one dot per partial sum that reduces there, against ints mod each modulus
+    f_int, _ = WEIGHTS["int"]
+    moduli = np.array([[101], [33554393]])
+    cols = np.arange(3)
+
+    def f(m, k):
+        return (f_int(m, k) + cols) % moduli
+
+    def dot(a, b):
+        return np.einsum("i...,i...->...", a, b) % moduli
+
+    zero = np.zeros((2, 3), dtype=np.int64)
+    for r in range(1, 5):
+        for index in indices(r):
+            for n in range(0, 10):
+                got = sums.composition_sum(index, n, f, zero, dot) % moduli
+                want = [
+                    [sums.composition_sum(index, n, lambda m, k: f_int(m, k) + c, 0) % p for c in cols]
+                    for p in moduli[:, 0].tolist()
+                ]
+                assert got.tolist() == want, (index, n)
