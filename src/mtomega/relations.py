@@ -7,9 +7,10 @@ leaves unchanged carries over to the next reduction.  Surviving short
 vectors are re-verified on holdout primes.  The cyclotomic miner cuts an
 exact integer basis of the rational kernel of the Q(zeta_n) constraints down
 n by n modulo primes l = 1 (mod n), and certifies each new vector exactly.
-The symmetric miner reduces one integer lattice built from certified high-precision values, with the quotient by zeta(2)-multiples
-realized by augmenting the value vector with zeta(2) * (Hoffman's zeta
-values of weight k-2).
+The symmetric miner reduces one integer lattice built from certified
+high-precision values, with the quotient by zeta(2)-multiples realized by
+augmenting the value vector with zeta(2) * (Hoffman's zeta values of weight
+k-2).
 
 Relation vectors are primitive integer vectors; each is tagged `proven` when
 it lies in the rational span of relations the underlying theorems supply,
