@@ -41,7 +41,6 @@ from . import modular, sums, words
 from .errors import (
     LengthError,
     NotIntegralError,
-    PoleError,
     RangeError,
 )
 from .words import HAT1, HbarSum
@@ -409,13 +408,12 @@ def root_primes(n: int, batch: int = 0) -> tuple:
     if not 2 <= n < 1 << 13:
         raise RangeError(f"values modulo primes need 2 <= n < 8192, got {n}")
     ell = root_primes(n, batch - 1)[-1] if batch else (PRIME_LIMIT - 2) // n * n + 1 + n
-    odd = np.arange(3, math.isqrt(PRIME_LIMIT) + 1, 2)  # trial divisors
     out = []
     while len(out) < PRIME_BATCH:
         ell -= n
-        if ell <= odd[-1]:
+        if ell <= math.isqrt(PRIME_LIMIT):
             raise RangeError(f"fewer than {PRIME_BATCH * (batch + 1)} primes l = 1 (mod {n})")
-        if ell % 2 and (ell % odd).all():
+        if modular.is_prime(ell):
             out.append(ell)
     return tuple(out)
 
@@ -538,46 +536,6 @@ def reduce_at_one(x: CycloElem, p: int) -> int:
     if x.den % p == 0:
         raise NotIntegralError("element is not integral at (1 - zeta_p): p divides its denominator")
     return sum(x.num) * pow(x.den, p - 2, p) % p
-
-
-def l_series_rational(u, q, order: int) -> list:
-    """Truncated q-polylogarithm coefficients u_1..u_order at exact rational q.
-
-    Works for an HbarSum or a plain (extended) index; hbar acts as 1 - q.
-    Raises PoleError when some q-integer [m] vanishes for m <= order.
-    """
-    q = Fraction(q)
-    if q == 1:
-        raise PoleError("q = 1 is outside the domain")
-    qpow = [Fraction(1)]
-    for _ in range(order):
-        qpow.append(qpow[-1] * q)
-    qint = [None] * (order + 1)
-    for m in range(1, order + 1):
-        val = (1 - qpow[m]) / (1 - q)
-        if val == 0:
-            raise PoleError(f"[{m}] vanishes at q = {q}")
-        qint[m] = val
-
-    def f(m, k):
-        if k == HAT1:
-            return qpow[m] / qint[m]
-        return qpow[m] ** (k - 1) / qint[m] ** k
-
-    def coeffs_for(ew):
-        if not ew:
-            return [Fraction(0)] * order  # L(1) = 1 has no positive coefficients
-        return sums.chain_levels(ew, order + 1, f, Fraction(0))[1:]
-
-    if not isinstance(u, HbarSum):
-        ew = tuple(u)
-        return coeffs_for(ew)
-    out = [Fraction(0)] * order
-    for (h, ew), c in u.items():
-        scale = c * (1 - q) ** h
-        for i, v in enumerate(coeffs_for(ew)):
-            out[i] += scale * v
-    return out
 
 
 def check_q_kamano(index, n: int) -> bool:

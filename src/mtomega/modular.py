@@ -11,7 +11,7 @@ import functools
 import numpy as np
 
 from . import sums, words
-from .errors import DenominatorError, LengthError, RangeError
+from .errors import LengthError, RangeError
 
 #: A residue is an int reduced into [0, p).
 Residue = int
@@ -34,11 +34,23 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return [p for p in primes_upto(hi - 1) if p > lo]
 
 
+#: The least strong pseudoprime to all twelve bases 2..37 (Sorenson and
+#: Webster, Math. Comp. 86, 2017): below it the bases decide primality.
+MILLER_RABIN_LIMIT = 318665857834031151167461
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
+    """Deterministic Miller-Rabin test to the prime bases 2..37; RangeError
+    from MILLER_RABIN_LIMIT on, where those bases no longer decide."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise RangeError(f"primality is decided only below {MILLER_RABIN_LIMIT}, got {n}")
+    if n < 2 or any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in _BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
             return False
     return True
 
@@ -110,18 +122,6 @@ def omega_mod(index, p: int) -> Residue:
     index = tuple(sorted(index))
     head = _series_mod(index[:-1], p)
     return int(np.dot(head[1:], _power_array(p, index[-1])[p - 1 : 0 : -1])) % p
-
-
-def zeta_word_mod(u: words.WordSum, p: int) -> Residue:
-    """Linear extension of w -> hsum_mod(index_of_word(w), p)."""
-    _check_prime(p)
-    total = 0
-    for w, c in u.items():
-        if c.denominator % p == 0:
-            raise DenominatorError(f"coefficient {c} has denominator divisible by {p}")
-        cm = c.numerator * pow(c.denominator, p - 2, p) % p
-        total = (total + cm * hsum_mod(words.index_of_word(w), p)) % p
-    return total
 
 
 @functools.lru_cache(maxsize=256)

@@ -2,11 +2,14 @@
 
 Three miners share one report format.  The finite miner intersects, prime by
 prime, the congruence kernels of the residue vectors, keeping the integer
-lattice LLL-reduced as it shrinks; the Gram-Schmidt data of the rows a prime
-leaves unchanged carries over to the next reduction.  Surviving short
-vectors are re-verified on holdout primes.  The cyclotomic miner cuts an
-exact integer basis of the rational kernel of the Q(zeta_n) constraints down
-n by n modulo primes l = 1 (mod n), and certifies each new vector exactly.
+lattice LLL-reduced as it shrinks.  A prime cuts the reduced basis by one
+rank-one step (a pivot row scaled by p and moved last, multiples of it
+cleared from the later rows), and the integral Gram-Schmidt data follows
+the cut exactly in O(n^2) operations instead of being recomputed before the
+next reduction.  Surviving short vectors are re-verified on holdout primes.
+The cyclotomic miner cuts an exact integer basis of the rational kernel of
+the Q(zeta_n) constraints down n by n modulo primes l = 1 (mod n), and
+certifies each new vector exactly.
 The symmetric miner reduces one integer lattice built from certified
 high-precision values, with the quotient by zeta(2)-multiples realized by
 augmenting the value vector with zeta(2) * (Hoffman's zeta values of weight
@@ -100,12 +103,70 @@ def primitive_integer(vector):
 
 @dataclass
 class GramSchmidt:
-    """Integral Gram-Schmidt data of the last `lll_reduce` result: its rows,
-    d_0..d_n and the lambda table."""
+    """Integral Gram-Schmidt data of a basis: its rows, d_0..d_n, the lambda
+    table, and how many leading rows are already LLL-reduced.
+
+    `lll_reduce` writes it; `cut` applies the finite miner's step at one
+    prime to rows, d and lambda exactly, in O(n^2) operations.
+    """
 
     rows: list = field(default_factory=list)
     d: list = None
     lam: list = None
+    reduced: int = 0
+
+    @classmethod
+    def identity(cls, n):
+        """The data of the reduced basis e_1..e_n."""
+        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return cls(rows, [1] * (n + 1), [[0] * n for _ in range(n)], n)
+
+    def cut(self, j, f, p):
+        """Replace each row i > j by b_i - f[i] b_j and row j by p b_j, then
+        move row j last.
+
+        Row j scaled by p scales b*_j by p and leaves every other b*_t as it
+        is, so d_t gains p^2 for t > j, lambda_(j,t) gains p, lambda_(i,t)
+        becomes lambda_(i,t) - f_i lambda_(j,t) for t < j,
+        p (lambda_(i,j) - f_i d_(j+1)) at t = j and lambda_(i,t) p^2 for
+        t > j.  The n - 1 - j adjacent swaps that move row j last are exact
+        too, and the rows before j stay reduced.
+        """
+        b = self.rows = list(self.rows)  # the last result stays the caller's
+        d, lam, n = self.d, self.lam, len(b)
+        bj, lj, dj, p2 = b[j], lam[j], d[j + 1], p * p
+        for i in range(j + 1, n):
+            fi, li = f[i], lam[i]
+            if fi:
+                b[i] = tuple(x - fi * y for x, y in zip(b[i], bj))
+                for t in range(j):
+                    li[t] -= fi * lj[t]
+            li[j] = p * (li[j] - fi * dj)
+            for t in range(j + 1, i):
+                li[t] *= p2
+        b[j] = tuple(p * x for x in bj)
+        for t in range(j):
+            lj[t] *= p
+        for t in range(j + 1, n + 1):
+            d[t] *= p2
+        for k in range(j + 1, n):
+            _swap(b, d, lam, k)
+        self.reduced = min(self.reduced, j)
+
+
+def _swap(b, d, lam, k):
+    """Exchange rows k - 1 and k, updating d and lambda exactly (Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, Alg. 2.6.7)."""
+    b[k], b[k - 1] = b[k - 1], b[k]
+    for j in range(k - 1):
+        lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+    lam_ = lam[k][k - 1]
+    bb = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
+    for i in range(k + 1, len(b)):
+        t = lam[i][k]
+        lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
+        lam[i][k - 1] = (bb * t + lam_ * lam[i][k]) // d[k + 1]
+    d[k] = bb
 
 
 def lll_reduce(basis, gs=None):
@@ -115,45 +176,37 @@ def lll_reduce(basis, gs=None):
     delta = 3/4 (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982) on
     return.  Input vectors must be linearly independent.
 
-    `gs`, a `GramSchmidt` owned by the caller, carries the data of one call
-    over to the next.  The leading input rows equal to the previous result's,
-    found by comparing rows, keep their Gram-Schmidt data, and the swap loop
-    starts after them: that prefix is already size-reduced and meets the
-    Lovasz condition, so a cold run would leave it as it is and the result
-    is the same with or without `gs`.  The state is taken out of `gs` on
-    entry and written back only on return, so nothing is reused after an
-    exception.
+    `gs`, a `GramSchmidt` owned by the caller, receives the data of the
+    result.  When its rows equal the input, as after `gs.cut`, its d and
+    lambda are used instead of being recomputed, and the swap loop starts
+    at `gs.reduced`: that prefix is already size-reduced and meets the
+    Lovasz condition, so a cold run would leave it as it is.  Since d and
+    lambda are fixed by the rows, the result is the same with or without
+    `gs`.  The state is taken out of `gs` on entry and written back only on
+    return, so nothing is reused after an exception.
     """
     b = [list(v) for v in basis]
     n = len(b)
     if n == 0:
         return []
-
-    def dot(u, v):
-        return sum(map(operator.mul, u, v))
-
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    start = 0
+    warm = gs is not None and gs.rows == basis
     if gs is not None:
-        prev, gs.rows = gs.rows, []
-        while start < min(n, len(prev)) and tuple(b[start]) == prev[start]:
-            start += 1
-        if start:
-            d[: start + 1] = gs.d[: start + 1]
-            for i in range(start):
-                lam[i][:i] = gs.lam[i][:i]
-    for i in range(start, n):
-        for j in range(i + 1):
-            u = dot(b[i], b[j])
-            for k in range(j):
-                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d[i + 1] = u
-                if u == 0:
-                    raise DependentInputError("input vectors are dependent")
+        gs.rows = []
+    if warm:
+        d, lam, start = gs.d, gs.lam, gs.reduced
+    else:
+        d, lam, start = [1] * (n + 1), [[0] * n for _ in range(n)], 0
+        for i in range(n):
+            for j in range(i + 1):
+                u = sum(map(operator.mul, b[i], b[j]))
+                for k in range(j):
+                    u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+                if j < i:
+                    lam[i][j] = u
+                else:
+                    d[i + 1] = u
+                    if u == 0:
+                        raise DependentInputError("input vectors are dependent")
 
     def redi(k, l):
         if 2 * abs(lam[k][l]) > d[l + 1]:
@@ -163,24 +216,12 @@ def lll_reduce(basis, gs=None):
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
 
-    def swapi(k):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lam_ = lam[k][k - 1]
-        bb = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
-        for i in range(k + 1, n):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
-            lam[i][k - 1] = (bb * t + lam_ * lam[i][k]) // d[k + 1]
-        d[k] = bb
-
     k = max(1, start)
     while k < n:
         redi(k, k - 1)
         # the Lovasz condition at delta = 3/4 fails (scaled by 4 d[k]^2)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
-            swapi(k)
+            _swap(b, d, lam, k)
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
@@ -188,7 +229,7 @@ def lll_reduce(basis, gs=None):
             k += 1
     out = [tuple(v) for v in b]
     if gs is not None:
-        gs.rows, gs.d, gs.lam = out, d, lam
+        gs.rows, gs.d, gs.lam, gs.reduced = out, d, lam, n
     return out
 
 
@@ -386,11 +427,11 @@ def finite_relation_space(weight: int):
 
     The lattice of integer vectors whose residue combination vanishes at every
     training prime (`default_prime_split`) is computed by iterated kernel
-    preimages, LLL-reduced after each prime to keep entries small.  A prime
-    keeps the rows before its pivot, so each reduction resumes from the
-    previous one's Gram-Schmidt data for those rows.  Vectors of height at
-    most FINITE_HEIGHT_BOUND that also vanish at every holdout prime are the
-    relations.
+    preimages, LLL-reduced after each prime to keep entries small.  Each
+    prime is one `GramSchmidt.cut` of the reduced basis, so the reduction
+    resumes from exact Gram-Schmidt data and from the rows before the pivot.
+    Vectors of height at most FINITE_HEIGHT_BOUND that also vanish at every
+    holdout prime are the relations.
     """
     training_primes, holdout_primes = default_prime_split(weight)
     gens = words.partitions_of_weight(weight)
@@ -398,25 +439,18 @@ def finite_relation_space(weight: int):
     if d == 0:
         return _mined("finite", weight, (), ())
     holdout = [(q, [modular.omega_mod(g, q) for g in gens]) for q in holdout_primes]
-    basis = [[int(i == j) for j in range(d)] for i in range(d)]
-    gs = GramSchmidt()
+    gs = GramSchmidt.identity(d)
     for p in training_primes:
         c = [modular.omega_mod(g, p) for g in gens]
-        v = [sum(row[i] * c[i] for i in range(d)) % p for row in basis]
+        v = [sum(map(operator.mul, row, c)) % p for row in gs.rows]
         if not any(v):
             continue
         j = next(i for i, x in enumerate(v) if x)
         inv = pow(v[j], p - 2, p)
-        newbasis = []
-        for i, row in enumerate(basis):
-            if i == j:
-                continue
-            f = v[i] * inv % p
-            newbasis.append([a - f * b for a, b in zip(row, basis[j])])
-        newbasis.append([p * x for x in basis[j]])
-        basis = lll_reduce(newbasis, gs=gs)
+        gs.cut(j, [x * inv % p for x in v], p)
+        lll_reduce(gs.rows, gs=gs)
     kept = []
-    for row in basis:
+    for row in gs.rows:
         if max(abs(x) for x in row) > FINITE_HEIGHT_BOUND:
             continue
         if all(sum(a * c for a, c in zip(row, res)) % q == 0 for q, res in holdout):

@@ -607,18 +607,6 @@ def shuffle_hbar_many(factors: Sequence[HbarSum]) -> HbarSum:
     return out
 
 
-def rho(u: HbarSum) -> WordSum:
-    """Algebra map to h1: kills hbar, sends e_1hat to y_1 and e_k to y_k."""
-
-    def rule(key):
-        h, ew = key
-        if h > 0:
-            return ()
-        return ((word_of_index(tuple(1 if l == HAT1 else l for l in ew)), 1),)
-
-    return WordSum._wrap(_linear(u._terms, rule))
-
-
 # ---------------------------------------------------------------------------
 # generating-series identities
 

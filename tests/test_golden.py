@@ -43,6 +43,7 @@ GOLDEN = (
     ("values omega-limit 3.1.1 --digits 300", "3dba74f6332d88da068436a6964978205dc8282e85cad4a9d5e4ecc57501eb31"),
     ("values zeta-s 4.2.1 --digits 200", "e22ae60906a3596d60e28c473679b418ec1c10469d6e3e6d2bfb3c1834058e87"),
     ("relations cyclotomic --weights 7 --n-max 40", "0ddbe902e3af9b79a479a9f902b37c6ebdb8cc78bb54b317576be078c14c50bc"),
+    ("relations finite --weights 13..14 --force", "fb73ff12993f9ebda632a4a9bab240977729f69041375cdcc39cd53810d7ca38"),
 )
 
 

@@ -9,6 +9,7 @@ import pytest
 from mtomega import modular as M
 from mtomega import words as W
 from mtomega.errors import DenominatorError, LengthError, RangeError
+from oracles import zeta_word_mod
 
 
 def frac_mod(x: Fraction, p: int) -> int:
@@ -51,6 +52,24 @@ def test_primes():
     assert M.primes_upto(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert M.primes_in(11, 30) == [13, 17, 19, 23, 29]
     assert M.is_prime(97) and not M.is_prime(91)
+
+
+def test_is_prime_against_sieve():
+    assert [n for n in range(-3, 10**5) if M.is_prime(n)] == M.primes_upto(10**5)
+    # a Carmichael number, and the least strong pseudoprime to the bases 2..23
+    assert not M.is_prime(561)
+    assert not M.is_prime(3825123056546413051)
+    assert M.is_prime(2**61 - 1) and not M.is_prime((2**31 - 1) * (2**19 - 1))
+
+
+def test_is_prime_refuses_past_its_bases():
+    # the least strong pseudoprime to all of 2..37: the bases cannot decide it
+    assert M.MILLER_RABIN_LIMIT == 318665857834031151167461
+    for n in (M.MILLER_RABIN_LIMIT, 2**89 - 1):
+        with pytest.raises(RangeError):
+            M.is_prime(n)
+    with pytest.raises(RangeError):
+        M.omega_mod((2, 1), M.MILLER_RABIN_LIMIT)
 
 
 def test_hsum_examples():
@@ -98,12 +117,12 @@ def test_omega_small_prime_edge():
 
 
 def test_zeta_word_mod():
-    assert M.zeta_word_mod(W.mt_word((2, 1)), 5) == 0
+    assert zeta_word_mod(W.mt_word((2, 1)), 5) == 0
     u = 2 * W.y_word((2, 1))
-    assert M.zeta_word_mod(u, 5) == 2 * M.hsum_mod((2, 1), 5) % 5
-    assert M.zeta_word_mod(W.WordSum.zero(), 11) == 0
+    assert zeta_word_mod(u, 5) == 2 * M.hsum_mod((2, 1), 5) % 5
+    assert zeta_word_mod(W.WordSum.zero(), 11) == 0
     with pytest.raises(DenominatorError):
-        M.zeta_word_mod(Fraction(1, 5) * W.y_word((2,)), 5)
+        zeta_word_mod(Fraction(1, 5) * W.y_word((2,)), 5)
 
 
 def test_kamano_consistency():
@@ -111,7 +130,7 @@ def test_kamano_consistency():
     for w in range(2, 8):
         for k in W.indices_of_weight(w, min_len=2):
             for p in (11, 13, 17):
-                got = (-1) ** k[-1] * M.zeta_word_mod(W.mt_word(k), p) % p
+                got = (-1) ** k[-1] * zeta_word_mod(W.mt_word(k), p) % p
                 assert M.omega_mod(k, p) == got, (k, p)
 
 
@@ -174,7 +193,7 @@ def test_composite_modulus_rejected():
         with pytest.raises(RangeError):
             M.hsum_mod((2, 1), p)
         with pytest.raises(RangeError):
-            M.zeta_word_mod(W.y_word((2,)), p)
+            zeta_word_mod(W.y_word((2,)), p)
         with pytest.raises(RangeError):
             M.bern_div_mod(2, p)
     # the check comes before the empty-composition shortcut for p < r

@@ -164,9 +164,17 @@ def assert_state_describes(gs, rows):
     assert {(i, j): gs.lam[i][j] for i in range(len(rows)) for j in range(i)} == lam
 
 
+def miner_step(rows, j, f, p):
+    """The finite miner's cut, spelled out: rows i > j lose f_i times row j,
+    and p times row j goes last."""
+    later = [tuple(a - f[i] * b for a, b in zip(rows[i], rows[j])) for i in range(j + 1, len(rows))]
+    return list(rows[:j]) + later + [tuple(p * x for x in rows[j])]
+
+
 def test_lll_resumed_matches_cold():
     """Replay the finite miner's update on lattices with planted relations:
-    the resumed reduction equals the cold one at every prime."""
+    after each cut the state describes the cut rows exactly, and the warm
+    reduction equals the cold one at every prime."""
     rng = random.Random(6)
     primes = [5, 7, 11, 13, 17, 19, 23]
     resumed = 0
@@ -179,28 +187,48 @@ def test_lll_resumed_matches_cold():
                 [int(i == t) for i in range(m)] + [rng.randint(-2, 2) for _ in range(n - m)]
                 for t in range(m)
             ]
-            basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-            gs = R.GramSchmidt()
+            gs = R.GramSchmidt.identity(n)
             for p in rng.sample(primes, 4):
                 free = [rng.randrange(p) for _ in range(n - m)]
                 c = [-sum(a * x for a, x in zip(r[m:], free)) % p for r in planted] + free
-                v = [sum(a * x for a, x in zip(row, c)) % p for row in basis]
+                v = [sum(a * x for a, x in zip(row, c)) % p for row in gs.rows]
                 if not any(v):
                     continue
                 j = next(i for i, x in enumerate(v) if x)
                 inv = pow(v[j], p - 2, p)
-                newbasis = [
-                    [a - v[i] * inv % p * b for a, b in zip(row, basis[j])]
-                    for i, row in enumerate(basis) if i != j
-                ]
-                newbasis.append([p * x for x in basis[j]])
-                resumed += j > 0
-                warm = R.lll_reduce(newbasis, gs=gs)
-                assert warm == R.lll_reduce(newbasis)
-                assert_state_describes(gs, warm)
-                basis = warm
-    # the warm start was exercised, not only the cold path
+                f = [x * inv % p for x in v]
+                expected = miner_step(gs.rows, j, f, p)
+                gs.cut(j, f, p)
+                assert gs.rows == expected
+                assert_state_describes(gs, gs.rows)
+                cold = R.lll_reduce(gs.rows)
+                d = gs.d
+                assert R.lll_reduce(gs.rows, gs=gs) == cold
+                # the warm path updates the state's d in place
+                resumed += j > 0 and gs.d is d
+                assert_state_describes(gs, cold)
+    # the warm start was exercised past the first row, not only the cold path
     assert resumed >= 10
+
+
+def test_gram_schmidt_cut_at_every_pivot():
+    """Cuts at j = 0 .. n - 1, each from a reduced state and with zero and
+    nonzero multipliers, give the exact Gram-Schmidt data of the cut rows."""
+    rng = random.Random(9)
+    n = 6
+    basis = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(n)]
+    for j in range(n):
+        for p in (2, 13):
+            gs = R.GramSchmidt()
+            red = R.lll_reduce(basis, gs=gs)
+            f = [rng.choice((0, rng.randrange(p))) for _ in range(n)]
+            gs.cut(j, f, p)
+            assert gs.rows == miner_step(red, j, f, p)
+            assert gs.reduced == j
+            assert_state_describes(gs, gs.rows)
+            cold = R.lll_reduce(gs.rows)
+            assert R.lll_reduce(gs.rows, gs=gs) == cold
+            assert_state_describes(gs, cold)
 
 
 def test_lll_resumed_state_mismatch_is_cold():
@@ -213,12 +241,17 @@ def test_lll_resumed_state_mismatch_is_cold():
         [list(v) for v in red[:4]],  # one row fewer, all of them shared
         [list(v) for v in red] + [[0, 0, 0, 0, 0, 3]],  # one row more
         [list(v) for v in reversed(red)],  # other leading rows
+        miner_step(red, 2, [1] * 5, 3),  # the cut rows, but the state is not cut
     ]
     for other in cases:
         R.lll_reduce(basis, gs=gs)
         cold = R.lll_reduce(other)
         assert R.lll_reduce(other, gs=gs) == cold
         assert_state_describes(gs, cold)
+    # a cut state handed other rows is not used either
+    gs.cut(1, [1] * 5, 5)
+    assert R.lll_reduce(red, gs=gs) == R.lll_reduce(red)
+    assert_state_describes(gs, R.lll_reduce(red))
 
 
 def test_lll_resumed_after_dependent_input():
@@ -227,12 +260,13 @@ def test_lll_resumed_after_dependent_input():
     gs = R.GramSchmidt()
     red = R.lll_reduce(basis, gs=gs)
     assert_state_describes(gs, red)
+    gs.cut(3, [0, 0, 0, 1, 2], 7)
     # shares four leading rows with the state, then a dependent row
-    dependent = [list(v) for v in red[:4]] + [[a + b for a, b in zip(red[0], red[1])]]
+    dependent = list(gs.rows[:4]) + [tuple(a + b for a, b in zip(red[0], red[1]))]
     with pytest.raises(DependentInputError):
         R.lll_reduce(dependent, gs=gs)
     assert gs.rows == []
-    # the next call shares leading rows with the stale result, yet runs cold
+    # the next call shares leading rows with the stale state, yet runs cold
     again = [list(v) for v in red[:4]] + [[x * 2 for x in red[4]]]
     assert R.lll_reduce(again, gs=gs) == R.lll_reduce(again)
     assert_state_describes(gs, R.lll_reduce(again))
