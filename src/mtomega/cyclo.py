@@ -207,6 +207,8 @@ class CycloElem:
         return e
 
     def __mul__(self, other):
+        if type(other) is int:
+            return CycloElem(self.ctx, [other * x for x in self.num], self.den)
         if isinstance(other, (int, Fraction)):
             other = CycloElem.from_rational(self.ctx, other)
         self._check(other)

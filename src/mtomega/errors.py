@@ -21,20 +21,12 @@ class EmptyWordError(MTOmegaError):
     """Left multiplication by `a` applied to a term with no leading letter."""
 
 
-class DenominatorError(MTOmegaError):
-    """A rational coefficient has denominator divisible by the working prime."""
-
-
 class RangeError(MTOmegaError):
     """Numeric argument outside the documented range."""
 
 
 class NotIntegralError(MTOmegaError):
     """Cyclotomic element is not integral at (1 - zeta_p) after unit clearing."""
-
-
-class PoleError(MTOmegaError):
-    """A q-integer [m] vanishes at the requested evaluation point."""
 
 
 class PrecisionError(MTOmegaError):

@@ -1,4 +1,4 @@
-"""Finite-side arithmetic: harmonic and omega sums mod p, Bernoulli numbers.
+"""Finite-side arithmetic: harmonic and omega sums mod p, Bernoulli quotients.
 
 Residues are plain ints in [0, p); the prime is always explicit in the call,
 and every entry point rejects a modulus that is not prime with RangeError.
@@ -124,39 +124,22 @@ def omega_mod(index, p: int) -> Residue:
     return int(np.dot(head[1:], _power_array(p, index[-1])[p - 1 : 0 : -1])) % p
 
 
-@functools.lru_cache(maxsize=256)
-def _bernoulli_mod(p: int) -> tuple:
-    """B_0..B_{p-3} mod p via the binomial recurrence (B_1 = -1/2)."""
-    n = p - 3
-    inv = _inverses(p)
-    bern = [0] * (n + 1)
-    bern[0] = 1
-    # Pascal row C(m+1, j) built incrementally
-    for m in range(1, n + 1):
-        row = [1]
-        for j in range(1, m + 2):
-            row.append(row[-1] * (m + 2 - j) % p * inv[j] % p)
-        s = 0
-        for j in range(m):
-            s = (s + row[j] * bern[j]) % p
-        bern[m] = -s * inv[m + 1] % p
-    return tuple(bern)
-
-
 def bern_div_mod(k: int, p: int) -> Residue:
     """B_{p-k}/k mod p; defined for 2 <= k <= p-2.
 
-    For k even (p-k odd >= 3) the Bernoulli number vanishes outright; for k
-    odd the index p-k is even and at most p-3, inside the p-integral range of
-    the recurrence table.
+    For k even (p-k odd >= 3) the Bernoulli number vanishes outright.  For k
+    odd, m = p-k is even with 2 <= m <= p-3, where B_m is p-integral and the
+    power sum over a < p of a^m is p*B_m mod p^2: O(p log p) per call.
     """
     _check_prime(p)
     if not 2 <= k <= p - 2:
         raise RangeError(f"need 2 <= k <= p-2, got k={k}, p={p}")
-    idx = p - k
-    if idx % 2 == 1 and idx >= 3:
+    m = p - k
+    if m % 2 == 1:
         return 0
-    return _bernoulli_mod(p)[idx] * _inverses(p)[k % p] % p
+    p2 = p * p
+    bern = sum(pow(a, m, p2) for a in range(1, p)) % p2 // p
+    return bern * pow(k, -1, p) % p
 
 
 def format_index(index) -> str:

@@ -16,6 +16,8 @@ series in mpmath floats at the working digits plus guard digits.  `rho`
 maps the hbar-deformed e-words to h1, killing hbar, and `zeta_word_mod`
 extends the harmonic sums mod p linearly to word sums; the tests use them
 to check the deformed shuffle and the word route to `omega_mod`.
+`bernoulli_mod_table` is the Bernoulli recurrence mod p, the reference for
+the power-sum quotients of `bern_div_mod`.
 `l_series_rational` sums the truncated q-polylogarithm series at an exact
 rational q, for checking that the deformed shuffle multiplies them.
 """
@@ -34,8 +36,16 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import sums
 from mtomega import words as W
-from mtomega.errors import DenominatorError, MTOmegaError, PoleError
+from mtomega.errors import MTOmegaError
 from mtomega.words import HAT1, EWord, HbarSum, WordSum, _eword_key, _linear
+
+
+class DenominatorError(MTOmegaError):
+    """A rational coefficient has denominator divisible by the working prime."""
+
+
+class PoleError(MTOmegaError):
+    """A q-integer [m] vanishes at the requested evaluation point."""
 
 
 class InternalClosureError(MTOmegaError):
@@ -183,6 +193,24 @@ def zeta_word_mod(u: WordSum, p: int) -> int:
         cm = c.numerator * pow(c.denominator, p - 2, p) % p
         total = (total + cm * M.hsum_mod(W.index_of_word(w), p)) % p
     return total
+
+
+def bernoulli_mod_table(p: int) -> tuple:
+    """B_0..B_{p-3} mod p via the binomial recurrence (B_1 = -1/2), O(p^2)."""
+    n = p - 3
+    inv = M._inverses(p)
+    bern = [0] * (n + 1)
+    bern[0] = 1
+    # Pascal row C(m+1, j) built incrementally
+    for m in range(1, n + 1):
+        row = [1]
+        for j in range(1, m + 2):
+            row.append(row[-1] * (m + 2 - j) % p * inv[j] % p)
+        s = 0
+        for j in range(m):
+            s = (s + row[j] * bern[j]) % p
+        bern[m] = -s * inv[m + 1] % p
+    return tuple(bern)
 
 
 def l_series_rational(u, q, order: int) -> list:

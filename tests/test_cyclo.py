@@ -10,10 +10,11 @@ import pytest
 from mtomega import cyclo as C
 from mtomega import modular as M
 from mtomega import words as W
-from mtomega.errors import LengthError, NotIntegralError, PoleError, RangeError
+from mtomega.errors import LengthError, NotIntegralError, RangeError
 from mtomega.words import HAT1, HbarSum
 
 import oracles as O
+from oracles import PoleError
 
 
 def elem(n, *coeffs):
@@ -281,6 +282,13 @@ def test_weight3_relation_all_n_to_200():
         lhs = C.omega_at_root((2, 1), n)
         rhs = lam * C.one_minus_zeta(C.CycloCtx(n)) * C.omega_at_root((1, 1), n)
         assert lhs == rhs, n
+
+
+def test_int_scalar_product():
+    x = elem(5, Fraction(1, 3), 0, -2, Fraction(7, 6))
+    assert x.den == 6
+    for c in (3, -2, 0, 6):
+        assert c * x == Fraction(c) * x == x * c, c
 
 
 def test_json_roundtrip():

@@ -8,8 +8,8 @@ import pytest
 
 from mtomega import modular as M
 from mtomega import words as W
-from mtomega.errors import DenominatorError, LengthError, RangeError
-from oracles import zeta_word_mod
+from mtomega.errors import LengthError, RangeError
+from oracles import DenominatorError, bernoulli_mod_table, zeta_word_mod
 
 
 def frac_mod(x: Fraction, p: int) -> int:
@@ -162,6 +162,18 @@ def test_bern_against_exact():
             if p - k <= 40:
                 expected = frac_mod(bs[p - k] / k, p)
                 assert M.bern_div_mod(k, p) == expected, (k, p)
+
+
+def test_bern_against_recurrence_table():
+    """The power-sum quotient equals the O(p^2) recurrence at every k."""
+    for p in M.primes_upto(400):
+        if p < 5:
+            continue
+        bern = bernoulli_mod_table(p)
+        for k in range(2, p - 1):
+            m = p - k
+            expected = bern[m] * pow(k, -1, p) % p if m <= p - 3 else 0
+            assert M.bern_div_mod(k, p) == expected, (k, p)
 
 
 def test_ones_special_value():

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mtomega import words as W
@@ -316,6 +317,58 @@ def test_rho_left_multiplication():
 def test_negative_hbar_rejected():
     with pytest.raises(ValueError):
         HbarSum.monomial((1,), hbar=-1)
+
+
+# ---------------------------------------------------------------------------
+# coefficient types: ints unless a division happens
+
+
+def all_int(pairs):
+    return all(type(c) is int for _key, c in pairs)
+
+
+def test_integral_products_keep_int_coefficients():
+    u, v = W.y_word((2, 1)) + 3 * ws(X1), W.mt_word((1, 2, 1))
+    for x in (W.shuffle(u, v), W.phi(u), W.mt_word((3, 1, 2)), W.shuffle_many([u, v, u])):
+        assert x and all_int(x.items())
+    base = W.shuffle_hbar_many([W.e(1), W.e(HAT1), 2 * W.e(2)])
+    for x in (base, W.a_mult(3, base), W.shuffle_hbar(base, W.e(1) - W.e(3))):
+        assert x and all_int(x.items())
+    y1, y2 = W.y_series(2, 4, [1, 0]), W.y_series(2, 4, [1, -2])
+    for x in (y1.shuffle(y2), y1.concat(y2), W.s_subset(3, 3, [1, 2, 3]).map_words(W._phi_word)):
+        assert x.terms and all_int(x.terms.items())
+    assert all_int(W.TPoly.unit(2, 3).terms.items())
+
+
+def test_reg_shuffle0_divides():
+    # a leading x1-run of length ell divides by ell, so the coefficients are
+    # Fractions, although on a single word their values come out integral
+    got = W.reg_shuffle0(ws(X1, X1, X1, X0, X0, X1))
+    assert str(got) == "-4*x0x0x1x1x1x1 - 3*x0x1x0x1x1x1 - 2*x0x1x1x0x1x1 - 1*x0x1x1x1x0x1"
+    assert all(type(c) is Fraction for _w, c in got.items())
+    half = W.reg_shuffle0(Fraction(1, 2) * ws(X1, X1, X0, X1))
+    assert half == WordSum({(X0, X1, X1, X1): Fraction(3, 2)})
+
+
+def test_fraction_and_int_coefficients_agree():
+    w = (X0, X1)
+    assert WordSum({w: Fraction(2)}) == WordSum({w: 2})
+    assert str(WordSum({w: Fraction(2)})) == str(WordSum({w: 2})) == "2*x0x1"
+    u = W.mt_word((2, 1, 1)) - W.y_word((1, 2))
+
+    def fraction_only(scalar):  # the coefficients of scalar * u, all Fraction
+        return WordSum({w: Fraction(scalar) * Fraction(c) for w, c in u.items()})
+
+    for scalar in (Fraction(1, 2), 2, -1):
+        assert scalar * u == fraction_only(scalar)
+        assert str(scalar * u) == str(fraction_only(scalar))
+    assert all_int((2 * u).items())
+
+
+def test_non_int_scalars_become_fractions():
+    for c in (True, 0.5, np.int64(3), Fraction(3)):
+        assert type(WordSum({(X1,): c}).items()[0][1]) is Fraction, c
+        assert type((ws(X1) * c).items()[0][1]) is Fraction, c
 
 
 # ---------------------------------------------------------------------------
