@@ -151,11 +151,6 @@ class CycloElem:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_rational(cls, ctx, value) -> "CycloElem":
-        value = Fraction(value)
-        return cls(ctx, [value.numerator], value.denominator)
-
-    @classmethod
     def zero(cls, ctx) -> "CycloElem":
         return cls(ctx, [])
 
@@ -207,10 +202,10 @@ class CycloElem:
         return e
 
     def __mul__(self, other):
-        if type(other) is int:
-            return CycloElem(self.ctx, [other * x for x in self.num], self.den)
         if isinstance(other, (int, Fraction)):
-            other = CycloElem.from_rational(self.ctx, other)
+            return CycloElem(
+                self.ctx, [other.numerator * x for x in self.num], self.den * other.denominator
+            )
         self._check(other)
         conv = [0] * (len(self.num) + len(other.num) - 1)
         for i, x in enumerate(self.num):

@@ -341,11 +341,10 @@ def test_integral_products_keep_int_coefficients():
 
 
 def test_reg_shuffle0_divides():
-    # a leading x1-run of length ell divides by ell, so the coefficients are
-    # Fractions, although on a single word their values come out integral
+    # a leading x1-run of length ell divides by ell; on a single word the
+    # values come out integral, on a half-integral input they need not
     got = W.reg_shuffle0(ws(X1, X1, X1, X0, X0, X1))
     assert str(got) == "-4*x0x0x1x1x1x1 - 3*x0x1x0x1x1x1 - 2*x0x1x1x0x1x1 - 1*x0x1x1x1x0x1"
-    assert all(type(c) is Fraction for _w, c in got.items())
     half = W.reg_shuffle0(Fraction(1, 2) * ws(X1, X1, X0, X1))
     assert half == WordSum({(X0, X1, X1, X1): Fraction(3, 2)})
 
