@@ -317,9 +317,7 @@ def cmd_dims(args) -> int:
 def cmd_relations(args) -> int:
     for w in _guarded_weights(args):
         if args.side == "conjecture":
-            out = relations.conjecture_report(
-                w, n_range=range(2, args.n_max + 1), digits=args.digits
-            ).to_json()
+            out = relations.conjecture_report(w, range(2, args.n_max + 1), args.digits)
         else:
             out = relations.basis_report_json(*MINERS[args.side](w, args))
         _emit(json.dumps(out, sort_keys=True))

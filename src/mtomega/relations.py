@@ -2,11 +2,12 @@
 
 Three miners share one report format.  The finite miner intersects, prime by
 prime, the congruence kernels of the residue vectors, keeping the integer
-lattice LLL-reduced as it shrinks.  A prime cuts the reduced basis by one
-rank-one step (a pivot row scaled by p and moved last, multiples of it
-cleared from the later rows), and the integral Gram-Schmidt data follows
-the cut exactly in O(n^2) operations instead of being recomputed before the
-next reduction.  Surviving short vectors are re-verified on holdout primes.
+lattice LLL-reduced as it shrinks.  The lattice is one `GramSchmidt` state,
+the rows with their integral Gram-Schmidt data.  A prime cuts the reduced
+rows by one rank-one step (a pivot row scaled by p and moved last, multiples
+of it cleared from the later rows); the data follows the cut exactly in
+O(n^2) operations, and the next reduction resumes there instead of
+recomputing it.  Surviving short vectors are re-verified on holdout primes.
 The cyclotomic miner cuts an exact integer basis of the rational kernel of
 the Q(zeta_n) constraints down n by n modulo primes l = 1 (mod n), and
 certifies each new vector exactly.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -106,14 +107,35 @@ class GramSchmidt:
     """Integral Gram-Schmidt data of a basis: its rows, d_0..d_n, the lambda
     table, and how many leading rows are already LLL-reduced.
 
-    `lll_reduce` writes it; `cut` applies the finite miner's step at one
-    prime to rows, d and lambda exactly, in O(n^2) operations.
+    `of` computes it for a basis, `cut` applies the finite miner's step at
+    one prime to rows, d and lambda exactly, in O(n^2) operations, and
+    `reduce` LLL-reduces the rows from the first one not yet reduced.
     """
 
-    rows: list = field(default_factory=list)
-    d: list = None
-    lam: list = None
+    rows: list
+    d: list
+    lam: list
     reduced: int = 0
+
+    @classmethod
+    def of(cls, basis):
+        """The data of the basis, with no row counted as reduced.  The rows
+        must be linearly independent."""
+        b = [tuple(v) for v in basis]
+        n = len(b)
+        d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                u = sum(map(operator.mul, b[i], b[j]))
+                for k in range(j):
+                    u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+                if j < i:
+                    lam[i][j] = u
+                else:
+                    d[i + 1] = u
+                    if u == 0:
+                        raise DependentInputError("input vectors are dependent")
+        return cls(b, d, lam)
 
     @classmethod
     def identity(cls, n):
@@ -153,6 +175,41 @@ class GramSchmidt:
             _swap(b, d, lam, k)
         self.reduced = min(self.reduced, j)
 
+    def reduce(self):
+        """LLL-reduce the rows, with exact integer arithmetic, and return
+        them.
+
+        Same lattice in, same lattice out; the Lovasz condition holds at
+        delta = 3/4 (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982) on
+        return.  The swap loop starts at `reduced`: that prefix is already
+        size-reduced and meets the Lovasz condition, so starting at 0 would
+        leave it as it is.
+        """
+        b = [list(v) for v in self.rows]  # size reduction rebuilds rows: lists are faster
+        d, lam, n = self.d, self.lam, len(b)
+
+        def redi(k, l):
+            if 2 * abs(lam[k][l]) > d[l + 1]:
+                q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+                b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+                lam[k][l] -= q * d[l + 1]
+                for i in range(l):
+                    lam[k][i] -= q * lam[l][i]
+
+        k = max(1, self.reduced)
+        while k < n:
+            redi(k, k - 1)
+            # the Lovasz condition at delta = 3/4 fails (scaled by 4 d[k]^2)
+            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+                _swap(b, d, lam, k)
+                k = max(1, k - 1)
+            else:
+                for l in range(k - 2, -1, -1):
+                    redi(k, l)
+                k += 1
+        self.rows, self.reduced = [tuple(v) for v in b], n
+        return self.rows
+
 
 def _swap(b, d, lam, k):
     """Exchange rows k - 1 and k, updating d and lambda exactly (Cohen, A
@@ -169,68 +226,10 @@ def _swap(b, d, lam, k):
     d[k] = bb
 
 
-def lll_reduce(basis, gs=None):
-    """LLL reduction with exact integer arithmetic (integral Gram-Schmidt).
-
-    Same lattice in, same lattice out; the Lovasz condition holds at
-    delta = 3/4 (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982) on
-    return.  Input vectors must be linearly independent.
-
-    `gs`, a `GramSchmidt` owned by the caller, receives the data of the
-    result.  When its rows equal the input, as after `gs.cut`, its d and
-    lambda are used instead of being recomputed, and the swap loop starts
-    at `gs.reduced`: that prefix is already size-reduced and meets the
-    Lovasz condition, so a cold run would leave it as it is.  Since d and
-    lambda are fixed by the rows, the result is the same with or without
-    `gs`.  The state is taken out of `gs` on entry and written back only on
-    return, so nothing is reused after an exception.
-    """
-    b = [list(v) for v in basis]
-    n = len(b)
-    if n == 0:
-        return []
-    warm = gs is not None and gs.rows == basis
-    if gs is not None:
-        gs.rows = []
-    if warm:
-        d, lam, start = gs.d, gs.lam, gs.reduced
-    else:
-        d, lam, start = [1] * (n + 1), [[0] * n for _ in range(n)], 0
-        for i in range(n):
-            for j in range(i + 1):
-                u = sum(map(operator.mul, b[i], b[j]))
-                for k in range(j):
-                    u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
-                if j < i:
-                    lam[i][j] = u
-                else:
-                    d[i + 1] = u
-                    if u == 0:
-                        raise DependentInputError("input vectors are dependent")
-
-    def redi(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    k = max(1, start)
-    while k < n:
-        redi(k, k - 1)
-        # the Lovasz condition at delta = 3/4 fails (scaled by 4 d[k]^2)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
-            _swap(b, d, lam, k)
-            k = max(1, k - 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                redi(k, l)
-            k += 1
-    out = [tuple(v) for v in b]
-    if gs is not None:
-        gs.rows, gs.d, gs.lam, gs.reduced = out, d, lam, n
-    return out
+def lll_reduce(basis):
+    """LLL-reduced basis of the lattice spanned by linearly independent
+    integer vectors (`GramSchmidt.reduce`)."""
+    return GramSchmidt.of(basis).reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +294,6 @@ class RelationBasis:
     statuses: tuple  # "proven" | "conjectural", parallel to vectors
     provenance: str  # finite | cyclotomic | symmetric
 
-    def to_json(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "generators": [
-                {"m": m, "index": modular.format_index(idx)}
-                for m, idx in self.generators
-            ],
-            "relations": [
-                {"vector": list(v), "status": s}
-                for v, s in zip(self.vectors, self.statuses)
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class DimReport:
@@ -319,11 +305,18 @@ class DimReport:
 
 
 def basis_report_json(basis: RelationBasis, report: DimReport) -> dict:
-    out = {"weight": report.weight}
-    out.update(basis.to_json())
-    out["dimension"] = report.dimension
-    out["status"] = report.status
-    return out
+    return {
+        "weight": report.weight,
+        "provenance": basis.provenance,
+        "generators": [
+            {"m": m, "index": modular.format_index(idx)} for m, idx in basis.generators
+        ],
+        "relations": [
+            {"vector": list(v), "status": s} for v, s in zip(basis.vectors, basis.statuses)
+        ],
+        "dimension": report.dimension,
+        "status": report.status,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +441,7 @@ def finite_relation_space(weight: int):
         j = next(i for i, x in enumerate(v) if x)
         inv = pow(v[j], p - 2, p)
         gs.cut(j, [x * inv % p for x in v], p)
-        lll_reduce(gs.rows, gs=gs)
+        gs.reduce()
     kept = []
     for row in gs.rows:
         if max(abs(x) for x in row) > FINITE_HEIGHT_BOUND:
@@ -474,7 +467,7 @@ def cyclo_generators(weight):
     return tuple(out)
 
 
-def cyclotomic_relation_space(weight: int, n_range=None):
+def cyclotomic_relation_space(weight: int, n_range):
     """Exact rational kernel of the Q(zeta_n) constraints over a range of n.
 
     A primitive integer basis of the kernel for the n done so far starts as
@@ -483,8 +476,6 @@ def cyclotomic_relation_space(weight: int, n_range=None):
     tested n and are reported as conjectural beyond that (except those the
     vanishing theorem proves for all n).
     """
-    if n_range is None:
-        n_range = range(2, 41)
     gens = cyclo_generators(weight)
     d = len(gens)
     if d == 0:
@@ -613,7 +604,7 @@ def _hoffman_indices(weight):
     return [(k,) + rest for k in (2, 3) if k <= weight for rest in _hoffman_indices(weight - k)]
 
 
-def symmetric_relation_space(weight: int, digits: int = 60):
+def symmetric_relation_space(weight: int, digits: int):
     """Mine relations among limit Omega values modulo zeta(2) multiples.
 
     The value vector is the Omega values of one weight followed by
@@ -683,10 +674,8 @@ _PRODUCT_CHECKS = (
 )
 
 
-def product_identity_checks(n_range=None):
+def product_identity_checks(n_range):
     """Exact verification, per n, of the two displayed product identities."""
-    if n_range is None:
-        n_range = range(2, 41)
     out = []
     for name, (ka, kb), rhs in _PRODUCT_CHECKS:
         failures = []
@@ -701,44 +690,13 @@ def product_identity_checks(n_range=None):
     return out
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    weight: int
-    finite: tuple  # (RelationBasis, DimReport)
-    symmetric: tuple
-    cyclotomic: tuple
-    m0_in_finite: tuple  # per cyclotomic relation: m=0 part lies in finite span
-    finite_in_symmetric: tuple
-    symmetric_in_finite: tuple
-    kernels_agree: bool
-    product_checks: tuple
-    implied_relations: tuple
-
-    def to_json(self) -> dict:
-        fb, fr = self.finite
-        sb, sr = self.symmetric
-        cb, cr = self.cyclotomic
-        return {
-            "weight": self.weight,
-            "finite": basis_report_json(fb, fr),
-            "symmetric": basis_report_json(sb, sr),
-            "cyclotomic": basis_report_json(cb, cr),
-            "m0_projection_in_finite_kernel": list(self.m0_in_finite),
-            "finite_in_symmetric": list(self.finite_in_symmetric),
-            "symmetric_in_finite": list(self.symmetric_in_finite),
-            "kernels_agree": self.kernels_agree,
-            "product_checks": list(self.product_checks),
-            "implied_relations": list(self.implied_relations),
-        }
-
-
-def conjecture_report(weight: int, n_range=None, digits: int = 60) -> ConjectureReport:
+def conjecture_report(weight: int, n_range, digits: int) -> dict:
     """Compare the finite, symmetric, and cyclotomic kernels at one weight.
 
     The m = 0 projection of every cyclotomic relation must be a finite
     relation; the finite and symmetric kernels are conjectured to coincide.
     Also reruns the two product identities and reports whether the relations
-    they imply were found by the finite miner.
+    they imply were found by the finite miner.  The report is JSON data.
     """
     fin = finite_relation_space(weight)
     sym = symmetric_relation_space(weight, digits)
@@ -747,19 +705,11 @@ def conjecture_report(weight: int, n_range=None, digits: int = 60) -> Conjecture
     gens = fin[0].generators
     d = len(gens)
     sym_omega = [list(v[:d]) for v in sym[0].vectors if any(v[:d])]
-    m0_positions = [
-        i for i, (m, _idx) in enumerate(cyc[0].generators) if m == 0
-    ]
-    cyc_m0 = [
-        [v[i] for i in m0_positions] for v in cyc[0].vectors
-    ]
+    m0 = [i for i, (m, _idx) in enumerate(cyc[0].generators) if m == 0]
     in_fin = span_test(fin_vecs)
     in_sym = span_test(sym_omega)
-    m0_in_finite = tuple(in_fin(v) for v in cyc_m0)
-    finite_in_symmetric = tuple(in_sym(v) for v in fin_vecs)
-    symmetric_in_finite = tuple(in_fin(v) for v in sym_omega)
-    kernels_agree = all(finite_in_symmetric) and all(symmetric_in_finite)
-    checks = tuple(product_identity_checks(n_range))
+    finite_in_symmetric = [in_sym(v) for v in fin_vecs]
+    symmetric_in_finite = [in_fin(v) for v in sym_omega]
     # on the finite side omega(1,1) = 0 and (1-z) -> 0, so the m = 0 terms of
     # each product identity sum to zero: a relation at that identity's weight
     gen_pos = {idx: i for i, (_m, idx) in enumerate(gens)}
@@ -776,15 +726,15 @@ def conjecture_report(weight: int, n_range=None, digits: int = 60) -> Conjecture
         implied.append(
             {"relation": " + ".join(bits) + " = 0", "in_finite_kernel": in_fin(v)}
         )
-    return ConjectureReport(
-        weight,
-        fin,
-        sym,
-        cyc,
-        m0_in_finite,
-        finite_in_symmetric,
-        symmetric_in_finite,
-        kernels_agree,
-        checks,
-        tuple(implied),
-    )
+    return {
+        "weight": weight,
+        "finite": basis_report_json(*fin),
+        "symmetric": basis_report_json(*sym),
+        "cyclotomic": basis_report_json(*cyc),
+        "m0_projection_in_finite_kernel": [in_fin([v[i] for i in m0]) for v in cyc[0].vectors],
+        "finite_in_symmetric": finite_in_symmetric,
+        "symmetric_in_finite": symmetric_in_finite,
+        "kernels_agree": all(finite_in_symmetric) and all(symmetric_in_finite),
+        "product_checks": product_identity_checks(n_range),
+        "implied_relations": implied,
+    }

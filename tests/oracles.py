@@ -13,7 +13,9 @@ element from rational coefficients.  `omega_at_root` and
 `z_at_root` sum the q-series values at a root of unity term by term, one
 CycloElem product per composition or chain.  `li_half` sums the Li(1/2)
 series in mpmath floats at the working digits plus guard digits.  `rho`
-maps the hbar-deformed e-words to h1, killing hbar, and `zeta_word_mod`
+maps the hbar-deformed e-words to h1, killing hbar, `reg0_word` is the T=0
+regularization by the recursion that divides by the leading x1-run, and
+`zeta_word_mod`
 extends the harmonic sums mod p linearly to word sums; the tests use them
 to check the deformed shuffle and the word route to `omega_mod`.
 `bernoulli_mod_table` is the Bernoulli recurrence mod p, the reference for
@@ -181,6 +183,23 @@ def rho(u: HbarSum) -> WordSum:
         return ((W.word_of_index(tuple(1 if l == HAT1 else l for l in ew)), 1),)
 
     return WordSum._wrap(_linear(u._terms, rule))
+
+
+@functools.lru_cache(maxsize=None)
+def reg0_word(word: tuple) -> WordSum:
+    """T=0 shuffle regularization of a monomial by recursion on its leading
+    x1-run: for word = x1 v with a run of length l, x1 sh v = l*word + R with
+    R supported on shorter leading runs, and reg0(x1 sh v) = 0, so
+    reg0(word) = -(1/l) reg0(R)."""
+    if not word or word[0] == W.X0:
+        return WordSum.monomial(word)
+    ell = next((i for i, letter in enumerate(word) if letter != W.X1), len(word))
+    rest = W.shuffle(WordSum.monomial((W.X1,)), WordSum.monomial(word[1:]))
+    acc = WordSum.zero()
+    for w, m in rest.items():
+        if w != word:
+            acc = acc + Fraction(-m, ell) * reg0_word(w)
+    return acc
 
 
 def zeta_word_mod(u: WordSum, p: int) -> int:

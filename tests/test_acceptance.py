@@ -315,8 +315,8 @@ def test_criterion_11_products_and_conjecture():
     products_ok = all(rec["ok"] for rec in checks)
     agree = {}
     for w in range(3, 7):
-        rep = R.conjecture_report(w, n_range=range(2, 21), digits=60)
-        agree[w] = rep.kernels_agree and all(rep.m0_in_finite)
+        rep = R.conjecture_report(w, range(2, 21), 60)
+        agree[w] = rep["kernels_agree"] and all(rep["m0_projection_in_finite_kernel"])
     ok = products_ok and all(agree.values())
     _report(
         11,

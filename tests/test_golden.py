@@ -44,6 +44,8 @@ GOLDEN = (
     ("values zeta-s 4.2.1 --digits 200", "e22ae60906a3596d60e28c473679b418ec1c10469d6e3e6d2bfb3c1834058e87"),
     ("relations cyclotomic --weights 7 --n-max 40", "0ddbe902e3af9b79a479a9f902b37c6ebdb8cc78bb54b317576be078c14c50bc"),
     ("relations finite --weights 13..14 --force", "fb73ff12993f9ebda632a4a9bab240977729f69041375cdcc39cd53810d7ca38"),
+    ("verify all", "12b93a8764d6590d7ddad60ef49ebd94beeeb5cd18676755a417e35ca3877649"),
+    ("dims symmetric --weights 3..8 --force", "55903c8b589beeab5fce492dc269fac89a722ecdcf263d1eee4292672f136c8b"),
 )
 
 

@@ -173,8 +173,8 @@ def miner_step(rows, j, f, p):
 
 def test_lll_resumed_matches_cold():
     """Replay the finite miner's update on lattices with planted relations:
-    after each cut the state describes the cut rows exactly, and the warm
-    reduction equals the cold one at every prime."""
+    after each cut the state describes the cut rows exactly, and the resumed
+    reduction equals one from scratch at every prime."""
     rng = random.Random(6)
     primes = [5, 7, 11, 13, 17, 19, 23]
     resumed = 0
@@ -202,12 +202,10 @@ def test_lll_resumed_matches_cold():
                 assert gs.rows == expected
                 assert_state_describes(gs, gs.rows)
                 cold = R.lll_reduce(gs.rows)
-                d = gs.d
-                assert R.lll_reduce(gs.rows, gs=gs) == cold
-                # the warm path updates the state's d in place
-                resumed += j > 0 and gs.d is d
+                resumed += gs.reduced > 0
+                assert gs.reduce() == cold
                 assert_state_describes(gs, cold)
-    # the warm start was exercised past the first row, not only the cold path
+    # the reduction resumed past the first row, not only from the start
     assert resumed >= 10
 
 
@@ -219,57 +217,33 @@ def test_gram_schmidt_cut_at_every_pivot():
     basis = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(n)]
     for j in range(n):
         for p in (2, 13):
-            gs = R.GramSchmidt()
-            red = R.lll_reduce(basis, gs=gs)
+            gs = R.GramSchmidt.of(basis)
+            red = gs.reduce()
             f = [rng.choice((0, rng.randrange(p))) for _ in range(n)]
             gs.cut(j, f, p)
             assert gs.rows == miner_step(red, j, f, p)
             assert gs.reduced == j
             assert_state_describes(gs, gs.rows)
             cold = R.lll_reduce(gs.rows)
-            assert R.lll_reduce(gs.rows, gs=gs) == cold
+            assert gs.reduce() == cold
             assert_state_describes(gs, cold)
 
 
-def test_lll_resumed_state_mismatch_is_cold():
+def test_gram_schmidt_of_then_reduce():
+    """`of` gives the exact data of its rows with none reduced, `reduce`
+    marks them all reduced, and reducing again changes nothing."""
     rng = random.Random(7)
-    basis = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
-    gs = R.GramSchmidt()
-    red = R.lll_reduce(basis, gs=gs)
+    basis = [tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(5)]
+    gs = R.GramSchmidt.of(basis)
+    assert_state_describes(gs, basis)
+    assert gs.reduced == 0
+    red = gs.reduce()
+    assert gs.reduced == 5
     assert_state_describes(gs, red)
-    cases = [
-        [list(v) for v in red[:4]],  # one row fewer, all of them shared
-        [list(v) for v in red] + [[0, 0, 0, 0, 0, 3]],  # one row more
-        [list(v) for v in reversed(red)],  # other leading rows
-        miner_step(red, 2, [1] * 5, 3),  # the cut rows, but the state is not cut
-    ]
-    for other in cases:
-        R.lll_reduce(basis, gs=gs)
-        cold = R.lll_reduce(other)
-        assert R.lll_reduce(other, gs=gs) == cold
-        assert_state_describes(gs, cold)
-    # a cut state handed other rows is not used either
-    gs.cut(1, [1] * 5, 5)
-    assert R.lll_reduce(red, gs=gs) == R.lll_reduce(red)
-    assert_state_describes(gs, R.lll_reduce(red))
-
-
-def test_lll_resumed_after_dependent_input():
-    rng = random.Random(8)
-    basis = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
-    gs = R.GramSchmidt()
-    red = R.lll_reduce(basis, gs=gs)
-    assert_state_describes(gs, red)
-    gs.cut(3, [0, 0, 0, 1, 2], 7)
-    # shares four leading rows with the state, then a dependent row
-    dependent = list(gs.rows[:4]) + [tuple(a + b for a, b in zip(red[0], red[1]))]
-    with pytest.raises(DependentInputError):
-        R.lll_reduce(dependent, gs=gs)
-    assert gs.rows == []
-    # the next call shares leading rows with the stale state, yet runs cold
-    again = [list(v) for v in red[:4]] + [[x * 2 for x in red[4]]]
-    assert R.lll_reduce(again, gs=gs) == R.lll_reduce(again)
-    assert_state_describes(gs, R.lll_reduce(again))
+    assert hnf(red) == hnf(basis)
+    state = (list(red), [*gs.d], [list(r) for r in gs.lam])
+    assert gs.reduce() == state[0]
+    assert (gs.rows, gs.d, gs.lam) == state
 
 
 # ---------------------------------------------------------------------------
@@ -636,17 +610,16 @@ def test_product_identity_checks_small_range():
 
 
 def test_conjecture_report_weight3():
-    rep = R.conjecture_report(3, n_range=range(2, 13), digits=60)
-    assert rep.kernels_agree
-    assert all(rep.m0_in_finite)
-    data = rep.to_json()
-    assert data["weight"] == 3
-    assert data["finite"]["dimension"] == 1
-    assert data["symmetric"]["dimension"] == 1
+    rep = R.conjecture_report(3, range(2, 13), 60)
+    assert rep["kernels_agree"]
+    assert all(rep["m0_projection_in_finite_kernel"])
+    assert rep["weight"] == 3
+    assert rep["finite"]["dimension"] == 1
+    assert rep["symmetric"]["dimension"] == 1
 
 
 def test_conjecture_report_weight4_implied():
-    rep = R.conjecture_report(4, n_range=range(2, 13), digits=60)
-    assert rep.kernels_agree
-    assert rep.implied_relations
-    assert all(rec["in_finite_kernel"] for rec in rep.implied_relations)
+    rep = R.conjecture_report(4, range(2, 13), 60)
+    assert rep["kernels_agree"]
+    assert rep["implied_relations"]
+    assert all(rec["in_finite_kernel"] for rec in rep["implied_relations"])

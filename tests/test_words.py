@@ -14,7 +14,7 @@ from mtomega.errors import (
     NotInH1Error,
 )
 from mtomega.words import HAT1, X0, X1, HbarSum, WordSum
-from oracles import rho, shuffle_hbar_raw
+from oracles import reg0_word, rho, shuffle_hbar_raw
 
 
 def ws(*letters):
@@ -347,6 +347,20 @@ def test_reg_shuffle0_divides():
     assert str(got) == "-4*x0x0x1x1x1x1 - 3*x0x1x0x1x1x1 - 2*x0x1x1x0x1x1 - 1*x0x1x1x1x0x1"
     half = W.reg_shuffle0(Fraction(1, 2) * ws(X1, X1, X0, X1))
     assert half == WordSum({(X0, X1, X1, X1): Fraction(3, 2)})
+
+
+def test_reg_shuffle0_closed_form_matches_recursion():
+    """reg0(x1^l x0 v) = (-1)^l x0 (x1^l sh v) and reg0(x1^l) = 0 against the
+    recursion that divides by l, on every h1 word of length 1..10; on a
+    single word the coefficients are ints."""
+    count = 0
+    for n in range(10):
+        for body in itertools.product((X0, X1), repeat=n):
+            got = W.reg_shuffle0(ws(*body, X1))
+            assert got == reg0_word((*body, X1)), body
+            assert all_int(got.items()), body
+            count += 1
+    assert count == 1023
 
 
 def test_fraction_and_int_coefficients_agree():
