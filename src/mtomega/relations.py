@@ -246,7 +246,7 @@ def _round_scaled(x, scale: int) -> int:
     return (2 * man * scale + (1 << -exp)) >> (1 - exp)
 
 
-def integer_relations(xs, digits: int = 60, max_height: int = 10**4):
+def integer_relations(xs, digits: int, max_height: int = 10**4):
     """Basis of the integer relations among certified BigReal values.
 
     One LLL reduction of the rows (e_i, round(10^(digits-5) * x_i)) (Cohen,
