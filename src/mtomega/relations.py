@@ -109,7 +109,8 @@ class GramSchmidt:
 
     `of` computes it for a basis, `cut` applies the finite miner's step at
     one prime to rows, d and lambda exactly, in O(n^2) operations, and
-    `reduce` LLL-reduces the rows from the first one not yet reduced.
+    `lll_reduce` LLL-reduces the rows from the first one not yet reduced.
+    Its length and iteration are those of its rows.
     """
 
     rows: list
@@ -175,40 +176,11 @@ class GramSchmidt:
             _swap(b, d, lam, k)
         self.reduced = min(self.reduced, j)
 
-    def reduce(self):
-        """LLL-reduce the rows, with exact integer arithmetic, and return
-        them.
+    def __len__(self):
+        return len(self.rows)
 
-        Same lattice in, same lattice out; the Lovasz condition holds at
-        delta = 3/4 (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982) on
-        return.  The swap loop starts at `reduced`: that prefix is already
-        size-reduced and meets the Lovasz condition, so starting at 0 would
-        leave it as it is.
-        """
-        b = [list(v) for v in self.rows]  # size reduction rebuilds rows: lists are faster
-        d, lam, n = self.d, self.lam, len(b)
-
-        def redi(k, l):
-            if 2 * abs(lam[k][l]) > d[l + 1]:
-                q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-                b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-                lam[k][l] -= q * d[l + 1]
-                for i in range(l):
-                    lam[k][i] -= q * lam[l][i]
-
-        k = max(1, self.reduced)
-        while k < n:
-            redi(k, k - 1)
-            # the Lovasz condition at delta = 3/4 fails (scaled by 4 d[k]^2)
-            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
-                _swap(b, d, lam, k)
-                k = max(1, k - 1)
-            else:
-                for l in range(k - 2, -1, -1):
-                    redi(k, l)
-                k += 1
-        self.rows, self.reduced = [tuple(v) for v in b], n
-        return self.rows
+    def __iter__(self):
+        return iter(self.rows)
 
 
 def _swap(b, d, lam, k):
@@ -226,10 +198,41 @@ def _swap(b, d, lam, k):
     d[k] = bb
 
 
-def lll_reduce(basis):
-    """LLL-reduced basis of the lattice spanned by linearly independent
-    integer vectors (`GramSchmidt.reduce`)."""
-    return GramSchmidt.of(basis).reduce()
+def lll_reduce(lattice):
+    """LLL-reduce the rows of a `GramSchmidt` in place, with exact integer
+    arithmetic, and return them; `lll_reduce(GramSchmidt.of(basis))`
+    reduces a basis.
+
+    Same lattice in, same lattice out; the Lovasz condition holds at
+    delta = 3/4 (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982) on
+    return.  The swap loop starts at `lattice.reduced`: that prefix is
+    already size-reduced and meets the Lovasz condition, so starting at 0
+    would leave it as it is.
+    """
+    b = [list(v) for v in lattice]  # size reduction rebuilds rows: lists are faster
+    d, lam, n = lattice.d, lattice.lam, len(lattice)
+
+    def redi(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = max(1, lattice.reduced)
+    while k < n:
+        redi(k, k - 1)
+        # the Lovasz condition at delta = 3/4 fails (scaled by 4 d[k]^2)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            _swap(b, d, lam, k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                redi(k, l)
+            k += 1
+    lattice.rows, lattice.reduced = [tuple(v) for v in b], n
+    return lattice.rows
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +271,7 @@ def integer_relations(xs, digits: int, max_height: int = 10**4):
     scaled = [_round_scaled(x.value, 10 ** (digits - 5)) for x in xs]
     rows = [[int(i == j) for j in range(n)] + [s] for i, s in enumerate(scaled)]
     accepted, rejected, found = [], [], []
-    for row in lll_reduce(rows):
+    for row in lll_reduce(GramSchmidt.of(rows)):
         norm2 = sum(x * x for x in row)
         if max(map(abs, row[:n])) <= max_height and abs(row[n]) <= n * max_height:
             accepted.append(norm2)
@@ -435,15 +438,15 @@ def finite_relation_space(weight: int):
     gs = GramSchmidt.identity(d)
     for p in training_primes:
         c = [modular.omega_mod(g, p) for g in gens]
-        v = [sum(map(operator.mul, row, c)) % p for row in gs.rows]
+        v = [sum(map(operator.mul, row, c)) % p for row in gs]
         if not any(v):
             continue
         j = next(i for i, x in enumerate(v) if x)
         inv = pow(v[j], p - 2, p)
         gs.cut(j, [x * inv % p for x in v], p)
-        gs.reduce()
+        lll_reduce(gs)
     kept = []
-    for row in gs.rows:
+    for row in gs:
         if max(abs(x) for x in row) > FINITE_HEIGHT_BOUND:
             continue
         if all(sum(a * c for a, c in zip(row, res)) % q == 0 for q, res in holdout):
