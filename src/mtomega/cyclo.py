@@ -25,7 +25,8 @@ coefficient, so the packed arithmetic is exact.
 For the cyclotomic miner omega also runs modulo primes l = 1 (mod n), which
 split in Q(zeta_n): the phi(n) embeddings identify Z[1/n][zeta_n]/(l) with
 F_l^phi(n) (mod_ring), and coordinate_bound lets vanishing modulo enough
-primes prove an integer combination of values zero.
+primes prove an integer combination of values zero.  The values come from
+cached series of the sorted index prefixes, as in modular.omega_mod.
 """
 
 from __future__ import annotations
@@ -38,17 +39,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import modular, sums, words
-from .errors import (
-    LengthError,
-    NotIntegralError,
-    RangeError,
-)
+from .errors import LengthError, NotIntegralError, RangeError
 from .words import HAT1, HbarSum
 
 
 # Cache bounds.  The most distinct keys a benchmark workload uses are 713
 # omega values modulo primes and 29 values of n (cyclotomic) and 627 z
-# values (verify).
+# values (verify).  One n and batch of primes use at most 41 series prefixes
+# (weight 10); _series_mod keeps 64 of n x PRIME_BATCH x phi(n) int64 each,
+# 1.3 MB at n = 40.
 _CACHE_VALUES = 2048  # omega and z values, powers of 1 - zeta
 _CACHE_N = 128  # packed rings with their weight tables, one per n
 
@@ -452,14 +451,27 @@ def _mod_weights(n: int, batch: int, k: int) -> np.ndarray:
     return _mod_weights(n, batch, k - 1) * powers % col * inverses % col
 
 
+@functools.lru_cache(maxsize=64)  # series prefixes, see the cache bounds
+def _series_mod(prefix, n: int, batch: int) -> np.ndarray:
+    """Coefficients of x^0..x^(n-1), over (prime, j), of the product over the
+    parts k of sum_m F_k(m) x^m; cached per prefix, which the callers share."""
+    weights = _mod_weights(n, batch, prefix[-1])
+    if len(prefix) == 1:
+        return weights
+    # window[s] is head[s-n+1 .. s], zero below 0, so each truncated product
+    # is one reduction: n < 2^13 products below 2^50 fit in int64
+    head = np.concatenate([np.zeros_like(weights[1:]), _series_mod(prefix[:-1], n, batch)])
+    window = np.lib.stride_tricks.sliding_window_view(head, n, axis=0)
+    series = np.einsum("s...m,m...->s...", window, weights[::-1]) % mod_ring(n, batch)[0]
+    series.setflags(write=False)  # cached and shared by every caller
+    return series
+
+
 @functools.lru_cache(maxsize=_CACHE_VALUES)
 def _omega_mod(index, n: int, batch: int) -> np.ndarray:
-    # a truncated product is one reduction: n < 2^13 products below 2^50 fit
-    col, powers, _ = mod_ring(n, batch)
-    val = sums.composition_sum(
-        index, n, lambda m, k: _mod_weights(n, batch, k)[m], np.zeros_like(powers[0]),
-        lambda a, b: np.einsum("i...,i...->...", a, b) % col,
-    ).copy()  # not a view that keeps the last level alive
+    # only the coefficient of x^n of the last product is formed
+    head, weights = _series_mod(index[:-1], n, batch), _mod_weights(n, batch, index[-1])
+    val = np.einsum("m...,m...->...", head[1:], weights[:0:-1]) % mod_ring(n, batch)[0]
     val.setflags(write=False)  # cached and shared by every caller
     return val
 
@@ -467,7 +479,7 @@ def _omega_mod(index, n: int, batch: int) -> np.ndarray:
 def omega_gen_mod(m: int, index, n: int, batch: int = 0) -> np.ndarray:
     """omega_gen(m, index, n), len(index) >= 2, over (prime, j) of mod_ring."""
     col, powers, _ = mod_ring(n, batch)
-    val = _omega_mod(index, n, batch)
+    val = _omega_mod(tuple(sorted(index)), n, batch)  # symmetric: sorted prefixes are shared
     for _ in range(m):
         val = val * (1 + col - powers[1]) % col
     return val

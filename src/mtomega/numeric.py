@@ -107,7 +107,7 @@ def _zeta_word(word, digits: int) -> mp.mpf:
         return +total
 
 
-def mzv_num(u: WordSum, digits: int = 60) -> BigReal:
+def mzv_num(u: WordSum, digits: int) -> BigReal:
     """Linear combination of multiple zeta values, accurate to `digits`."""
     if not u.in_h0():
         raise NotAdmissibleError("mzv_num needs admissible monomials")
@@ -118,7 +118,7 @@ def mzv_num(u: WordSum, digits: int = 60) -> BigReal:
         return BigReal(+total, digits)
 
 
-def mt_num(index, l: int, digits: int = 60) -> BigReal:
+def mt_num(index, l: int, digits: int) -> BigReal:
     """Mordell-Tornheim value zeta^MT(index; l), always convergent through the
     admissible word x0^l (y_{k_1} sh ... sh y_{k_r})."""
     index = words.check_index(index)
@@ -129,12 +129,12 @@ def mt_num(index, l: int, digits: int = 60) -> BigReal:
     return mzv_num(words.mt_word(index + (l,)), digits)
 
 
-def zeta_s_num(index, digits: int = 60) -> BigReal:
+def zeta_s_num(index, digits: int) -> BigReal:
     """The real (T = 0, shuffle) symmetric multiple zeta value of the index."""
     return mzv_num(words.zeta_s_word(index), digits)
 
 
-def omega_limit_num(index, digits: int = 60) -> BigReal:
+def omega_limit_num(index, digits: int) -> BigReal:
     """Limit value Omega(index) of the unit-circle omega sums.
 
     Computed two ways and cross-checked: as the alternating sum of
@@ -150,20 +150,17 @@ def omega_limit_num(index, digits: int = 60) -> BigReal:
             rest = index[:a] + index[a + 1 :]
             term = mt_num(rest, ka, digits).value
             total += term if ka % 2 == 0 else -term
-        via_words = mzv_num(
-            words.reg_shuffle0(words.phi(words.mt_word(index))), digits
-        ).value
+        via_words = mzv_num(words.reg_shuffle0(words.phi(words.mt_word(index))), digits).value
         if index[-1] % 2:
             via_words = -via_words
         if abs(total - via_words) > mp.mpf(10) ** (-(digits - 5)):
             raise ArithmeticError(
-                f"two evaluation routes for Omega{index} disagree: "
-                f"{total} vs {via_words}"
+                f"two evaluation routes for Omega{index} disagree: {total} vs {via_words}"
             )
         return BigReal(+total, digits)
 
 
-def omega_circle_num(index, n: int, digits: int = 30, normalized: bool = False) -> BigComplex:
+def omega_circle_num(index, n: int, digits: int, normalized: bool = False) -> BigComplex:
     """omega_n(index; e^(2 pi i / n)) in big-complex arithmetic.
 
     With normalized=True, divides out the weight-th power of the prefactor

@@ -546,11 +546,12 @@ def _kernel_at(basis, gens, n):
     times the basis have rank mod l at most their rank over Q, and the
     kernel mod l contains the reduction of the rational kernel.  The RREF
     kernels of the primes with the most pivots, lexicographically least
-    among those, are joined by CRT and lifted by rational reconstruction
-    until `certified` proves every lifted vector.  Then there are as many
-    exact kernel vectors as the kernel mod l has, an upper bound, so they
-    span the kernel.  When the basis vanishes mod l (no pivots), the basis
-    itself is the candidate.
+    among those, are joined by CRT and lifted by rational reconstruction;
+    each lift is made a primitive integer vector and combined with the basis
+    in integers, until `certified` proves every combination.  Then there are
+    as many exact kernel vectors as the kernel mod l has, an upper bound, so
+    they span the kernel.  When the basis vanishes mod l (no pivots), the
+    basis itself is the candidate.
     """
     best = None
     for ell, values in _values_mod(gens, n):
@@ -572,8 +573,8 @@ def _kernel_at(basis, gens, n):
             if any(None in v for v in lifted):
                 continue
             vectors = [
-                primitive_integer([sum(c * x for c, x in zip(v, col) if c) for col in zip(*basis)])
-                for v in lifted
+                primitive_integer([sum(map(operator.mul, a, col)) for col in zip(*basis)])
+                for a in map(primitive_integer, lifted)
             ]
         if certified(vectors, gens, n):
             return vectors

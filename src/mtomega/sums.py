@@ -7,17 +7,17 @@ f(m_a, k_a) over one of two ranges of positive integers (m_1, ..., m_r):
   z-values at roots of unity, q-series coefficients, Li(1/2) series);
 * compositions m_1 + ... + m_r = n (omega values).
 
-Each caller supplies its weight f(m, k) and the zero of its ring (residues,
-Fraction, CycloElem, fixed-point integers, mpc); the sums use only + and the
-ring's product on the values, always in the same order, so exact and
-fixed-precision callers get the same results as their own loops would.
+Each caller supplies its weight f(m, k) and the zero of its ring, a Python
+value (residues, packed group-ring integers, fixed-point integers, mpc); the
+sums use only + and the ring's product on the values, always in the same
+order, so exact and fixed-precision callers get the same results as their
+own loops would.  The omega values modulo primes, int64 arrays, are series
+products of their own (modular.omega_mod, cyclo.omega_gen_mod).
 """
 
 from __future__ import annotations
 
 import operator
-
-import numpy as np
 
 
 def chain_levels(index, top: int, f, zero, mul=operator.mul) -> list:
@@ -40,29 +40,23 @@ def chain_levels(index, top: int, f, zero, mul=operator.mul) -> list:
     return level
 
 
-def composition_sum(index, n: int, f, zero, dot=None):
+def composition_sum(index, n: int, f, zero):
     """Sum of f(m_1, k_1) * ... * f(m_r, k_r) over m_1 + ... + m_r = n, m_a >= 1.
 
     Zero when n < r = len(index).  After j parts only the partial sums
     j <= s <= n - (r - j) can still be completed to n, so no other entry is
     formed, and the last part computes the coefficient of n alone.  Each
-    weight f(m, k_a) is evaluated once.  dot(cur[s-1 .. j], w[1 .. s-j]) is
-    the truncated product sum_m cur[s - m] w[m]; numpy array elements are
-    stacked per level, so it gets two arrays (a modular caller reduces there).
+    weight f(m, k_a) is evaluated once.
     """
     r = len(index)
     top = n - r + 1  # the largest part a composition of n into r parts has
-    dot = dot or (lambda a, b: sum(map(operator.mul, a, b), zero))
-    stacked = isinstance(zero, np.ndarray)
-    pack = np.stack if stacked else list
     cur = [zero] * (n + 1)
     for s in range(1, top + 1):
         cur[s] = f(s, index[0])
-    cur = pack(cur)
     for j in range(1, r):
-        w = pack([zero] + [f(m, index[j]) for m in range(1, top + 1)])
-        new = np.zeros_like(cur) if stacked else [zero] * (n + 1)
+        w = [zero] + [f(m, index[j]) for m in range(1, top + 1)]
+        new = [zero] * (n + 1)
         for s in range(n if j == r - 1 else j + 1, top + j + 1):
-            new[s] = dot(cur[s - 1 : j - 1 : -1], w[1 : s - j + 1])
+            new[s] = sum(map(operator.mul, cur[s - 1 : j - 1 : -1], w[1 : s - j + 1]), zero)
         cur = new
     return cur[n]

@@ -258,9 +258,6 @@ class WordSum(_LinComb):
     def in_h0(self) -> bool:
         return all(not w or (w[0] == X0 and w[-1] == X1) for w in self._terms)
 
-    def max_weight(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
-
     def concat(self, other: "WordSum") -> "WordSum":
         """Concatenation (noncommutative) product, extended bilinearly."""
         return self._wrap(_bilinear(self._terms, other._terms, _concat_words))
@@ -470,9 +467,6 @@ class HbarSum(_LinComb):
     def _key(key):
         h, ew = key
         return (h,) + _eword_key(ew)
-
-    def max_weight(self) -> int:
-        return max((h + eword_weight(ew) for h, ew in self._terms), default=0)
 
     def __str__(self):
         if not self._terms:

@@ -348,7 +348,7 @@ def test_root_primes_match_trial_division(n):
     assert [l for batch in range(3) for l in C.root_primes(n, batch)] == want
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 29, 30])
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 29, 30, 40])
 def test_omega_gen_mod_matches_exact(n):
     # prime, prime-power and composite n, so non-unit [m] are exercised
     for batch in (0, 1) if n == 12 else (0,):
