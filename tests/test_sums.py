@@ -54,7 +54,6 @@ def test_composition_sum_bruteforce(ring):
                 assert sums.composition_sum(index, n, f, zero) == expected, (index, n)
 
 
-
 def test_sums_imports_no_numpy():
     # the generic core runs on Python values only; the int64-array
     # evaluators bring numpy with them
