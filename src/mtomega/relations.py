@@ -104,13 +104,14 @@ def primitive_integer(vector):
 
 @dataclass
 class GramSchmidt:
-    """Integral Gram-Schmidt data of a basis: its rows, d_0..d_n, the lambda
-    table, and how many leading rows are already LLL-reduced.
+    """Integral Gram-Schmidt data of a basis: its rows (int tuples),
+    d_0..d_n, the lambda table, and how many leading rows are LLL-reduced.
 
     `of` computes it for a basis, `cut` applies the finite miner's step at
     one prime to rows, d and lambda exactly, in O(n^2) operations, and
-    `lll_reduce` LLL-reduces the rows from the first one not yet reduced.
-    Its length and iteration are those of its rows.
+    `lll_reduce` LLL-reduces the rows from the first one not yet reduced,
+    each packed into one int of fixed-width fields while it runs.  Its
+    length and iteration are those of its rows.
     """
 
     rows: list
@@ -198,6 +199,17 @@ def _swap(b, d, lam, k):
     d[k] = bb
 
 
+def _unpack(p, width, m):
+    """The m signed fields of a packed row; ArithmeticError if p has more."""
+    row, half, mask = [], 1 << (width - 1), (1 << width) - 1
+    for _ in range(m):
+        row.append(((p + half) & mask) - half)
+        p = (p - row[-1]) >> width
+    if p:
+        raise ArithmeticError("packed row wider than its fields")
+    return tuple(row)
+
+
 def lll_reduce(lattice):
     """LLL-reduce the rows of a `GramSchmidt` in place, with exact integer
     arithmetic, and return them; `lll_reduce(GramSchmidt.of(basis))`
@@ -208,30 +220,44 @@ def lll_reduce(lattice):
     return.  The swap loop starts at `lattice.reduced`: that prefix is
     already size-reduced and meets the Lovasz condition, so starting at 0
     would leave it as it is.
+
+    Each row is packed into one int, entry i in the signed field of bits
+    [w i, w (i + 1)), so a size-reduction step is one integer operation,
+    exact at any width w since packing is linear.  Rows equal to input rows
+    come back as those tuples and only the others are unpacked, so only
+    they need to fit.  A changed row ends size-reduced, hence
+    ||b_k||^2 <= B_k + (B_0 + ... + B_(k-1))/4 with B_i = d_(i+1)/d_i.
+    Size reduction keeps the B_i and a swap never raises their maximum,
+    which starts at most at N, the largest input ||b||^2.  So every output
+    row has ||b||^2 <= (n + 3) N / 4, whether or not the counted prefix is
+    reduced, and w is the bit length of isqrt of that bound plus a sign bit.
     """
-    b = [list(v) for v in lattice]  # size reduction rebuilds rows: lists are faster
-    d, lam, n = lattice.d, lattice.lam, len(lattice)
-
-    def redi(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
+    rows, d, lam, n = lattice.rows, lattice.d, lattice.lam, len(lattice)
+    big = max((sum(map(operator.mul, v, v)) for v in rows), default=0)
+    width = math.isqrt((n + 3) * big // 4).bit_length() + 1
+    b = [sum(x << width * i for i, x in enumerate(v)) for v in rows]
+    inputs = dict(zip(b, rows))
     k = max(1, lattice.reduced)
     while k < n:
-        redi(k, k - 1)
-        # the Lovasz condition at delta = 3/4 fails (scaled by 4 d[k]^2)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
-            _swap(b, d, lam, k)
-            k = max(1, k - 1)
+        lk = lam[k]
+        for l in range(k - 1, -1, -1):
+            x, dl = lk[l], d[l + 1]
+            if 2 * abs(x) > dl:
+                q = (2 * x + dl) // (2 * dl)
+                b[k] -= q * b[l]
+                lk[l] = x - q * dl
+                ll = lam[l]
+                for i in range(l):
+                    lk[i] -= q * ll[i]
+            # at l = k - 1: swap when the Lovasz condition (scaled by 4 d[k]^2) fails
+            if l == k - 1 and 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk[l] ** 2:
+                _swap(b, d, lam, k)
+                k = max(1, k - 1)
+                break
         else:
-            for l in range(k - 2, -1, -1):
-                redi(k, l)
             k += 1
-    lattice.rows, lattice.reduced = [tuple(v) for v in b], n
+    lattice.rows = [inputs[p] if p in inputs else _unpack(p, width, len(rows[0])) for p in b]
+    lattice.reduced = n
     return lattice.rows
 
 
@@ -524,17 +550,23 @@ def _kernel_mod(a, ell):
     return tuple(pivots), kernel.tolist()
 
 
-def _rational(x, modulus):
-    """a/b = x (mod modulus) with |a|, b <= sqrt(modulus/2), or None
-    (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982)."""
+def _rational(vectors, modulus):
+    """The vectors with each x replaced by the a/b = x (mod modulus) with
+    |a|, b <= sqrt(modulus/2), or None from the first x with none (Wang,
+    Guy and Davenport, SIGSAM Bull. 16, 1982)."""
     bound = math.isqrt(modulus // 2)
-    r0, r1, t0, t1 = modulus, x, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or math.gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
+    out = []
+    for v in vectors:
+        out.append([])
+        for x in v:
+            r0, r1, t0, t1 = modulus, x, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if abs(t1) > bound or math.gcd(r1, t1) != 1:
+                return None
+            out[-1].append(Fraction(r1, t1))
+    return out
 
 
 def _kernel_at(basis, gens, n):
@@ -569,8 +601,8 @@ def _kernel_at(basis, gens, n):
             continue
         vectors = basis
         if pivots:
-            lifted = [[_rational(x, modulus) for x in v] for v in residues]
-            if any(None in v for v in lifted):
+            lifted = _rational(residues, modulus)
+            if lifted is None:
                 continue
             vectors = [
                 primitive_integer([sum(map(operator.mul, a, col)) for col in zip(*basis)])

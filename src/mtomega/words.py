@@ -126,10 +126,6 @@ def corollary52_terms(index: Index) -> list[Index]:
     return [index[:j] + (k - 1,) + index[j + 1 :] for j, k in enumerate(index)]
 
 
-def eword_weight(eword: EWord) -> int:
-    return sum(1 if l == HAT1 else l for l in eword)
-
-
 def _eletter_key(letter):
     return (1, 0) if letter == HAT1 else (letter, 1)
 

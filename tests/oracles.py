@@ -22,6 +22,10 @@ to check the deformed shuffle and the word route to `omega_mod`.
 the power-sum quotients of `bern_div_mod`.
 `l_series_rational` sums the truncated q-polylogarithm series at an exact
 rational q, for checking that the deformed shuffle multiplies them.
+`eword_weight` is the weight of an e-word, the hat letter counting 1.
+`lll_reduce_lists` is the exact LLL reduction with list rows, one new list
+per size-reduction step, the reference for the packed rows of
+`relations.lll_reduce`.
 """
 
 import functools
@@ -202,6 +206,10 @@ def reg0_word(word: tuple) -> WordSum:
     return acc
 
 
+def eword_weight(eword: EWord) -> int:
+    return sum(map(C._exponent, eword))
+
+
 def zeta_word_mod(u: WordSum, p: int) -> int:
     """Linear extension of w -> hsum_mod(index_of_word(w), p)."""
     M._check_prime(p)
@@ -311,6 +319,34 @@ def hnf(rows):
         rows = [r for r in rows if any(r)]
         col += 1
     return [tuple(r) for r in out]
+
+
+def lll_reduce_lists(lattice):
+    """`relations.lll_reduce` with each row a list, rebuilt at every
+    size-reduction step: the same swaps and the same d and lambda."""
+    b = [list(v) for v in lattice]
+    d, lam, n = lattice.d, lattice.lam, len(lattice)
+
+    def redi(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = max(1, lattice.reduced)
+    while k < n:
+        redi(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            R._swap(b, d, lam, k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                redi(k, l)
+            k += 1
+    lattice.rows, lattice.reduced = [tuple(v) for v in b], n
+    return lattice.rows
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import words as W
 from mtomega.words import HAT1, HbarSum
-from oracles import l_series_rational
+from oracles import eword_weight, l_series_rational
 
 
 def _report(num, ok, detail):
@@ -171,7 +171,7 @@ def test_criterion_06_series_shuffle_at_rational_q():
         (u, v)
         for u in ewords
         for v in ewords
-        if W.eword_weight(u) + W.eword_weight(v) <= 4
+        if eword_weight(u) + eword_weight(v) <= 4
     ]
     for q in (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)):
         for w1, w2 in pairs:

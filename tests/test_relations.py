@@ -15,7 +15,7 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import words as W
 from mtomega.errors import DependentInputError, PrecisionError
-from oracles import cyclotomic_kernel_exact, hnf, kernel_basis
+from oracles import cyclotomic_kernel_exact, hnf, kernel_basis, lll_reduce_lists
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -258,6 +258,58 @@ def test_lll_trusts_the_reduced_prefix():
     assert_state_describes(gs, basis)
 
 
+def assert_matches_list_reference(gs, lll_reduce):
+    """Reduce the state by lll_reduce and a copy of it by the list-row
+    reference: the same rows, d, lambda and reduced count."""
+    ref = R.GramSchmidt(list(gs.rows), list(gs.d), [list(r) for r in gs.lam], gs.reduced)
+    lll_reduce_lists(ref)
+    rows = lll_reduce(gs)
+    assert rows == gs.rows == ref.rows
+    assert all(type(v) is tuple for v in rows)
+    assert (gs.d, gs.lam, gs.reduced) == (ref.d, ref.lam, ref.reduced)
+
+
+def test_unpack_reads_signed_fields_and_rejects_leftovers():
+    row = (3, -5, 127, -128)
+    packed = sum(x << 8 * i for i, x in enumerate(row))
+    assert R._unpack(packed, 8, 4) == row
+    with pytest.raises(ArithmeticError):
+        R._unpack(packed, 8, 3)
+    with pytest.raises(ArithmeticError):
+        R._unpack(200, 8, 1)  # 200 needs more than a signed 8-bit field
+
+
+def test_lll_packed_rows_replay_the_finite_miner(monkeypatch):
+    """Every reduction of the finite miner up to weight 10, packed rows
+    against list rows."""
+    calls = []
+    packed = R.lll_reduce
+
+    def checked(gs):
+        calls.append(len(gs))
+        assert_matches_list_reference(gs, packed)
+        return gs.rows
+
+    monkeypatch.setattr(R, "lll_reduce", checked)
+    for weight in range(1, 11):
+        R.finite_relation_space(weight)
+    assert max(calls) == 41  # weight 10 has 41 generators
+
+
+def test_lll_packed_rows_on_integer_relation_lattices():
+    """Rows (e_i, s_i) with |s_i| near 10^55, of both signs, as
+    `integer_relations` builds them: random values and values with a
+    planted relation, against the list-row reference."""
+    rng = random.Random(15)
+    for n in range(1, 13):
+        for planted in (False, True):
+            s = [rng.choice((-1, 1)) * rng.randrange(10**54, 10**55) for _ in range(n)]
+            if planted and n > 1:
+                s[-1] = sum(rng.randint(-3, 3) * x for x in s[:-1])
+            rows = [[int(i == j) for j in range(n)] + [x] for i, x in enumerate(s)]
+            assert_matches_list_reference(R.GramSchmidt.of(rows), R.lll_reduce)
+
+
 # ---------------------------------------------------------------------------
 # integer relations by one LLL reduction
 
@@ -466,16 +518,17 @@ def test_kernel_mod_matches_exact_kernel():
         for v, w in zip(kernel, exact):
             for x, y in zip(v, w):
                 if abs(y.numerator) <= small and y.denominator <= small:
-                    assert R._rational(x, ell) == y
+                    assert R._rational([[x]], ell) == [[y]]
 
 
 def test_rational_reconstruction_bounds():
     m = 10007 * 10009
     for a, b in [(0, 1), (3, 1), (-5, 7), (700, 701), (-7070, 7069)]:
-        assert R._rational(a * pow(b, -1, m) % m, m) == Fraction(a, b)
-    assert R._rational(7077, m) is None  # 7077 > sqrt(m/2), and no a/b fits
+        assert R._rational([[a * pow(b, -1, m) % m]], m) == [[Fraction(a, b)]]
+    assert R._rational([[7077]], m) is None  # 7077 > sqrt(m/2), and no a/b fits
+    assert R._rational([[3], [5, 7077, 3]], m) is None  # one entry fails the lift
     # past the bound a wrong small fraction can come back: why lifts are certified
-    assert R._rational(9001 * pow(9007, -1, m) % m, m) == Fraction(-6990, 4133)
+    assert R._rational([[9001 * pow(9007, -1, m) % m]], m) == [[Fraction(-6990, 4133)]]
 
 
 def identity(d):

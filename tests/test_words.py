@@ -14,7 +14,7 @@ from mtomega.errors import (
     NotInH1Error,
 )
 from mtomega.words import HAT1, X0, X1, HbarSum, WordSum
-from oracles import reg0_word, rho, shuffle_hbar_raw
+from oracles import eword_weight, reg0_word, rho, shuffle_hbar_raw
 
 
 def ws(*letters):
@@ -296,13 +296,13 @@ def test_shuffle_hbar_weight_homogeneous():
     v = W.e(1)
     total = 5  # u has weight 1 (hbar) + 2 + 1, v weight 1
     for (h, ew), _c in W.shuffle_hbar(u, v).items():
-        assert h + W.eword_weight(ew) == total
+        assert h + eword_weight(ew) == total
 
 
 def test_rho_is_shuffle_homomorphism():
     ewords = [ew for ew in all_ewords(3) if ew]
     for w1, w2 in itertools.product(ewords, ewords):
-        if W.eword_weight(w1) + W.eword_weight(w2) > 5:
+        if eword_weight(w1) + eword_weight(w2) > 5:
             continue
         u, v = HbarSum.monomial(w1), HbarSum.monomial(w2)
         assert rho(W.shuffle_hbar(u, v)) == W.shuffle(rho(u), rho(v))
