@@ -17,9 +17,7 @@ import json
 import math
 import sys
 
-import mpmath as mp
-
-from . import cyclo, modular, numeric, relations, words
+from . import cyclo, modular, relations, words
 from .errors import ConfigError, MTOmegaError
 
 #: Largest weight each side mines without --force; conjecture mines all three
@@ -175,6 +173,10 @@ def _suite_sym_sum(args):
 
 
 def _suite_corollary52(args):
+    import mpmath as mp
+
+    from . import numeric
+
     max_w = args.max_weight or 8
     primes = modular.primes_upto(args.prime_max or 200)
     for w in range(4, max_w + 1):
@@ -341,12 +343,11 @@ def cmd_values(args) -> int:
         for n in args.n or [args.n_max]:
             val = cyclo.omega_at_root(index, n)
             _emit(json.dumps({"index": args.index, **val.to_json()}))
-    elif args.kind == "omega-limit":
-        val = numeric.omega_limit_num(index, args.digits)
-        _emit(json.dumps({"index": args.index, **val.to_json()}))
-    else:  # zeta-s
-        val = numeric.zeta_s_num(index, args.digits)
-        _emit(json.dumps({"index": args.index, **val.to_json()}))
+    else:  # omega-limit or zeta-s, the real values
+        from . import numeric
+
+        num = numeric.omega_limit_num if args.kind == "omega-limit" else numeric.zeta_s_num
+        _emit(json.dumps({"index": args.index, **num(index, args.digits).to_json()}))
     return 0
 
 

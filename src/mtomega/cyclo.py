@@ -27,6 +27,8 @@ split in Q(zeta_n): the phi(n) embeddings identify Z[1/n][zeta_n]/(l) with
 F_l^phi(n) (mod_ring), and coordinate_bound lets vanishing modulo enough
 primes prove an integer combination of values zero.  The values come from
 cached series of the sorted index prefixes, as in modular.omega_mod.
+numpy is imported where those int64 arrays are built, so commands that never
+build them never load it.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from . import modular, sums, words
 from .errors import LengthError, NotIntegralError, RangeError
@@ -424,6 +424,8 @@ def mod_ring(n: int, batch: int = 0) -> tuple:
     (den/[m] of _scaled_inverse, times den^-1), each an int64 array over
     (m < n, prime, j); the row of 1/[0] is zero.
     """
+    import numpy as np
+
     primes = root_primes(n, batch)
     divisors = [d for d in range(1, n) if n % d == 0]
     z = []
@@ -455,6 +457,8 @@ def _mod_weights(n: int, batch: int, k: int) -> np.ndarray:
 def _series_mod(prefix, n: int, batch: int) -> np.ndarray:
     """Coefficients of x^0..x^(n-1), over (prime, j), of the product over the
     parts k of sum_m F_k(m) x^m; cached per prefix, which the callers share."""
+    import numpy as np
+
     weights = _mod_weights(n, batch, prefix[-1])
     if len(prefix) == 1:
         return weights
@@ -469,6 +473,8 @@ def _series_mod(prefix, n: int, batch: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_CACHE_VALUES)
 def _omega_mod(index, n: int, batch: int) -> np.ndarray:
+    import numpy as np
+
     # only the coefficient of x^n of the last product is formed
     head, weights = _series_mod(index[:-1], n, batch), _mod_weights(n, batch, index[-1])
     val = np.einsum("m...,m...->...", head[1:], weights[:0:-1]) % mod_ring(n, batch)[0]

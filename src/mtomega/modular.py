@@ -2,13 +2,13 @@
 
 Residues are plain ints in [0, p); the prime is always explicit in the call,
 and every entry point rejects a modulus that is not prime with RangeError.
+numpy is imported where the cached int64 arrays are built, so commands that
+never build them never load it.
 """
 
 from __future__ import annotations
 
 import functools
-
-import numpy as np
 
 from . import sums, words
 from .errors import LengthError, RangeError
@@ -90,6 +90,8 @@ def hsum_mod(index, p: int) -> Residue:
 @functools.lru_cache(maxsize=1024)
 def _power_array(p: int, k: int) -> np.ndarray:
     """m^(-k) mod p at position m, for 0 <= m < p (position 0 holds 0)."""
+    import numpy as np
+
     inv = _inverses(p)
     arr = np.zeros(p, dtype=np.int64)
     for m in range(1, p):
@@ -102,6 +104,8 @@ def _power_array(p: int, k: int) -> np.ndarray:
 def _series_mod(prefix, p: int) -> np.ndarray:
     """Coefficients of x^0..x^(p-1), mod p, of the product over the parts k
     of sum_m m^(-k) x^m; cached per prefix, which the callers share."""
+    import numpy as np
+
     if len(prefix) == 1:
         return _power_array(p, prefix[0])
     series = np.convolve(_series_mod(prefix[:-1], p), _power_array(p, prefix[-1]))[:p] % p
@@ -121,7 +125,7 @@ def omega_mod(index, p: int) -> Residue:
     # product is formed (0 when p < r, as no composition exists)
     index = tuple(sorted(index))
     head = _series_mod(index[:-1], p)
-    return int(np.dot(head[1:], _power_array(p, index[-1])[p - 1 : 0 : -1])) % p
+    return int(head[1:].dot(_power_array(p, index[-1])[p - 1 : 0 : -1])) % p
 
 
 def bern_div_mod(k: int, p: int) -> Residue:

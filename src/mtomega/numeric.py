@@ -7,10 +7,6 @@ convergent series whose truncation error is bounded explicitly, so a
 requested accuracy of `digits` decimal digits is honest.  The series run in
 fixed-point integers, with guard bits that cover every rounding step; the
 values built from them run in mpmath at `digits` plus guard digits.
-
-Unit-circle omega values use the closed form
-1/[m] = exp(-pi*i*(m-1)/n) * sin(pi/n)/sin(m*pi/n), which avoids cancellation
-for m close to n.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from . import sums, words
-from .errors import LengthError, NotAdmissibleError, RangeError
+from .errors import LengthError, NotAdmissibleError
 from .words import X1, WordSum
 
 GUARD_DIGITS = 15
@@ -42,16 +38,6 @@ class BigReal:
                 self.value, self.certified_digits, strip_zeros=False, min_fixed=1, max_fixed=0
             )
         return {"value": s, "certified_digits": self.certified_digits}
-
-
-@dataclass(frozen=True)
-class BigComplex:
-    re: BigReal
-    im: BigReal
-
-    @property
-    def value(self) -> mp.mpc:
-        return mp.mpc(self.re.value, self.im.value)
 
 
 def _li_truncation_order(r: int, digits: int) -> int:
@@ -158,34 +144,3 @@ def omega_limit_num(index, digits: int) -> BigReal:
                 f"two evaluation routes for Omega{index} disagree: {total} vs {via_words}"
             )
         return BigReal(+total, digits)
-
-
-def omega_circle_num(index, n: int, digits: int, normalized: bool = False) -> BigComplex:
-    """omega_n(index; e^(2 pi i / n)) in big-complex arithmetic.
-
-    With normalized=True, divides out the weight-th power of the prefactor
-    e^(i pi / n) (n / pi) sin(pi / n) that tends to 1; that is the quantity
-    whose convergence the limit theorem's proof controls directly, and it
-    approaches the limit without the O(1/n) phase drift of the raw value.
-    """
-    index = words.check_index(index)
-    r = len(index)
-    if r < 2:
-        raise LengthError(f"omega_circle_num needs length >= 2, got {index}")
-    if n < 2:
-        raise RangeError(f"need n >= 2, got {n}")
-    with mp.workdps(digits + GUARD_DIGITS):
-        pi_n = mp.pi / n
-        sin_pi_n = mp.sin(pi_n)
-        inv_qint = [mp.mpc(0)] * n
-        for m in range(1, n):
-            inv_qint[m] = mp.expjpi(mp.mpf(-(m - 1)) / n) * sin_pi_n / mp.sin(m * pi_n)
-        q_pow = [mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
-
-        def f(m, k):
-            return q_pow[((k - 1) * m) % n] * inv_qint[m] ** k
-
-        val = sums.composition_sum(index, n, f, mp.mpc(0))
-        if normalized:
-            val /= (mp.expjpi(mp.mpf(1) / n) * n / mp.pi * sin_pi_n) ** sum(index)
-        return BigComplex(BigReal(+val.real, digits), BigReal(+val.imag, digits))

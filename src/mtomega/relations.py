@@ -19,6 +19,8 @@ k-2).
 Relation vectors are primitive integer vectors; each is tagged `proven` when
 it lies in the rational span of relations the underlying theorems supply,
 and `conjectural` otherwise.  Dimension = generators - relations.
+numpy is imported where the residue arrays are built, and mpmath where the
+real values are, so commands that never build them never load the library.
 """
 
 from __future__ import annotations
@@ -29,10 +31,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-import numpy as np
-
-from . import cyclo, modular, numeric, words
+from . import cyclo, modular, words
 from .errors import DependentInputError, PrecisionError
 
 # ---------------------------------------------------------------------------
@@ -522,18 +521,24 @@ def cyclotomic_relation_space(weight: int, n_range):
 
 def _values_mod(gens, n):
     """(l, values over (generator, embedding) mod l), l over root_primes."""
+    import numpy as np
+
     for batch in itertools.count():
         values = [cyclo.omega_gen_mod(m, idx, n, batch) for m, idx in gens]
         yield from zip(cyclo.root_primes(n, batch), np.stack(values, axis=1))
 
 
 def _residues(vectors, ell):
+    import numpy as np
+
     return np.array([[x % ell for x in v] for v in vectors], dtype=np.int64)
 
 
 def _kernel_mod(a, ell):
     """The pivot columns of the RREF of an int64 matrix mod a prime ell below
     2^25, and its kernel basis: one vector per free column, 1 there."""
+    import numpy as np
+
     pivots = []
     for col in range(a.shape[1]):
         r = len(pivots)
@@ -650,6 +655,10 @@ def symmetric_relation_space(weight: int, digits: int):
     value".  The reported dimension counts only the Omega block of the
     quotient.
     """
+    import mpmath as mp
+
+    from . import numeric
+
     if digits < 50:
         raise PrecisionError("symmetric mining needs digits >= 50")
     gens = words.partitions_of_weight(weight)

@@ -25,13 +25,18 @@ rational q, for checking that the deformed shuffle multiplies them.
 `eword_weight` is the weight of an e-word, the hat letter counting 1.
 `lll_reduce_lists` is the exact LLL reduction with list rows, one new list
 per size-reduction step, the reference for the packed rows of
-`relations.lll_reduce`.
+`relations.lll_reduce`.  `omega_circle_num` sums the omega values on the
+unit circle in mpc, with the closed form
+1/[m] = exp(-pi*i*(m-1)/n) * sin(pi/n)/sin(m*pi/n), which avoids cancellation
+for m close to n; the tests check it against the exact values embedded at
+e^(2 pi i/n) and watch it converge to the limit values Omega.
 """
 
 import functools
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -42,7 +47,7 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import sums
 from mtomega import words as W
-from mtomega.errors import MTOmegaError
+from mtomega.errors import LengthError, MTOmegaError, RangeError
 from mtomega.words import HAT1, EWord, HbarSum, WordSum, _eword_key, _linear
 
 
@@ -520,3 +525,47 @@ def li_half(index, digits: int) -> mp.mpf:
             total += power * level[m]
         return +total
 
+
+# ---------------------------------------------------------------------------
+# omega values on the unit circle in mpmath
+
+
+@dataclass(frozen=True)
+class BigComplex:
+    re: N.BigReal
+    im: N.BigReal
+
+    @property
+    def value(self) -> mp.mpc:
+        return mp.mpc(self.re.value, self.im.value)
+
+
+def omega_circle_num(index, n: int, digits: int, normalized: bool = False) -> BigComplex:
+    """omega_n(index; e^(2 pi i / n)) in big-complex arithmetic.
+
+    With normalized=True, divides out the weight-th power of the prefactor
+    e^(i pi / n) (n / pi) sin(pi / n) that tends to 1; that is the quantity
+    whose convergence the limit theorem's proof controls directly, and it
+    approaches the limit without the O(1/n) phase drift of the raw value.
+    """
+    index = W.check_index(index)
+    r = len(index)
+    if r < 2:
+        raise LengthError(f"omega_circle_num needs length >= 2, got {index}")
+    if n < 2:
+        raise RangeError(f"need n >= 2, got {n}")
+    with mp.workdps(digits + N.GUARD_DIGITS):
+        pi_n = mp.pi / n
+        sin_pi_n = mp.sin(pi_n)
+        inv_qint = [mp.mpc(0)] * n
+        for m in range(1, n):
+            inv_qint[m] = mp.expjpi(mp.mpf(-(m - 1)) / n) * sin_pi_n / mp.sin(m * pi_n)
+        q_pow = [mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
+
+        def f(m, k):
+            return q_pow[((k - 1) * m) % n] * inv_qint[m] ** k
+
+        val = sums.composition_sum(index, n, f, mp.mpc(0))
+        if normalized:
+            val /= (mp.expjpi(mp.mpf(1) / n) * n / mp.pi * sin_pi_n) ** sum(index)
+        return BigComplex(N.BigReal(+val.real, digits), N.BigReal(+val.imag, digits))

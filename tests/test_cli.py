@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +359,41 @@ def test_parse_weights():
         cli._parse_weights("0")
     with pytest.raises(ConfigError):
         cli._parse_weights("")
+
+
+# The child runs one command with its stdout discarded, then prints which of
+# the two heavy libraries the command loaded.
+_LOADED = """
+import contextlib, io, sys
+from mtomega import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *(m for m in ("numpy", "mpmath") if m in sys.modules))
+"""
+
+
+_LOADS = [
+    ([], []),
+    (["dims", "symmetric", "--weights", "3..5"], ["mpmath"]),
+    (["dims", "finite", "--weights", "3..6"], ["numpy"]),
+    (["dims", "cyclotomic", "--weights", "2..4", "--n-max", "12"], ["numpy"]),
+    (["values", "omega-mod", "2.1", "--primes", "5"], ["numpy"]),
+    (["verify", "identity-words", "--max-weight", "5"], []),
+    (["values", "omega-root", "1.1", "--n", "3"], []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded", _LOADS, ids=["-".join(argv[:2]) or "import" for argv, _ in _LOADS]
+)
+def test_commands_load_only_the_libraries_they_use(argv, loaded):
+    """numpy builds the residue arrays and mpmath the real values; a command
+    that needs neither starts without importing them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out.split() == ["0", *loaded]

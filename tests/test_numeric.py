@@ -172,14 +172,14 @@ def test_zeta_s_examples():
 
 
 def test_omega_circle_exact_small_n():
-    c = N.omega_circle_num((1, 1), 2, 30)
+    c = O.omega_circle_num((1, 1), 2, 30)
     assert abs(c.value - 1) < mp.mpf(10) ** (-25)
-    c = N.omega_circle_num((2, 1), 2, 30)
+    c = O.omega_circle_num((2, 1), 2, 30)
     assert abs(c.value + 1) < mp.mpf(10) ** (-25)
-    z = N.omega_circle_num((1, 1, 1), 2, 30)
+    z = O.omega_circle_num((1, 1, 1), 2, 30)
     assert z.value == 0
     with pytest.raises(LengthError):
-        N.omega_circle_num((2,), 5, 30)
+        O.omega_circle_num((2,), 5, 30)
 
 
 def test_omega_circle_matches_cyclotomic_embedding():
@@ -194,7 +194,7 @@ def test_omega_circle_matches_cyclotomic_embedding():
                 (mp.mpf(c.numerator) / c.denominator) * zeta**j
                 for j, c in enumerate(exact.coeffs)
             )
-            got = N.omega_circle_num(k, n, 30).value
+            got = O.omega_circle_num(k, n, 30).value
             assert abs(emb - got) < mp.mpf(10) ** (-25), (k, n)
 
 
