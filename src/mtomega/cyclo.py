@@ -37,10 +37,14 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import modular, sums, words
 from .errors import LengthError, NotIntegralError, RangeError
 from .words import HAT1, HbarSum
+
+if TYPE_CHECKING:  # the annotations only; see the module docstring
+    import numpy as np
 
 
 # Cache bounds.  The most distinct keys a benchmark workload uses are 713

@@ -9,9 +9,13 @@ never build them never load it.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 from . import sums, words
 from .errors import LengthError, RangeError
+
+if TYPE_CHECKING:  # the annotations only; see the module docstring
+    import numpy as np
 
 #: A residue is an int reduced into [0, p).
 Residue = int
