@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -25,8 +25,7 @@ GUARD_DIGITS = 15
 _CACHE_SERIES = 1024  # a benchmark command uses at most 192 series, 127 zetas
 
 
-@dataclass(frozen=True)
-class BigReal:
+class BigReal(NamedTuple):
     """An mpmath real plus the number of decimal digits it certifies."""
 
     value: mp.mpf

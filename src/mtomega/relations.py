@@ -16,7 +16,8 @@ high-precision values, with the quotient by zeta(2)-multiples realized by
 augmenting the value vector with zeta(2) * (Hoffman's zeta values of weight
 k-2).
 
-Relation vectors are primitive integer vectors; each is tagged `proven` when
+Relation vectors are primitive integer vectors, tuples of Python ints, and
+all the linear algebra on them runs in integers; each is tagged `proven` when
 it lies in the rational span of relations the underlying theorems supply,
 and `conjectural` otherwise.  Dimension = generators - relations.
 numpy is imported where the residue arrays are built, and mpmath where the
@@ -28,19 +29,26 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import cyclo, modular, words
 from .errors import DependentInputError, PrecisionError
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction
+# exact linear algebra over the integers
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+    """Reduced row echelon form, fraction-free; returns (rows, pivot_columns).
+
+    Each row is the rational RREF row scaled to a primitive integer vector
+    with a positive pivot.  A column is cleared from a row as
+    a * row - f * pivot_row, with a and f the pivot entry and the row's
+    entry over their gcd, and a changed row is divided by its content: a
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with every
+    row kept primitive.
+    """
+    rows = list(rows)
     pivots = []
     ri = 0
     ncols = len(rows[0]) if rows else 0
@@ -48,16 +56,16 @@ def rref(rows):
         piv = next((i for i in range(ri, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[ri], rows[piv] = rows[piv], rows[ri]
-        inv = 1 / rows[ri][col]
-        prow = rows[ri] = [x * inv for x in rows[ri]]
-        # the pivot row is zero left of col, so only its nonzero entries act
-        support = [j for j in range(col, ncols) if prow[j]]
+        # rows ri.. are zero left of col, so primitive_integer makes the pivot > 0
+        prow = primitive_integer(rows[piv])
+        rows[piv], rows[ri] = rows[ri], prow
+        p = prow[col]
         for i, row in enumerate(rows):
             f = row[col]
             if f and i != ri:
-                for j in support:
-                    row[j] -= f * prow[j]
+                g = math.gcd(p, f)
+                a, f = p // g, f // g
+                rows[i] = primitive_integer([a * x - f * y for x, y in zip(row, prow)])
         pivots.append(col)
         ri += 1
         if ri == len(rows):
@@ -69,39 +77,34 @@ def span_test(basis):
     """Membership predicate for the rational span of the basis rows.
 
     The basis is row-reduced once; each test then clears the vector's pivot
-    entries against the reduced rows and checks that nothing is left.
+    entries against the reduced rows in integers and checks that nothing is
+    left.
     """
     red, pivots = rref(basis)
 
-    def contains(vector) -> bool:
-        v = [Fraction(x) for x in vector]
+    def contains(v) -> bool:
         for row, col in zip(red, pivots):
             f = v[col]
             if f:
-                v = [x - f * y for x, y in zip(v, row)]
+                a = row[col]
+                v = [a * x - f * y for x, y in zip(v, row)]
         return not any(v)
 
     return contains
 
 
 def primitive_integer(vector):
-    """Scale a rational vector to a primitive integer vector, first entry > 0."""
-    den = math.lcm(*(x.denominator for x in vector))
-    ints = [x.numerator * (den // x.denominator) for x in vector]
-    g = math.gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    """The integer vector over the gcd of its entries, first nonzero entry > 0."""
+    g = math.gcd(*vector)
+    if next((x for x in vector if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in vector) if g else tuple(vector)
 
 
 # ---------------------------------------------------------------------------
 # integer lattices: LLL
 
 
-@dataclass
 class GramSchmidt:
     """Integral Gram-Schmidt data of a basis: its rows (int tuples),
     d_0..d_n, the lambda table, and how many leading rows are LLL-reduced.
@@ -109,14 +112,11 @@ class GramSchmidt:
     `of` computes it for a basis, `cut` applies the finite miner's step at
     one prime to rows, d and lambda exactly, in O(n^2) operations, and
     `lll_reduce` LLL-reduces the rows from the first one not yet reduced,
-    each packed into one int of fixed-width fields while it runs.  Its
-    length and iteration are those of its rows.
+    each packed into one int of fixed-width fields while it runs.
     """
 
-    rows: list
-    d: list
-    lam: list
-    reduced: int = 0
+    def __init__(self, rows, d, lam, reduced=0):
+        self.rows, self.d, self.lam, self.reduced = rows, d, lam, reduced
 
     @classmethod
     def of(cls, basis):
@@ -176,12 +176,6 @@ class GramSchmidt:
             _swap(b, d, lam, k)
         self.reduced = min(self.reduced, j)
 
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
 
 def _swap(b, d, lam, k):
     """Exchange rows k - 1 and k, updating d and lambda exactly (Cohen, A
@@ -231,7 +225,8 @@ def lll_reduce(lattice):
     row has ||b||^2 <= (n + 3) N / 4, whether or not the counted prefix is
     reduced, and w is the bit length of isqrt of that bound plus a sign bit.
     """
-    rows, d, lam, n = lattice.rows, lattice.d, lattice.lam, len(lattice)
+    rows, d, lam = lattice.rows, lattice.d, lattice.lam
+    n = len(rows)
     big = max((sum(map(operator.mul, v, v)) for v in rows), default=0)
     width = math.isqrt((n + 3) * big // 4).bit_length() + 1
     b = [sum(x << width * i for i, x in enumerate(v)) for v in rows]
@@ -315,16 +310,14 @@ def integer_relations(xs, digits: int, max_height: int = 10**4):
 # report containers
 
 
-@dataclass(frozen=True)
-class RelationBasis:
+class RelationBasis(NamedTuple):
     generators: tuple  # ((m, index), ...) with m the 1-zeta (or hbar) power
     vectors: tuple  # primitive integer relation vectors
     statuses: tuple  # "proven" | "conjectural", parallel to vectors
     provenance: str  # finite | cyclotomic | symmetric
 
 
-@dataclass(frozen=True)
-class DimReport:
+class DimReport(NamedTuple):
     weight: int
     generator_count: int
     relation_count: int
@@ -463,7 +456,7 @@ def finite_relation_space(weight: int):
     gs = GramSchmidt.identity(d)
     for p in training_primes:
         c = [modular.omega_mod(g, p) for g in gens]
-        v = [sum(map(operator.mul, row, c)) % p for row in gs]
+        v = [sum(map(operator.mul, row, c)) % p for row in gs.rows]
         if not any(v):
             continue
         j = next(i for i, x in enumerate(v) if x)
@@ -471,7 +464,7 @@ def finite_relation_space(weight: int):
         gs.cut(j, [x * inv % p for x in v], p)
         lll_reduce(gs)
     kept = []
-    for row in gs:
+    for row in gs.rows:
         if max(abs(x) for x in row) > FINITE_HEIGHT_BOUND:
             continue
         if all(sum(a * c for a, c in zip(row, res)) % q == 0 for q, res in holdout):
@@ -499,8 +492,8 @@ def cyclotomic_relation_space(weight: int, n_range):
     """Exact rational kernel of the Q(zeta_n) constraints over a range of n.
 
     A primitive integer basis of the kernel for the n done so far starts as
-    the identity and is cut down at each n by `_kernel_at`; its RREF is the
-    reported basis.  Relations in the kernel are exact identities for every
+    the identity and is cut down at each n by `_kernel_at`; its RREF, rows
+    made primitive, is the reported basis.  Relations in the kernel are exact identities for every
     tested n and are reported as conjectural beyond that (except those the
     vanishing theorem proves for all n).
     """
@@ -512,9 +505,8 @@ def cyclotomic_relation_space(weight: int, n_range):
     for n in n_range:
         if basis:
             basis = _kernel_at(basis, gens, n)
-    red, _ = rref(basis)
     return _mined(
-        "cyclotomic", weight, gens, [primitive_integer(v) for v in red],
+        "cyclotomic", weight, gens, rref(basis)[0],
         span_test(_proven_cyclo_span(weight, gens)),
     )
 
@@ -557,12 +549,13 @@ def _kernel_mod(a, ell):
 
 def _rational(vectors, modulus):
     """The vectors with each x replaced by the a/b = x (mod modulus) with
-    |a|, b <= sqrt(modulus/2), or None from the first x with none (Wang,
-    Guy and Davenport, SIGSAM Bull. 16, 1982)."""
+    |a|, b <= sqrt(modulus/2) (Wang, Guy and Davenport, SIGSAM Bull. 16,
+    1982), each scaled by the lcm of its b to a primitive integer vector;
+    None from the first x with no such a/b."""
     bound = math.isqrt(modulus // 2)
     out = []
     for v in vectors:
-        out.append([])
+        fracs = []
         for x in v:
             r0, r1, t0, t1 = modulus, x, 0, 1
             while r1 > bound:
@@ -570,7 +563,9 @@ def _rational(vectors, modulus):
                 r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
             if abs(t1) > bound or math.gcd(r1, t1) != 1:
                 return None
-            out[-1].append(Fraction(r1, t1))
+            fracs.append((r1, t1))
+        den = math.lcm(*(b for _a, b in fracs))
+        out.append(primitive_integer([a * (den // b) for a, b in fracs]))
     return out
 
 
@@ -583,11 +578,11 @@ def _kernel_at(basis, gens, n):
     times the basis have rank mod l at most their rank over Q, and the
     kernel mod l contains the reduction of the rational kernel.  The RREF
     kernels of the primes with the most pivots, lexicographically least
-    among those, are joined by CRT and lifted by rational reconstruction;
-    each lift is made a primitive integer vector and combined with the basis
-    in integers, until `certified` proves every combination.  Then there are
-    as many exact kernel vectors as the kernel mod l has, an upper bound, so
-    they span the kernel.  When the basis vanishes mod l (no pivots), the
+    among those, are joined by CRT and lifted by rational reconstruction to
+    primitive integer vectors, each combined with the basis in integers,
+    until `certified` proves every combination.  Then there are as many
+    exact kernel vectors as the kernel mod l has, an upper bound, so they
+    span the kernel.  When the basis vanishes mod l (no pivots), the
     basis itself is the candidate.
     """
     best = None
@@ -611,7 +606,7 @@ def _kernel_at(basis, gens, n):
                 continue
             vectors = [
                 primitive_integer([sum(map(operator.mul, a, col)) for col in zip(*basis)])
-                for a in map(primitive_integer, lifted)
+                for a in lifted
             ]
         if certified(vectors, gens, n):
             return vectors
@@ -694,26 +689,26 @@ def symmetric_relation_space(weight: int, digits: int):
 # cross-side comparison
 
 
+# (name, (left factor, right factor), d, terms): d * left * right is the sum
+# of c * (1-z)^m * omega(index) over the terms (c, m, index)
 _PRODUCT_CHECKS = (
     (
         "omega(1,1)^2 = -5*omega(2,1,1) - 5/2*(1-z)*omega(1,1,1) + 1/4*(1-z)^2*omega(1,1)",
         ((1, 1), (1, 1)),
-        (
-            (Fraction(-5), 0, (2, 1, 1)),
-            (Fraction(-5, 2), 1, (1, 1, 1)),
-            (Fraction(1, 4), 2, (1, 1)),
-        ),
+        4,
+        ((-20, 0, (2, 1, 1)), (-10, 1, (1, 1, 1)), (1, 2, (1, 1))),
     ),
     (
         "omega(1,1)*omega(1,1,1) = -2*omega(2,1,1,1) - 3*omega(3,1,1) - (1-z)*omega(1,1,1,1)"
         " - 3*(1-z)*omega(2,1,1) - 1/3*(1-z)^2*omega(1,1,1)",
         ((1, 1), (1, 1, 1)),
+        3,
         (
-            (Fraction(-2), 0, (2, 1, 1, 1)),
-            (Fraction(-3), 0, (3, 1, 1)),
-            (Fraction(-1), 1, (1, 1, 1, 1)),
-            (Fraction(-3), 1, (2, 1, 1)),
-            (Fraction(-1, 3), 2, (1, 1, 1)),
+            (-6, 0, (2, 1, 1, 1)),
+            (-9, 0, (3, 1, 1)),
+            (-3, 1, (1, 1, 1, 1)),
+            (-9, 1, (2, 1, 1)),
+            (-1, 2, (1, 1, 1)),
         ),
     ),
 )
@@ -722,10 +717,10 @@ _PRODUCT_CHECKS = (
 def product_identity_checks(n_range):
     """Exact verification, per n, of the two displayed product identities."""
     out = []
-    for name, (ka, kb), rhs in _PRODUCT_CHECKS:
+    for name, (ka, kb), d, rhs in _PRODUCT_CHECKS:
         failures = []
         for n in n_range:
-            lhs = cyclo.omega_at_root(ka, n) * cyclo.omega_at_root(kb, n)
+            lhs = cyclo.omega_at_root(ka, n) * cyclo.omega_at_root(kb, n) * d
             acc = cyclo.CycloElem.zero(cyclo.CycloCtx(n))
             for coeff, m, idx in rhs:
                 acc = acc + cyclo.omega_gen(m, idx, n) * coeff
@@ -759,7 +754,7 @@ def conjecture_report(weight: int, n_range, digits: int) -> dict:
     # each product identity sum to zero: a relation at that identity's weight
     gen_pos = {idx: i for i, (_m, idx) in enumerate(gens)}
     implied = []
-    for _name, _lhs, rhs in _PRODUCT_CHECKS:
+    for _name, _lhs, _d, rhs in _PRODUCT_CHECKS:
         terms = [(c, idx) for c, m, idx in rhs if m == 0]
         if sum(terms[0][1]) != weight:
             continue

@@ -24,9 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import EmptyWordError, LengthError, NotInH1Error
 
@@ -693,8 +692,7 @@ def s_subset(nvars: int, maxdeg: int, subset: Sequence[int]) -> TPoly:
     return out
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     identity: str
     instance: str
     failures: tuple

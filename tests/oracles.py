@@ -7,7 +7,9 @@ canonical basis of an integer lattice, so two bases span the same lattice
 exactly when their forms are equal.  `cyclotomic_kernel_exact` is the
 cyclotomic miner computed the long way: every generator value exactly in
 Q(zeta_n), one Fraction row per coordinate, and the kernel of the whole
-stack (`kernel_basis`).  `cyclo_inv` is the field inverse in
+stack (`kernel_basis`), all by `rref`, the Fraction RREF that the
+fraction-free `relations.rref` is checked against (`primitive` scales its
+rows to the integer ones).  `cyclo_inv` is the field inverse in
 Q(zeta_n) by the extended Euclidean algorithm, and `cyclo_elem` builds an
 element from rational coefficients.  `omega_at_root` and
 `z_at_root` sum the q-series values at a root of unity term by term, one
@@ -151,9 +153,7 @@ def _raw_to_ebasis(raw: dict) -> dict:
     rows = sorted(rows)
     # exact solve of  sum_j x_j * expansions_j = raw  on the augmented matrix
     ncols = len(expansions)
-    red, pivots = R.rref(
-        [[exp.get(r, 0) for exp in expansions] + [raw.get(r, 0)] for r in rows]
-    )
+    red, pivots = rref([[exp.get(r, 0) for exp in expansions] + [raw.get(r, 0)] for r in rows])
     if ncols in pivots:
         raise InternalClosureError("raw polynomial is not in the e-monomial span")
     return {candidates[col]: red[i][ncols] for i, col in enumerate(pivots) if red[i][ncols]}
@@ -329,8 +329,8 @@ def hnf(rows):
 def lll_reduce_lists(lattice):
     """`relations.lll_reduce` with each row a list, rebuilt at every
     size-reduction step: the same swaps and the same d and lambda."""
-    b = [list(v) for v in lattice]
-    d, lam, n = lattice.d, lattice.lam, len(lattice)
+    b = [list(v) for v in lattice.rows]
+    d, lam, n = lattice.d, lattice.lam, len(lattice.rows)
 
     def redi(k, l):
         if 2 * abs(lam[k][l]) > d[l + 1]:
@@ -355,12 +355,51 @@ def lll_reduce_lists(lattice):
 
 
 # ---------------------------------------------------------------------------
-# the cyclotomic kernel, exactly over Fraction
+# exact linear algebra over Fraction, and the cyclotomic kernel with it
+
+
+def rref(rows):
+    """Reduced row echelon form over Fraction, pivots 1; returns
+    (rows, pivot_columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    ri = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((i for i in range(ri, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[ri], rows[piv] = rows[piv], rows[ri]
+        inv = 1 / rows[ri][col]
+        prow = rows[ri] = [x * inv for x in rows[ri]]
+        # the pivot row is zero left of col, so only its nonzero entries act
+        support = [j for j in range(col, ncols) if prow[j]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != ri:
+                for j in support:
+                    row[j] -= f * prow[j]
+        pivots.append(col)
+        ri += 1
+        if ri == len(rows):
+            break
+    return rows[:ri], pivots
+
+
+def primitive(vector):
+    """A rational vector scaled to a primitive integer vector, first nonzero
+    entry > 0."""
+    den = math.lcm(*(Fraction(x).denominator for x in vector))
+    ints = [int(x * den) for x in vector]
+    g = math.gcd(*ints) or 1
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of the matrix, canonical from the RREF."""
-    red, pivots = R.rref(rows)
+    red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     out = []
     for fc in free:
@@ -382,8 +421,8 @@ def cyclotomic_kernel_exact(weight: int, n_range) -> tuple:
     for n in n_range:
         vals = [C.omega_gen(m, idx, n).coeffs for m, idx in gens]
         constraints.extend(zip(*vals))
-    red, _ = R.rref(kernel_basis(constraints, len(gens)))
-    vectors = (R.primitive_integer(v) for v in red)
+    red, _ = rref(kernel_basis(constraints, len(gens)))
+    vectors = map(primitive, red)
     return tuple(sorted(vectors, key=lambda v: (sum(abs(x) for x in v), v)))
 
 

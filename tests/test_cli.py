@@ -362,22 +362,23 @@ def test_parse_weights():
 
 
 # The child runs one command with its stdout discarded, then prints which of
-# the two heavy libraries the command loaded.
+# the two heavy libraries, and of dataclasses and the inspect module it
+# imports, the command loaded.  numpy imports inspect itself.
 _LOADED = """
 import contextlib, io, sys
 from mtomega import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, *(m for m in ("numpy", "mpmath") if m in sys.modules))
+print(code, *(m for m in ("numpy", "mpmath", "dataclasses", "inspect") if m in sys.modules))
 """
 
 
 _LOADS = [
     ([], []),
     (["dims", "symmetric", "--weights", "3..5"], ["mpmath"]),
-    (["dims", "finite", "--weights", "3..6"], ["numpy"]),
-    (["dims", "cyclotomic", "--weights", "2..4", "--n-max", "12"], ["numpy"]),
-    (["values", "omega-mod", "2.1", "--primes", "5"], ["numpy"]),
+    (["dims", "finite", "--weights", "3..6"], ["numpy", "inspect"]),
+    (["dims", "cyclotomic", "--weights", "2..4", "--n-max", "12"], ["numpy", "inspect"]),
+    (["values", "omega-mod", "2.1", "--primes", "5"], ["numpy", "inspect"]),
     (["verify", "identity-words", "--max-weight", "5"], []),
     (["values", "omega-root", "1.1", "--n", "3"], []),
 ]
@@ -388,7 +389,8 @@ _LOADS = [
 )
 def test_commands_load_only_the_libraries_they_use(argv, loaded):
     """numpy builds the residue arrays and mpmath the real values; a command
-    that needs neither starts without importing them."""
+    that needs neither starts without importing them, and no command loads
+    dataclasses."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -15,7 +16,14 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import words as W
 from mtomega.errors import DependentInputError, PrecisionError
-from oracles import cyclotomic_kernel_exact, hnf, kernel_basis, lll_reduce_lists
+from oracles import (
+    cyclotomic_kernel_exact,
+    hnf,
+    kernel_basis,
+    lll_reduce_lists,
+    primitive,
+)
+from oracles import rref as oracle_rref
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -42,9 +50,45 @@ def test_rref_kernel():
 
 
 def test_primitive_integer():
-    assert R.primitive_integer([Fraction(2, 3), Fraction(-4, 3)]) == (1, -2)
-    assert R.primitive_integer([Fraction(-1, 2), Fraction(1, 4)]) == (2, -1)
-    assert R.primitive_integer([0, Fraction(-3)]) == (0, 1)
+    assert R.primitive_integer([2, -4]) == (1, -2)
+    assert R.primitive_integer([-2, 1]) == (2, -1)
+    assert R.primitive_integer([0, -3]) == (0, 1)
+
+
+def test_rref_matches_fraction_oracle():
+    """On random matrices with planted dependent rows, zero rows and entries
+    up to 10^6, the fraction-free RREF has the oracle's pivots and its rows
+    made primitive, and span_test agrees with the oracle's rank test."""
+    rng = random.Random(17)
+
+    def entry():
+        return rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10**6, 10**6)))
+
+    def combination(rows):
+        cs = [rng.randint(-5, 5) for _ in rows]
+        return [sum(map(operator.mul, cs, col)) for col in zip(*rows)]
+
+    outcomes = []
+    for _ in range(1200):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        for i in range(nrows):
+            if i and rng.random() < 0.3:  # a dependent row
+                rows[i] = combination(rows[:i])
+            elif rng.random() < 0.1:
+                rows[i] = [0] * ncols
+        red, pivots = R.rref(rows)
+        ref, ref_pivots = oracle_rref(rows)
+        assert pivots == ref_pivots, rows
+        assert red == [primitive(r) for r in ref], rows
+        contains, rank = R.span_test(rows), len(ref)
+        tests = [[entry() for _ in range(ncols)] for _ in range(3)]
+        if rows:
+            tests += [combination(rows) for _ in range(3)]
+        for v in tests:
+            outcomes.append(contains(v))
+            assert outcomes[-1] == (len(oracle_rref(rows + [v])[0]) == rank), (rows, v)
+    assert min(outcomes.count(True), outcomes.count(False)) > 1000
 
 
 def test_hnf():
@@ -286,7 +330,7 @@ def test_lll_packed_rows_replay_the_finite_miner(monkeypatch):
     packed = R.lll_reduce
 
     def checked(gs):
-        calls.append(len(gs))
+        calls.append(len(gs.rows))
         assert_matches_list_reference(gs, packed)
         return gs.rows
 
@@ -518,17 +562,17 @@ def test_kernel_mod_matches_exact_kernel():
         for v, w in zip(kernel, exact):
             for x, y in zip(v, w):
                 if abs(y.numerator) <= small and y.denominator <= small:
-                    assert R._rational([[x]], ell) == [[y]]
+                    assert R._rational([[1, x]], ell) == [(y.denominator, y.numerator)]
 
 
 def test_rational_reconstruction_bounds():
     m = 10007 * 10009
     for a, b in [(0, 1), (3, 1), (-5, 7), (700, 701), (-7070, 7069)]:
-        assert R._rational([[a * pow(b, -1, m) % m]], m) == [[Fraction(a, b)]]
+        assert R._rational([[1, a * pow(b, -1, m) % m]], m) == [(b, a)]
     assert R._rational([[7077]], m) is None  # 7077 > sqrt(m/2), and no a/b fits
     assert R._rational([[3], [5, 7077, 3]], m) is None  # one entry fails the lift
     # past the bound a wrong small fraction can come back: why lifts are certified
-    assert R._rational([[9001 * pow(9007, -1, m) % m]], m) == [[Fraction(-6990, 4133)]]
+    assert R._rational([[1, 9001 * pow(9007, -1, m) % m]], m) == [(4133, -6990)]
 
 
 def identity(d):
