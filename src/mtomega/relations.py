@@ -77,8 +77,7 @@ def span_test(basis):
     """Membership predicate for the rational span of the basis rows.
 
     The basis is row-reduced once; each test then clears the vector's pivot
-    entries against the reduced rows in integers and checks that nothing is
-    left.
+    entries against the reduced rows, in integers, and nothing may be left.
     """
     red, pivots = rref(basis)
 
@@ -112,7 +111,9 @@ class GramSchmidt:
     `of` computes it for a basis, `cut` applies the finite miner's step at
     one prime to rows, d and lambda exactly, in O(n^2) operations, and
     `lll_reduce` LLL-reduces the rows from the first one not yet reduced,
-    each packed into one int of fixed-width fields while it runs.
+    each packed into one int of fixed-width fields while it runs.  Its
+    length and iteration are those of its rows (perfbench's tracer reads
+    them from the argument of `lll_reduce`).
     """
 
     def __init__(self, rows, d, lam, reduced=0):
@@ -176,6 +177,12 @@ class GramSchmidt:
             _swap(b, d, lam, k)
         self.reduced = min(self.reduced, j)
 
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
+
 
 def _swap(b, d, lam, k):
     """Exchange rows k - 1 and k, updating d and lambda exactly (Cohen, A
@@ -225,8 +232,7 @@ def lll_reduce(lattice):
     row has ||b||^2 <= (n + 3) N / 4, whether or not the counted prefix is
     reduced, and w is the bit length of isqrt of that bound plus a sign bit.
     """
-    rows, d, lam = lattice.rows, lattice.d, lattice.lam
-    n = len(rows)
+    rows, d, lam, n = lattice.rows, lattice.d, lattice.lam, len(lattice.rows)
     big = max((sum(map(operator.mul, v, v)) for v in rows), default=0)
     width = math.isqrt((n + 3) * big // 4).bit_length() + 1
     b = [sum(x << width * i for i, x in enumerate(v)) for v in rows]
