@@ -499,9 +499,9 @@ def cyclotomic_relation_space(weight: int, n_range):
 
     A primitive integer basis of the kernel for the n done so far starts as
     the identity and is cut down at each n by `_kernel_at`; its RREF, rows
-    made primitive, is the reported basis.  Relations in the kernel are exact identities for every
-    tested n and are reported as conjectural beyond that (except those the
-    vanishing theorem proves for all n).
+    made primitive, is the reported basis.  Relations in the kernel are
+    exact identities for every tested n and are reported as conjectural
+    beyond that (except those the vanishing theorem proves for all n).
     """
     gens = cyclo_generators(weight)
     d = len(gens)

@@ -16,13 +16,7 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import words as W
 from mtomega.errors import DependentInputError, PrecisionError
-from oracles import (
-    cyclotomic_kernel_exact,
-    hnf,
-    kernel_basis,
-    lll_reduce_lists,
-    primitive,
-)
+from oracles import cyclotomic_kernel_exact, hnf, kernel_basis, lll_reduce_lists, primitive
 from oracles import rref as oracle_rref
 
 # ---------------------------------------------------------------------------
@@ -57,8 +51,9 @@ def test_primitive_integer():
 
 def test_rref_matches_fraction_oracle():
     """On random matrices with planted dependent rows, zero rows and entries
-    up to 10^6, the fraction-free RREF has the oracle's pivots and its rows
-    made primitive, and span_test agrees with the oracle's rank test."""
+    up to 10^6, the fraction-free RREF has the Fraction oracle's pivots and
+    its rows made primitive, and span_test agrees with the oracle's rank
+    test."""
     rng = random.Random(17)
 
     def entry():
