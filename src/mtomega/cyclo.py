@@ -495,7 +495,6 @@ def omega_gen_mod(m: int, index, n: int, batch: int = 0) -> np.ndarray:
     return val
 
 
-@functools.lru_cache(maxsize=_CACHE_N)
 def coordinate_bound(m: int, index, n: int) -> int:
     """beta_g for g = (m, index): den^w sum_g a_g omega_gen(g), a_g integers,
     w the weight, has power-basis coordinates of size <= sum_g |a_g| beta_g.

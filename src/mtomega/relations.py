@@ -1,13 +1,10 @@
 """Relation mining and dimension accounting for the omega-value spaces.
 
-Three miners share one report format.  The finite miner intersects, prime by
-prime, the congruence kernels of the residue vectors, keeping the integer
-lattice LLL-reduced as it shrinks.  The lattice is one `GramSchmidt` state,
-the rows with their integral Gram-Schmidt data.  A prime cuts the reduced
-rows by one rank-one step (a pivot row scaled by p and moved last, multiples
-of it cleared from the later rows); the data follows the cut exactly in
-O(n^2) operations, and the next reduction resumes there instead of
-recomputing it.  Surviving short vectors are re-verified on holdout primes.
+Three miners share one report format.  The finite miner joins the residue
+vectors at the training primes by CRT and finds the lattice of integer
+vectors whose combination vanishes at all of them by one LLL reduction, in
+the lattice shape the symmetric miner uses; surviving short vectors are
+re-verified on holdout primes.
 The cyclotomic miner cuts an exact integer basis of the rational kernel of
 the Q(zeta_n) constraints down n by n modulo primes l = 1 (mod n), and
 certifies each new vector exactly.
@@ -104,84 +101,24 @@ def primitive_integer(vector):
 # integer lattices: LLL
 
 
-class GramSchmidt:
-    """Integral Gram-Schmidt data of a basis: its rows (int tuples),
-    d_0..d_n, the lambda table, and how many leading rows are LLL-reduced.
-
-    `of` computes it for a basis, `cut` applies the finite miner's step at
-    one prime to rows, d and lambda exactly, in O(n^2) operations, and
-    `lll_reduce` LLL-reduces the rows from the first one not yet reduced,
-    each packed into one int of fixed-width fields while it runs.  Its
-    length and iteration are those of its rows (perfbench's tracer reads
-    them from the argument of `lll_reduce`).
-    """
-
-    def __init__(self, rows, d, lam, reduced=0):
-        self.rows, self.d, self.lam, self.reduced = rows, d, lam, reduced
-
-    @classmethod
-    def of(cls, basis):
-        """The data of the basis, with no row counted as reduced.  The rows
-        must be linearly independent."""
-        b = [tuple(v) for v in basis]
-        n = len(b)
-        d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                u = sum(map(operator.mul, b[i], b[j]))
-                for k in range(j):
-                    u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
-                if j < i:
-                    lam[i][j] = u
-                else:
-                    d[i + 1] = u
-                    if u == 0:
-                        raise DependentInputError("input vectors are dependent")
-        return cls(b, d, lam)
-
-    @classmethod
-    def identity(cls, n):
-        """The data of the reduced basis e_1..e_n."""
-        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        return cls(rows, [1] * (n + 1), [[0] * n for _ in range(n)], n)
-
-    def cut(self, j, f, p):
-        """Replace each row i > j by b_i - f[i] b_j and row j by p b_j, then
-        move row j last.
-
-        Row j scaled by p scales b*_j by p and leaves every other b*_t as it
-        is, so d_t gains p^2 for t > j, lambda_(j,t) gains p, lambda_(i,t)
-        becomes lambda_(i,t) - f_i lambda_(j,t) for t < j,
-        p (lambda_(i,j) - f_i d_(j+1)) at t = j and lambda_(i,t) p^2 for
-        t > j.  The n - 1 - j adjacent swaps that move row j last are exact
-        too, and the rows before j stay reduced.
-        """
-        b = self.rows = list(self.rows)  # the last result stays the caller's
-        d, lam, n = self.d, self.lam, len(b)
-        bj, lj, dj, p2 = b[j], lam[j], d[j + 1], p * p
-        for i in range(j + 1, n):
-            fi, li = f[i], lam[i]
-            if fi:
-                b[i] = tuple(x - fi * y for x, y in zip(b[i], bj))
-                for t in range(j):
-                    li[t] -= fi * lj[t]
-            li[j] = p * (li[j] - fi * dj)
-            for t in range(j + 1, i):
-                li[t] *= p2
-        b[j] = tuple(p * x for x in bj)
-        for t in range(j):
-            lj[t] *= p
-        for t in range(j + 1, n + 1):
-            d[t] *= p2
-        for k in range(j + 1, n):
-            _swap(b, d, lam, k)
-        self.reduced = min(self.reduced, j)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
+def _gram_schmidt(rows):
+    """Integral Gram-Schmidt data of linearly independent rows: d_0..d_n and
+    the lambda table, d_(i+1) = prod_(t<=i) |b*_t|^2 and
+    lambda_(i,j) = d_(j+1) mu_(i,j) (Cohen, 1993, Alg. 2.6.7)."""
+    n = len(rows)
+    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(map(operator.mul, rows[i], rows[j]))
+            for k in range(j):
+                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+                if u == 0:
+                    raise DependentInputError("input vectors are dependent")
+    return d, lam
 
 
 def _swap(b, d, lam, k):
@@ -210,16 +147,14 @@ def _unpack(p, width, m):
     return tuple(row)
 
 
-def lll_reduce(lattice):
-    """LLL-reduce the rows of a `GramSchmidt` in place, with exact integer
-    arithmetic, and return them; `lll_reduce(GramSchmidt.of(basis))`
-    reduces a basis.
+def lll_reduce(basis):
+    """LLL-reduce linearly independent integer rows, with exact integer
+    arithmetic, and return the reduced rows, tuples in a new list; the
+    argument is left as it is, and dependent rows raise DependentInputError.
 
     Same lattice in, same lattice out; the Lovasz condition holds at
     delta = 3/4 (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982) on
-    return.  The swap loop starts at `lattice.reduced`: that prefix is
-    already size-reduced and meets the Lovasz condition, so starting at 0
-    would leave it as it is.
+    return.
 
     Each row is packed into one int, entry i in the signed field of bits
     [w i, w (i + 1)), so a size-reduction step is one integer operation,
@@ -229,15 +164,17 @@ def lll_reduce(lattice):
     ||b_k||^2 <= B_k + (B_0 + ... + B_(k-1))/4 with B_i = d_(i+1)/d_i.
     Size reduction keeps the B_i and a swap never raises their maximum,
     which starts at most at N, the largest input ||b||^2.  So every output
-    row has ||b||^2 <= (n + 3) N / 4, whether or not the counted prefix is
-    reduced, and w is the bit length of isqrt of that bound plus a sign bit.
+    row has ||b||^2 <= (n + 3) N / 4, and w is the bit length of isqrt of
+    that bound plus a sign bit.
     """
-    rows, d, lam, n = lattice.rows, lattice.d, lattice.lam, len(lattice.rows)
+    rows = [tuple(v) for v in basis]
+    n = len(rows)
+    d, lam = _gram_schmidt(rows)
     big = max((sum(map(operator.mul, v, v)) for v in rows), default=0)
     width = math.isqrt((n + 3) * big // 4).bit_length() + 1
     b = [sum(x << width * i for i, x in enumerate(v)) for v in rows]
     inputs = dict(zip(b, rows))
-    k = max(1, lattice.reduced)
+    k = 1
     while k < n:
         lk = lam[k]
         for l in range(k - 1, -1, -1):
@@ -256,9 +193,7 @@ def lll_reduce(lattice):
                 break
         else:
             k += 1
-    lattice.rows = [inputs[p] if p in inputs else _unpack(p, width, len(rows[0])) for p in b]
-    lattice.reduced = n
-    return lattice.rows
+    return [inputs[p] if p in inputs else _unpack(p, width, len(rows[0])) for p in b]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +232,7 @@ def integer_relations(xs, digits: int, max_height: int = 10**4):
     scaled = [_round_scaled(x.value, 10 ** (digits - 5)) for x in xs]
     rows = [[int(i == j) for j in range(n)] + [s] for i, s in enumerate(scaled)]
     accepted, rejected, found = [], [], []
-    for row in lll_reduce(GramSchmidt.of(rows)):
+    for row in lll_reduce(rows):
         norm2 = sum(x * x for x in row)
         if max(map(abs, row[:n])) <= max_height and abs(row[n]) <= n * max_height:
             accepted.append(norm2)
@@ -434,6 +369,11 @@ def _overall_status(statuses, dimension, ngens):
 
 
 FINITE_HEIGHT_BOUND = 2**10
+# Weight of the residue column.  A row off the kernel is at least K long, far
+# above the length of a kept relation (height at most FINITE_HEIGHT_BOUND,
+# so below 2^15 while d < 2^10), so the reduction returns the short
+# relations as rows ending in 0 instead of mixing them into rows off it.
+FINITE_RESIDUE_SCALE = 2**20
 
 
 def default_prime_split(weight):
@@ -445,13 +385,14 @@ def default_prime_split(weight):
 def finite_relation_space(weight: int):
     """Mine integer relations among finite omega values of one weight.
 
-    The lattice of integer vectors whose residue combination vanishes at every
-    training prime (`default_prime_split`) is computed by iterated kernel
-    preimages, LLL-reduced after each prime to keep entries small.  Each
-    prime is one `GramSchmidt.cut` of the reduced basis, so the reduction
-    resumes from exact Gram-Schmidt data and from the rows before the pivot.
-    Vectors of height at most FINITE_HEIGHT_BOUND that also vanish at every
-    holdout prime are the relations.
+    The residue vectors at the training primes (`default_prime_split`) are
+    joined by CRT into C mod P, P the product of the primes at which some
+    residue is nonzero.  One LLL reduction of the rows (e_i | K C_i) and
+    (0 | K P), K = FINITE_RESIDUE_SCALE, gives the integer vectors x with
+    x . C = 0 mod P as the reduced rows whose last entry is 0 (Lenstra,
+    Lenstra and Lovasz, Math. Ann. 261, 1982; Cohen, 1993, 2.7).  Those of
+    height at most FINITE_HEIGHT_BOUND that also vanish at every holdout
+    prime are the relations.
     """
     training_primes, holdout_primes = default_prime_split(weight)
     gens = words.partitions_of_weight(weight)
@@ -459,22 +400,22 @@ def finite_relation_space(weight: int):
     if d == 0:
         return _mined("finite", weight, (), ())
     holdout = [(q, [modular.omega_mod(g, q) for g in gens]) for q in holdout_primes]
-    gs = GramSchmidt.identity(d)
+    crt, modulus = [0] * d, 1
     for p in training_primes:
         c = [modular.omega_mod(g, p) for g in gens]
-        v = [sum(map(operator.mul, row, c)) % p for row in gs.rows]
-        if not any(v):
+        if not any(c):
             continue
-        j = next(i for i, x in enumerate(v) if x)
-        inv = pow(v[j], p - 2, p)
-        gs.cut(j, [x * inv % p for x in v], p)
-        lll_reduce(gs)
+        inv = pow(modulus, -1, p)
+        crt = [x + modulus * ((y - x) * inv % p) for x, y in zip(crt, c)]
+        modulus *= p
+    scale = FINITE_RESIDUE_SCALE
+    rows = [[int(i == j) for j in range(d)] + [scale * x] for i, x in enumerate(crt)]
     kept = []
-    for row in gs.rows:
-        if max(abs(x) for x in row) > FINITE_HEIGHT_BOUND:
+    for row in lll_reduce(rows + [[0] * d + [scale * modulus]]):
+        if row[d] or max(map(abs, row[:d])) > FINITE_HEIGHT_BOUND:
             continue
-        if all(sum(a * c for a, c in zip(row, res)) % q == 0 for q, res in holdout):
-            kept.append(primitive_integer(row))
+        if all(sum(map(operator.mul, row, res)) % q == 0 for q, res in holdout):
+            kept.append(primitive_integer(row[:d]))
     return _mined(
         "finite", weight, [(0, g) for g in gens], kept,
         span_test(_proven_finite_span(weight, gens)),

@@ -326,11 +326,11 @@ def hnf(rows):
     return [tuple(r) for r in out]
 
 
-def lll_reduce_lists(lattice):
+def lll_reduce_lists(rows):
     """`relations.lll_reduce` with each row a list, rebuilt at every
-    size-reduction step: the same swaps and the same d and lambda."""
-    b = [list(v) for v in lattice.rows]
-    d, lam, n = lattice.d, lattice.lam, len(lattice.rows)
+    size-reduction step: the same swaps on the same d and lambda."""
+    b = [list(v) for v in rows]
+    d, lam, n = *R._gram_schmidt(b), len(b)
 
     def redi(k, l):
         if 2 * abs(lam[k][l]) > d[l + 1]:
@@ -340,7 +340,7 @@ def lll_reduce_lists(lattice):
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
 
-    k = max(1, lattice.reduced)
+    k = 1
     while k < n:
         redi(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
@@ -350,8 +350,7 @@ def lll_reduce_lists(lattice):
             for l in range(k - 2, -1, -1):
                 redi(k, l)
             k += 1
-    lattice.rows, lattice.reduced = [tuple(v) for v in b], n
-    return lattice.rows
+    return [tuple(v) for v in b]
 
 
 # ---------------------------------------------------------------------------

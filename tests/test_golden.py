@@ -20,7 +20,7 @@ from mtomega import cli
 GOLDEN = (
     ("relations conjecture --weights 4 --n-max 12", "97279a024d0df2891faee928be49028d0cd8c1d55357c418c6a67a886f345eed"),
     ("relations cyclotomic --weights 5 --n-max 12", "bc6b3cf7f9e1500659daf7804e466426d44cc858957c509c764a59e740e031d6"),
-    ("relations finite --weights 8", "046129d968bf00d30e29863ac511b36b9525451a67bb181a9ed2b2fb2c43d5a3"),
+    ("relations finite --weights 8", "261e83374a3de895c7018635abe01ee2f7efc5a6c1d18bf0e3fe6d76406d3a3e"),
     ("relations symmetric --weights 6", "f851b8887a4f55226897acc7b787075d16957c776052e127cdfa1c062bbfa8fe"),
     ("verify sym-sum --max-weight 6 --n-max 8 --format json", "d8044ebbb203bb003c82ce3422d9637d069d00224780dca071fd932e156fd510"),
     ("verify q-kamano --max-weight 4 --n-max 8 --format json", "539a3d683e12bc301d318f49f54057cdb46a4814b416a3afa828641663fc3811"),
@@ -36,14 +36,14 @@ GOLDEN = (
     ("relations conjecture --weights 5 --n-max 12", "f491775bb57f406f20596607bf55862373f394c2577ebb27b46d2a31586d569b"),
     ("relations symmetric --weights 2..3", "3e9de1ebec09ad72815c89eef5d297d977b765a1903a91e156828bf4ab4c7af2"),
     ("relations cyclotomic --weights 2..3 --n-max 20", "8e435db6692cee83bcc2b0bc1499aa184572414998048eb66c6d8255ba406e3d"),
-    ("relations finite --weights 10", "c1e4b41badea3c0503ed65bb23002dcc0ef1dd07d21a3bb76a6f406b93539ea8"),
+    ("relations finite --weights 10", "52e5a5fa55b71c3bc7551b419af7ccb63c59e94368f4d13b4249e1c526f55ae1"),
     ("verify q-kamano --max-weight 5 --n-max 6 --format json", "7771afec36c4091d89d24eebd55529dc8c8dff7e4d2ec687c397ef418ccf6045"),
     ("verify fmzv-reduction --max-weight 3 --format json", "f9f34214f83c610fbce766af65916cd7b5e73186b6d696743bc1a9947040018c"),
-    ("relations finite --weights 11..12 --force", "6ab98b34b137e6941bf590ec61e3a2b243e80f40a3c64c258527b4a7afd244d0"),
+    ("relations finite --weights 11..12 --force", "afcb91aa0afb7265bc1b65549f5e4e616c52c8e1654304fb81e2ba92b45b6c56"),
     ("values omega-limit 3.1.1 --digits 300", "3dba74f6332d88da068436a6964978205dc8282e85cad4a9d5e4ecc57501eb31"),
     ("values zeta-s 4.2.1 --digits 200", "e22ae60906a3596d60e28c473679b418ec1c10469d6e3e6d2bfb3c1834058e87"),
     ("relations cyclotomic --weights 7 --n-max 40", "0ddbe902e3af9b79a479a9f902b37c6ebdb8cc78bb54b317576be078c14c50bc"),
-    ("relations finite --weights 13..14 --force", "fb73ff12993f9ebda632a4a9bab240977729f69041375cdcc39cd53810d7ca38"),
+    ("relations finite --weights 13..14 --force", "b36100f7d464917c823d84c496f7523c4bea5d4bfc6bf0626642f1c98a05dd31"),
     ("verify all", "12b93a8764d6590d7ddad60ef49ebd94beeeb5cd18676755a417e35ca3877649"),
     ("dims symmetric --weights 3..8 --force", "55903c8b589beeab5fce492dc269fac89a722ecdcf263d1eee4292672f136c8b"),
     ("relations cyclotomic --weights 8 --n-max 40", "90e351de8db27e8fcd29861dbe44c29e172a664efe9a2a4e3b9922700888526a"),

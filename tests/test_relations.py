@@ -1,5 +1,6 @@
 """Tests for lattice reduction, integer relations, and the three relation miners."""
 
+import hashlib
 import itertools
 import math
 import operator
@@ -133,15 +134,11 @@ def lattice_vectors_up_to(basis, bound):
     return out
 
 
-def lll_cold(basis):
-    return R.lll_reduce(R.GramSchmidt.of(basis))
-
-
 def test_lll_examples():
-    assert lll_cold([(1, 0), (0, 1)]) == [(1, 0), (0, 1)]
+    assert R.lll_reduce([(1, 0), (0, 1)]) == [(1, 0), (0, 1)]
 
     src = [(1, 1, 1), (-1, 0, 2), (3, 5, 6)]
-    red = lll_cold(src)
+    red = R.lll_reduce(src)
     assert hnf(red) == hnf(src)
     assert max(abs(x) for v in red for x in v) <= 2
     gram_schmidt_check(red)
@@ -151,7 +148,7 @@ def test_lll_examples():
         assert v in members
 
     src2 = [(2, 0), (1, 1)]
-    red2 = lll_cold(src2)
+    red2 = R.lll_reduce(src2)
     assert hnf(red2) == hnf(src2)
     assert all(sum(x * x for x in v) <= 2 for v in red2)
     gram_schmidt_check(red2)
@@ -159,9 +156,9 @@ def test_lll_examples():
 
 def test_lll_dependent_input():
     with pytest.raises(DependentInputError):
-        R.GramSchmidt.of([(1, 2), (2, 4)])
+        R.lll_reduce([(1, 2), (2, 4)])
     with pytest.raises(DependentInputError):
-        R.GramSchmidt.of([(1, 1, 0), (0, 1, 1), (1, 2, 1)])
+        R.lll_reduce([(1, 1, 0), (0, 1, 1), (1, 2, 1)])
 
 
 def test_lll_random_lattices():
@@ -175,7 +172,7 @@ def test_lll_random_lattices():
                 [rng.randint(-9, 9) for _ in range(n)] for _ in range(n)
             ]
             try:
-                red = lll_cold(basis)
+                red = R.lll_reduce(basis)
                 break
             except DependentInputError:
                 continue
@@ -200,112 +197,29 @@ def integral_gram_schmidt(rows):
     return d, lam
 
 
-def assert_state_describes(gs, rows):
-    d, lam = integral_gram_schmidt(rows)
-    assert gs.rows == rows
-    assert gs.d == d
-    assert {(i, j): gs.lam[i][j] for i in range(len(rows)) for j in range(i)} == lam
-
-
-def miner_step(rows, j, f, p):
-    """The finite miner's cut, spelled out: rows i > j lose f_i times row j,
-    and p times row j goes last."""
-    later = [tuple(a - f[i] * b for a, b in zip(rows[i], rows[j])) for i in range(j + 1, len(rows))]
-    return list(rows[:j]) + later + [tuple(p * x for x in rows[j])]
-
-
-def test_lll_resumed_matches_cold():
-    """Replay the finite miner's update on lattices with planted relations:
-    after each cut the state describes the cut rows exactly, and the resumed
-    reduction equals one from scratch at every prime."""
-    rng = random.Random(6)
-    primes = [5, 7, 11, 13, 17, 19, 23]
-    for n in range(4, 11):
-        for _trial in range(3):
-            # a few short relations that vanish at every prime, so the
-            # leading rows settle as they do in the miner
-            m = rng.randint(1, n - 2)
-            planted = [
-                [int(i == t) for i in range(m)] + [rng.randint(-2, 2) for _ in range(n - m)]
-                for t in range(m)
-            ]
-            gs = R.GramSchmidt.identity(n)
-            for p in rng.sample(primes, 4):
-                free = [rng.randrange(p) for _ in range(n - m)]
-                c = [-sum(a * x for a, x in zip(r[m:], free)) % p for r in planted] + free
-                v = [sum(a * x for a, x in zip(row, c)) % p for row in gs.rows]
-                if not any(v):
-                    continue
-                j = next(i for i, x in enumerate(v) if x)
-                inv = pow(v[j], p - 2, p)
-                f = [x * inv % p for x in v]
-                expected = miner_step(gs.rows, j, f, p)
-                gs.cut(j, f, p)
-                assert gs.rows == expected
-                assert_state_describes(gs, gs.rows)
-                cold = lll_cold(gs.rows)
-                assert R.lll_reduce(gs) == cold
-                assert_state_describes(gs, cold)
-
-
-def test_gram_schmidt_cut_at_every_pivot():
-    """Cuts at j = 0 .. n - 1, each from a reduced state and with zero and
-    nonzero multipliers, give the exact Gram-Schmidt data of the cut rows."""
-    rng = random.Random(9)
-    n = 6
-    basis = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(n)]
-    for j in range(n):
-        for p in (2, 13):
-            gs = R.GramSchmidt.of(basis)
-            red = R.lll_reduce(gs)
-            f = [rng.choice((0, rng.randrange(p))) for _ in range(n)]
-            gs.cut(j, f, p)
-            assert gs.rows == miner_step(red, j, f, p)
-            assert gs.reduced == j
-            assert_state_describes(gs, gs.rows)
-            cold = lll_cold(gs.rows)
-            assert R.lll_reduce(gs) == cold
-            assert_state_describes(gs, cold)
-
-
-def test_gram_schmidt_of_then_reduce():
-    """`of` gives the exact data of its rows with none reduced,
-    `lll_reduce` marks them all reduced, and reducing again changes
-    nothing."""
+def test_lll_reaches_a_fixed_point():
+    """The Gram-Schmidt data of the rows is exact, reducing the reduced rows
+    changes nothing, and the argument is left as it is."""
     rng = random.Random(7)
-    basis = [tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(5)]
-    gs = R.GramSchmidt.of(basis)
-    assert_state_describes(gs, basis)
-    assert gs.reduced == 0
-    red = R.lll_reduce(gs)
-    assert gs.reduced == 5
-    assert_state_describes(gs, red)
+    basis = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
+    copy = [list(v) for v in basis]
+    d, lam = R._gram_schmidt(basis)
+    assert (d, {(i, j): lam[i][j] for i in range(5) for j in range(i)}) == integral_gram_schmidt(basis)
+    red = R.lll_reduce(basis)
+    assert basis == copy
     assert hnf(red) == hnf(basis)
-    state = (list(red), [*gs.d], [list(r) for r in gs.lam])
-    assert R.lll_reduce(gs) == state[0]
-    assert (gs.rows, gs.d, gs.lam) == state
+    gram_schmidt_check(red)
+    again = list(red)
+    assert R.lll_reduce(red) == red == again
 
 
-def test_lll_trusts_the_reduced_prefix():
-    """The reduction starts at `reduced`: rows counted as reduced are left
-    as they are, even when they are not."""
-    basis = [(1, 1, 1), (-1, 0, 2), (3, 5, 6)]
-    assert lll_cold(basis) != basis
-    gs = R.GramSchmidt.of(basis)
-    gs.reduced = 3
-    assert R.lll_reduce(gs) == basis
-    assert_state_describes(gs, basis)
-
-
-def assert_matches_list_reference(gs, lll_reduce):
-    """Reduce the state by lll_reduce and a copy of it by the list-row
-    reference: the same rows, d, lambda and reduced count."""
-    ref = R.GramSchmidt(list(gs.rows), list(gs.d), [list(r) for r in gs.lam], gs.reduced)
-    lll_reduce_lists(ref)
-    rows = lll_reduce(gs)
-    assert rows == gs.rows == ref.rows
-    assert all(type(v) is tuple for v in rows)
-    assert (gs.d, gs.lam, gs.reduced) == (ref.d, ref.lam, ref.reduced)
+def assert_matches_list_reference(rows, lll_reduce):
+    """Reduce the rows by lll_reduce and by the list-row reference, check
+    that both give the same tuples, and return them."""
+    reduced = lll_reduce(rows)
+    assert reduced == lll_reduce_lists(rows)
+    assert all(type(v) is tuple for v in reduced)
+    return reduced
 
 
 def test_unpack_reads_signed_fields_and_rejects_leftovers():
@@ -324,15 +238,14 @@ def test_lll_packed_rows_replay_the_finite_miner(monkeypatch):
     calls = []
     packed = R.lll_reduce
 
-    def checked(gs):
-        calls.append(len(gs.rows))
-        assert_matches_list_reference(gs, packed)
-        return gs.rows
+    def checked(basis):
+        calls.append(len(basis))
+        return assert_matches_list_reference(basis, packed)
 
     monkeypatch.setattr(R, "lll_reduce", checked)
     for weight in range(1, 11):
         R.finite_relation_space(weight)
-    assert max(calls) == 41  # weight 10 has 41 generators
+    assert max(calls) == 42  # weight 10 has 41 generators, and the modulus row
 
 
 def test_lll_packed_rows_on_integer_relation_lattices():
@@ -346,7 +259,7 @@ def test_lll_packed_rows_on_integer_relation_lattices():
             if planted and n > 1:
                 s[-1] = sum(rng.randint(-3, 3) * x for x in s[:-1])
             rows = [[int(i == j) for j in range(n)] + [x] for i, x in enumerate(s)]
-            assert_matches_list_reference(R.GramSchmidt.of(rows), R.lll_reduce)
+            assert_matches_list_reference(rows, R.lll_reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +348,31 @@ def test_finite_examples():
 
     basis0, rep0 = R.finite_relation_space(1)
     assert rep0.dimension == 0 and basis0.vectors == ()
+
+
+# The finite miner's relation span at weights 7..14 as the incremental miner
+# (one LLL cut per training prime) found it, before the single lattice
+# reduction replaced it: weight -> (generators, relations, SHA-256 of the
+# repr of its RREF rows as a list of int tuples).
+FINITE_SPANS = {
+    7: (14, 13, "f1715cbd4dae01d0fa34372e5185137533f3830219038c4c91a51f5497e21b30"),
+    8: (21, 19, "4b85567ddfee359773ffa6f0744254faeff435c34b825e3040359dfd1437091e"),
+    9: (29, 27, "42b589210f91bf32b64fe863fabe82ecf4d4c3c9cde808e49454e82c5de9abf0"),
+    10: (41, 38, "bea0f73faf3ef29f9309ec0c5c820054eb61c7952da8563d3c07ecf03dbe2ef5"),
+    11: (55, 51, "b23dd11fcec6d2bed58731a6a1ed6b0ad47dcf49b297f9d49ad6bbe2382d1657"),
+    12: (76, 71, "2e88d02059fa31ff7b81b042e9978233940de2c3a8c06526ba31ff65a8c7bef6"),
+    13: (100, 93, "0a2273e07e941badecf44847141df12b967aed3841e72a20b731e00213215aa5"),
+    14: (134, 125, "6f445a5ac0bfb83ec28830ecfb8c3b30858c4eb7f96639adbd3ab4e217fc14ec"),
+}
+
+
+@pytest.mark.parametrize("weight", sorted(FINITE_SPANS))
+def test_finite_span_pinned(weight):
+    d, count, digest = FINITE_SPANS[weight]
+    basis, rep = R.finite_relation_space(weight)
+    assert (rep.generator_count, rep.relation_count) == (d, count)
+    red, _ = R.rref(basis.vectors)
+    assert hashlib.sha256(repr([tuple(r) for r in red]).encode()).hexdigest() == digest
 
 
 def test_finite_relations_reverify_on_fresh_primes():
