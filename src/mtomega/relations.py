@@ -101,38 +101,39 @@ def primitive_integer(vector):
 # integer lattices: LLL
 
 
-def _gram_schmidt(rows):
-    """Integral Gram-Schmidt data of linearly independent rows: d_0..d_n and
-    the lambda table, d_(i+1) = prod_(t<=i) |b*_t|^2 and
-    lambda_(i,j) = d_(j+1) mu_(i,j) (Cohen, 1993, Alg. 2.6.7)."""
-    n = len(rows)
-    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(map(operator.mul, rows[i], rows[j]))
-            for k in range(j):
-                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d[i + 1] = u
-                if u == 0:
-                    raise DependentInputError("input vectors are dependent")
-    return d, lam
+def _field(p, i, width):
+    """Entry i of a packed row whose entries 0..i have |x| < 2^(width - 1)."""
+    if i:  # floor((p + 2^(w i - 1)) / 2^(w i)): fields i.. without a borrow
+        p = ((p >> (width * i - 1)) + 1) >> 1
+    return ((p + (1 << width - 1)) & ((1 << width) - 1)) - (1 << width - 1)
+
+
+def _gram_schmidt_row(b, d, lam, row, width):
+    """Extend d and lam, the integral Gram-Schmidt data (d_(i+1) = prod_(t<=i) |b*_t|^2,
+    lambda_(i,j) = d_(j+1) mu_(i,j)) of b[:len(lam)], by row, the tuple the next b packs."""
+    support = [(i, x) for i, x in enumerate(row) if x]
+    lk = []
+    for p, lj in zip(b, lam + [lk]):  # row . b_j, then the recurrence over t < j
+        u = sum(x * _field(p, i, width) for i, x in support)
+        for t, (x, y) in enumerate(zip(lk, lj)):
+            u = (d[t + 1] * u - x * y) // d[t]
+        lk.append(u)
+    if not lk[-1]:
+        raise DependentInputError("input vectors are dependent")
+    d.append(lk.pop())
+    lam.append(lk)
 
 
 def _swap(b, d, lam, k):
-    """Exchange rows k - 1 and k, updating d and lambda exactly (Cohen, A
-    Course in Computational Algebraic Number Theory, 1993, Alg. 2.6.7)."""
+    """Exchange rows k - 1 and k; update d and the lambda rows up to k_max = len(lam) - 1."""
     b[k], b[k - 1] = b[k - 1], b[k]
-    for j in range(k - 1):
-        lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
     lam_ = lam[k][k - 1]
+    lam[k - 1], lam[k] = lam[k][: k - 1], lam[k - 1] + [lam_]
     bb = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
-    for i in range(k + 1, len(b)):
-        t = lam[i][k]
-        lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
-        lam[i][k - 1] = (bb * t + lam_ * lam[i][k]) // d[k + 1]
+    for li in lam[k + 1 :]:
+        t = li[k]
+        li[k] = (d[k + 1] * li[k - 1] - lam_ * t) // d[k]
+        li[k - 1] = (bb * t + lam_ * li[k]) // d[k + 1]
     d[k] = bb
 
 
@@ -154,7 +155,10 @@ def lll_reduce(basis):
 
     Same lattice in, same lattice out; the Lovasz condition holds at
     delta = 3/4 (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982) on
-    return.
+    return.  The steps are Cohen's integral LLL with its k_max (A Course in
+    Computational Algebraic Number Theory, 1993, Alg. 2.6.7): row k's
+    Gram-Schmidt data is computed when k first passes k_max, from the input
+    row and the reduced rows 0..k-1, and a swap updates only rows to k_max.
 
     Each row is packed into one int, entry i in the signed field of bits
     [w i, w (i + 1)), so a size-reduction step is one integer operation,
@@ -165,27 +169,27 @@ def lll_reduce(basis):
     Size reduction keeps the B_i and a swap never raises their maximum,
     which starts at most at N, the largest input ||b||^2.  So every output
     row has ||b||^2 <= (n + 3) N / 4, and w is the bit length of isqrt of
-    that bound plus a sign bit.
+    that bound plus a sign bit.  Rows 0..k-1 are size-reduced when row k is
+    first reached, so they fit, and its dot products read their fields.
     """
     rows = [tuple(v) for v in basis]
     n = len(rows)
-    d, lam = _gram_schmidt(rows)
     big = max((sum(map(operator.mul, v, v)) for v in rows), default=0)
     width = math.isqrt((n + 3) * big // 4).bit_length() + 1
     b = [sum(x << width * i for i, x in enumerate(v)) for v in rows]
     inputs = dict(zip(b, rows))
-    k = 1
+    d, lam, k = [1], [], 0
     while k < n:
+        if k == len(lam):  # k passes k_max: b[k] is still the input row
+            _gram_schmidt_row(b, d, lam, rows[k], width)
         lk = lam[k]
         for l in range(k - 1, -1, -1):
             x, dl = lk[l], d[l + 1]
             if 2 * abs(x) > dl:
                 q = (2 * x + dl) // (2 * dl)
                 b[k] -= q * b[l]
+                lk[:l] = [a - q * c for a, c in zip(lk, lam[l])]
                 lk[l] = x - q * dl
-                ll = lam[l]
-                for i in range(l):
-                    lk[i] -= q * ll[i]
             # at l = k - 1: swap when the Lovasz condition (scaled by 4 d[k]^2) fails
             if l == k - 1 and 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk[l] ** 2:
                 _swap(b, d, lam, k)
@@ -428,11 +432,7 @@ def finite_relation_space(weight: int):
 
 def cyclo_generators(weight):
     """(m, index) labels with m >= 0, parts >= 1, r >= 2, m + wt = weight."""
-    out = []
-    for m in range(0, weight - 1):
-        for idx in words.partitions_of_weight(weight - m):
-            out.append((m, idx))
-    return tuple(out)
+    return tuple((m, i) for m in range(weight - 1) for i in words.partitions_of_weight(weight - m))
 
 
 def cyclotomic_relation_space(weight: int, n_range):

@@ -26,8 +26,9 @@ the power-sum quotients of `bern_div_mod`.
 rational q, for checking that the deformed shuffle multiplies them.
 `eword_weight` is the weight of an e-word, the hat letter counting 1.
 `lll_reduce_lists` is the exact LLL reduction with list rows, one new list
-per size-reduction step, the reference for the packed rows of
-`relations.lll_reduce`.  `omega_circle_num` sums the omega values on the
+per size-reduction step, the full Gram-Schmidt table up front and every swap
+updating all rows above it, the reference for the packed rows and the
+incremental Gram-Schmidt data of `relations.lll_reduce`.  `omega_circle_num` sums the omega values on the
 unit circle in mpc, with the closed form
 1/[m] = exp(-pi*i*(m-1)/n) * sin(pi/n)/sin(m*pi/n), which avoids cancellation
 for m close to n; the tests check it against the exact values embedded at
@@ -49,7 +50,7 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import sums
 from mtomega import words as W
-from mtomega.errors import LengthError, MTOmegaError, RangeError
+from mtomega.errors import DependentInputError, LengthError, MTOmegaError, RangeError
 from mtomega.words import HAT1, EWord, HbarSum, WordSum, _eword_key, _linear
 
 
@@ -327,10 +328,24 @@ def hnf(rows):
 
 
 def lll_reduce_lists(rows):
-    """`relations.lll_reduce` with each row a list, rebuilt at every
-    size-reduction step: the same swaps on the same d and lambda."""
+    """`relations.lll_reduce` the long way: each row a list, rebuilt at
+    every size-reduction step, the whole integral Gram-Schmidt table computed
+    before the first step from the input rows, and every swap updating lambda
+    for all the rows above it (Cohen, 1993, Alg. 2.6.7 without k_max)."""
     b = [list(v) for v in rows]
-    d, lam, n = *R._gram_schmidt(b), len(b)
+    n = len(b)
+    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise DependentInputError("input vectors are dependent")
+            else:
+                d[i + 1] = u
 
     def redi(k, l):
         if 2 * abs(lam[k][l]) > d[l + 1]:
@@ -340,11 +355,23 @@ def lll_reduce_lists(rows):
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
 
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lam_ = lam[k][k - 1]
+        bb = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
+            lam[i][k - 1] = (bb * t + lam_ * lam[i][k]) // d[k + 1]
+        d[k] = bb
+
     k = 1
     while k < n:
         redi(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
-            R._swap(b, d, lam, k)
+            swap(k)
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):

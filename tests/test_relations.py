@@ -159,6 +159,37 @@ def test_lll_dependent_input():
         R.lll_reduce([(1, 2), (2, 4)])
     with pytest.raises(DependentInputError):
         R.lll_reduce([(1, 1, 0), (0, 1, 1), (1, 2, 1)])
+    with pytest.raises(DependentInputError):
+        R.lll_reduce([(0, 0)])
+
+
+def test_lll_empty_and_one_row():
+    assert R.lll_reduce([]) == []
+    assert R.lll_reduce([[3, -4, 0]]) == [(3, -4, 0)]
+    assert R.lll_reduce([(0, 5)]) == [(0, 5)]
+
+
+def test_lll_dependent_row_found_when_first_reached(monkeypatch):
+    """Rows (e_i | c_i) and last a combination of them: LLL swaps the first
+    rows before it reaches the last one, and raises there."""
+    rng = random.Random(23)
+    n = 8
+    rows = [[int(i == j) for j in range(n)] + [rng.randrange(10**20, 10**21)] for i in range(n - 1)]
+    a = [rng.randint(-3, 3) for _ in range(n - 1)]
+    rows.append([sum(c * r[j] for c, r in zip(a, rows)) for j in range(n + 1)])
+    with pytest.raises(DependentInputError):
+        lll_reduce_lists(rows)
+    swaps, swap = [], R._swap
+
+    def counted(b, d, lam, k):
+        swaps.append(k)
+        swap(b, d, lam, k)
+
+    monkeypatch.setattr(R, "_swap", counted)
+    with pytest.raises(DependentInputError):
+        R.lll_reduce(rows)
+    assert len(swaps) > n
+    assert R.lll_reduce(rows[:-1]) == lll_reduce_lists(rows[:-1])
 
 
 def test_lll_random_lattices():
@@ -203,7 +234,10 @@ def test_lll_reaches_a_fixed_point():
     rng = random.Random(7)
     basis = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
     copy = [list(v) for v in basis]
-    d, lam = R._gram_schmidt(basis)
+    packed = [sum(x << 8 * i for i, x in enumerate(v)) for v in basis]
+    d, lam = [1], []
+    for row in basis:
+        R._gram_schmidt_row(packed, d, lam, tuple(row), 8)
     assert (d, {(i, j): lam[i][j] for i in range(5) for j in range(i)}) == integral_gram_schmidt(basis)
     red = R.lll_reduce(basis)
     assert basis == copy
@@ -226,6 +260,7 @@ def test_unpack_reads_signed_fields_and_rejects_leftovers():
     row = (3, -5, 127, -128)
     packed = sum(x << 8 * i for i, x in enumerate(row))
     assert R._unpack(packed, 8, 4) == row
+    assert tuple(R._field(packed, i, 8) for i in range(4)) == row
     with pytest.raises(ArithmeticError):
         R._unpack(packed, 8, 3)
     with pytest.raises(ArithmeticError):
@@ -233,8 +268,8 @@ def test_unpack_reads_signed_fields_and_rejects_leftovers():
 
 
 def test_lll_packed_rows_replay_the_finite_miner(monkeypatch):
-    """Every reduction of the finite miner up to weight 10, packed rows
-    against list rows."""
+    """Every reduction of the finite miner up to weight 12, the benchmark's
+    largest lattice, against the list-row reference."""
     calls = []
     packed = R.lll_reduce
 
@@ -243,9 +278,9 @@ def test_lll_packed_rows_replay_the_finite_miner(monkeypatch):
         return assert_matches_list_reference(basis, packed)
 
     monkeypatch.setattr(R, "lll_reduce", checked)
-    for weight in range(1, 11):
+    for weight in range(1, 13):
         R.finite_relation_space(weight)
-    assert max(calls) == 42  # weight 10 has 41 generators, and the modulus row
+    assert max(calls) == 77  # weight 12 has 76 generators, and the modulus row
 
 
 def test_lll_packed_rows_on_integer_relation_lattices():
