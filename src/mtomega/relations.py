@@ -110,13 +110,13 @@ def _field(p, i, width):
 
 def _gram_schmidt_row(b, d, lam, row, width):
     """Extend d and lam, the integral Gram-Schmidt data (d_(i+1) = prod_(t<=i) |b*_t|^2,
-    lambda_(i,j) = d_(j+1) mu_(i,j)) of b[:len(lam)], by row, the tuple the next b packs."""
+    lambda_(i,j) = d_(j+1) mu_(i,j)) of b[:len(lam)], by the row b[len(lam)] packs, a tuple."""
     support = [(i, x) for i, x in enumerate(row) if x]
     lk = []
     for p, lj in zip(b, lam + [lk]):  # row . b_j, then the recurrence over t < j
         u = sum(x * _field(p, i, width) for i, x in support)
-        for t, (x, y) in enumerate(zip(lk, lj)):
-            u = (d[t + 1] * u - x * y) // d[t]
+        for t, (a, c) in enumerate(zip(lk, lj)):
+            u = (d[t + 1] * u - a * c) // d[t]
         lk.append(u)
     if not lk[-1]:
         raise DependentInputError("input vectors are dependent")
