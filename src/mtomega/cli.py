@@ -23,9 +23,6 @@ from .errors import ConfigError, MTOmegaError
 #: Largest weight each side mines without --force; conjecture mines all three
 #: sides, so it takes the smallest limit.
 GUARDRAILS = {"finite": 10, "cyclotomic": 8, "symmetric": 7, "conjecture": 7}
-#: Largest accepted --digits: far above every table's need, far below what
-#: exhausts memory.
-MAX_DIGITS = 10_000
 FORMATS = ("text", "json")
 
 
@@ -274,7 +271,7 @@ def cmd_verify(args) -> int:
 MINERS = {
     "finite": lambda w, args: relations.finite_relation_space(w),
     "cyclotomic": lambda w, args: relations.cyclotomic_relation_space(w, range(2, args.n_max + 1)),
-    "symmetric": lambda w, args: relations.symmetric_relation_space(w, digits=args.digits),
+    "symmetric": lambda w, args: relations.symmetric_relation_space(w),
 }
 
 
@@ -319,7 +316,7 @@ def cmd_dims(args) -> int:
 def cmd_relations(args) -> int:
     for w in _guarded_weights(args):
         if args.side == "conjecture":
-            out = relations.conjecture_report(w, range(2, args.n_max + 1), args.digits)
+            out = relations.conjecture_report(w, range(2, args.n_max + 1))
         else:
             out = relations.basis_report_json(*MINERS[args.side](w, args))
         _emit(json.dumps(out, sort_keys=True))
@@ -362,9 +359,9 @@ FLAGS = {
     "--max-weight": {"type": _bounded("max_weight", 2)},
     "--primes": {"type": _parse_ints, "help": "comma-separated primes"},
     "--n": {"type": _parse_ints, "help": "comma-separated n values"},
-    "--prime-max": {"type": _bounded("prime_max", 3)},
+    "--prime-max": {"type": _bounded("prime_max", 3, modular.MAX_PRIME)},
     "--n-max": {"type": _bounded("n_max", 2), "default": 20},
-    "--digits": {"type": _bounded("digits", 30, MAX_DIGITS), "default": 60},
+    "--digits": {"type": _bounded("digits", 30, relations.MAX_DIGITS), "default": 60},
     "--format": {"dest": "output_format", "choices": FORMATS, "default": "text"},
     "--force": {"action": "store_true"},
     "--config": {"help": "key = value config file; flags on the command line win"},
@@ -387,12 +384,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimension tables")
     p.add_argument("side", choices=["finite", "cyclotomic", "symmetric"])
-    _add_flags(p, "--weights", "--n-max", "--digits", "--format", "--force", "--config")
+    _add_flags(p, "--weights", "--n-max", "--format", "--force", "--config")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("relations", help="relation mining reports (JSON)")
     p.add_argument("side", choices=["finite", "cyclotomic", "symmetric", "conjecture"])
-    _add_flags(p, "--weights", "--n-max", "--digits", "--force", "--config")
+    _add_flags(p, "--weights", "--n-max", "--force", "--config")
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("values", help="stream individual values as JSON")

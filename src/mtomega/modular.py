@@ -1,7 +1,7 @@
 """Finite-side arithmetic: harmonic and omega sums mod p, Bernoulli quotients.
 
-Residues are plain ints in [0, p); the prime is always explicit in the call,
-and every entry point rejects a modulus that is not prime with RangeError.
+Residues are plain ints in [0, p), for a prime p below MAX_PRIME given in
+every call; any other modulus raises RangeError.
 numpy is imported where the cached int64 arrays are built, so commands that
 never build them never load it.
 """
@@ -59,10 +59,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+#: The int64 sums of `_series_mod`'s convolution and `omega_mod`'s dot add up
+#: to p products below p^2, and p (p - 1)^2 < 2^63 needs p < 2^21.
+MAX_PRIME = 2**21
+
+
 @functools.lru_cache(maxsize=256)
 def _check_prime(p: int) -> None:
-    """Raise RangeError unless p is prime; cached, since the hot callers
-    revisit the same few primes many times."""
+    """Raise RangeError unless p is a prime below MAX_PRIME; cached, since
+    the hot callers revisit the same few primes many times."""
+    if p >= MAX_PRIME:
+        raise RangeError(f"modulus must be below 2^21, got {p}")
     if not is_prime(p):
         raise RangeError(f"modulus must be prime, got {p}")
 

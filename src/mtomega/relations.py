@@ -587,7 +587,14 @@ def _hoffman_indices(weight):
     return [(k,) + rest for k in (2, 3) if k <= weight for rest in _hoffman_indices(weight - k)]
 
 
-def symmetric_relation_space(weight: int, digits: int):
+#: The symmetric miner's digits start at SYMMETRIC_DIGITS and double up to
+#: MAX_DIGITS, also the bound of `values --digits`: far above every table's
+#: need, far below what exhausts memory.
+SYMMETRIC_DIGITS = 60
+MAX_DIGITS = 10_000
+
+
+def symmetric_relation_space(weight: int):
     """Mine relations among limit Omega values modulo zeta(2) multiples.
 
     The value vector is the Omega values of one weight followed by
@@ -595,29 +602,33 @@ def symmetric_relation_space(weight: int, digits: int):
     reduction finds its integer relations (`integer_relations`); a relation
     touching the augmented block means "zero modulo zeta(2) times a zeta
     value".  The reported dimension counts only the Omega block of the
-    quotient.
+    quotient.  The digits double from SYMMETRIC_DIGITS while there is no
+    lattice gap (`integer_relations`); at MAX_DIGITS its error is raised.
     """
     import mpmath as mp
 
     from . import numeric
 
-    if digits < 50:
-        raise PrecisionError("symmetric mining needs digits >= 50")
     gens = words.partitions_of_weight(weight)
     d = len(gens)
     if d == 0:
         return _mined("symmetric", weight, (), ())
-    values = [numeric.omega_limit_num(g, digits) for g in gens]
-    with mp.workdps(digits + numeric.GUARD_DIGITS):
-        z2 = numeric.mzv_num(words.y_word((2,)), digits).value
-        for k in _hoffman_indices(weight - 2):
-            values.append(
-                numeric.BigReal(+(z2 * numeric.mzv_num(words.y_word(k), digits).value), digits)
-            )
-    try:
-        found = integer_relations(values, digits)
-    except PrecisionError as exc:
-        raise PrecisionError(f"weight {weight}: {exc}") from None
+    digits = SYMMETRIC_DIGITS
+    while True:
+        values = [numeric.omega_limit_num(g, digits) for g in gens]
+        with mp.workdps(digits + numeric.GUARD_DIGITS):
+            z2 = numeric.mzv_num(words.y_word((2,)), digits).value
+            for k in _hoffman_indices(weight - 2):
+                values.append(
+                    numeric.BigReal(+(z2 * numeric.mzv_num(words.y_word(k), digits).value), digits)
+                )
+        try:
+            found = integer_relations(values, digits)
+            break
+        except PrecisionError as exc:
+            if digits >= MAX_DIGITS:
+                raise PrecisionError(f"weight {weight}: {exc}") from None
+            digits = min(2 * digits, MAX_DIGITS)
     # dimension counts the Omega block of the quotient
     omega_parts = [list(v[:d]) for v in found]
     dim = d - len(rref([r for r in omega_parts if any(r)])[0])
@@ -677,7 +688,7 @@ def product_identity_checks(n_range):
     return out
 
 
-def conjecture_report(weight: int, n_range, digits: int) -> dict:
+def conjecture_report(weight: int, n_range) -> dict:
     """Compare the finite, symmetric, and cyclotomic kernels at one weight.
 
     The m = 0 projection of every cyclotomic relation must be a finite
@@ -686,7 +697,7 @@ def conjecture_report(weight: int, n_range, digits: int) -> dict:
     they imply were found by the finite miner.  The report is JSON data.
     """
     fin = finite_relation_space(weight)
-    sym = symmetric_relation_space(weight, digits)
+    sym = symmetric_relation_space(weight)
     cyc = cyclotomic_relation_space(weight, n_range)
     fin_vecs = [list(v) for v in fin[0].vectors]
     gens = fin[0].generators

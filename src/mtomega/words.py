@@ -653,32 +653,14 @@ class TPoly:
 
 
 def y_series(nvars: int, maxdeg: int, form: Sequence[int]) -> TPoly:
-    """y evaluated at the linear form sum_i form[i]*t_i, truncated."""
-    terms = {}
+    """y evaluated at the linear form L = sum_i form[i]*t_i, truncated:
+    the sum over d of L^d x0^d x1."""
+    zero = (0,) * nvars
+    lin = TPoly(maxdeg, {(zero[:i] + (1,) + zero[i + 1 :], ()): c for i, c in enumerate(form) if c})
+    power, out = TPoly.unit(nvars, maxdeg), TPoly(maxdeg)
     for d in range(maxdeg + 1):
-        for exps in _compositions_with_zeros(d, nvars):
-            c = _multinomial(d, exps)
-            for i, ei in enumerate(exps):
-                c *= form[i] ** ei
-            if c:
-                terms[(exps, word_of_index((d + 1,)))] = c
-    return TPoly(maxdeg, terms)
-
-
-def _compositions_with_zeros(total, n):
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions_with_zeros(total - first, n - 1):
-            yield (first,) + rest
-
-
-def _multinomial(total, exps):
-    out = math.factorial(total)
-    for ei in exps:
-        out //= math.factorial(ei)
+        out = out + power.concat(TPoly(maxdeg, {(zero, word_of_index((d + 1,))): 1}))
+        power = power.concat(lin)
     return out
 
 

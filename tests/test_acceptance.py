@@ -315,7 +315,7 @@ def test_criterion_11_products_and_conjecture():
     products_ok = all(rec["ok"] for rec in checks)
     agree = {}
     for w in range(3, 7):
-        rep = R.conjecture_report(w, range(2, 21), 60)
+        rep = R.conjecture_report(w, range(2, 21))
         agree[w] = rep["kernels_agree"] and all(rep["m0_projection_in_finite_kernel"])
     ok = products_ok and all(agree.values())
     _report(

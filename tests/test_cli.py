@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from mtomega import cli
+from mtomega import cli, relations
 from mtomega import cyclo as C
+from mtomega import modular as M
 from mtomega.errors import ConfigError
 
 
@@ -133,6 +134,9 @@ def test_huge_digits_exits_1(tmp_path):
         ("relations", "finite", "--weights", "3", "--prime-max", "50"),
         ("relations", "finite", "--weights", "3", "--height-bound", "8"),
         ("relations", "finite", "--weights", "3", "--format", "json"),
+        # the symmetric miner picks its own digits
+        ("dims", "symmetric", "--weights", "3", "--digits", "60"),
+        ("relations", "symmetric", "--weights", "3", "--digits", "60"),
         ("values", "omega-mod", "2.1", "--height-bound", "8"),
         ("values", "omega-mod", "2.1", "--format", "json"),
         ("values", "omega-mod", "2.1", "--force"),
@@ -154,7 +158,7 @@ def test_bad_flag_exits_1():
 
 def test_config_file_unknown_key_exits_1(tmp_path):
     cfg = tmp_path / "run.cfg"
-    for key, val in (("prime_min", 7), ("height_bound", 1)):
+    for key, val in (("prime_min", 7), ("height_bound", 1), ("digits", 60)):
         cfg.write_text(f"{key} = {val}\n")
         code, out, err = run_cli("dims", "finite", "--weights", "3", "--config", str(cfg))
         assert code == 1 and out == ""
@@ -275,8 +279,10 @@ def test_dims_guardrail():
         )
 
 
-def test_dims_symmetric_precision_refusal_exits_1():
-    # at 60 digits every weight-10 row passes the height and residual tests
+def test_dims_symmetric_precision_refusal_exits_1(monkeypatch):
+    # at 60 digits every weight-10 row passes the height and residual tests,
+    # and with the cap at 60 the miner cannot retry at 120
+    monkeypatch.setattr(relations, "MAX_DIGITS", 60)
     code, out, err = run_cli("dims", "symmetric", "--weights", "10", "--force")
     assert code == 1
     assert out == ""
@@ -335,6 +341,28 @@ def test_config_file(tmp_path):
     )
     assert code == 0
     assert json.loads(out)["certified_digits"] == 42
+
+
+# (flags of `values omega-mod 2.1`, the one error line); 2097169 is the
+# first prime above 2^21
+PRIMES_PAST_THE_BOUND = (
+    ("--primes 1000000007", "error: modulus must be below 2^21, got 1000000007"),
+    ("--primes 2097169", "error: modulus must be below 2^21, got 2097169"),
+    ("--prime-max 1000000000", "config error: prime_max must be in 3..2097152"),
+)
+
+
+@pytest.mark.parametrize(
+    "flags,error", PRIMES_PAST_THE_BOUND, ids=[f for f, _ in PRIMES_PAST_THE_BOUND]
+)
+def test_primes_past_the_int64_bound_exit_1(flags, error, monkeypatch):
+    # refused before a sieve or a table of p entries is built
+    def no_table(*args):
+        raise AssertionError(f"table built for {args}")
+
+    for name in ("primes_upto", "_inverses", "_power_array"):
+        monkeypatch.setattr(M, name, no_table)
+    assert run_cli("values", "omega-mod", "2.1", *flags.split()) == (1, "", error + "\n")
 
 
 def test_config_validation():

@@ -1,7 +1,9 @@
 """Byte-identity gate: fixed CLI commands must keep their exact stdout.
 
 Each command runs in-process through `cli.main`; the SHA-256 digest of its
-stdout must match the digest recorded before the refactor that added it.  A
+stdout must match the digest recorded before the refactor that added it.
+The finite miner runs through the session's `finite_space` cache, so a
+finite weight another test mined is not mined again.  A
 mismatch means some value, ordering or formatting changed.  Regenerate a
 digest only for an intended change of output, and say so in the changelog.
 
@@ -15,7 +17,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from mtomega import cli
+from mtomega import cli, relations
 
 GOLDEN = (
     ("relations conjecture --weights 4 --n-max 12", "97279a024d0df2891faee928be49028d0cd8c1d55357c418c6a67a886f345eed"),
@@ -59,7 +61,8 @@ def stdout_digest(command):
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
-def test_cli_output_digest(command, digest):
+def test_cli_output_digest(command, digest, finite_space, monkeypatch):
+    monkeypatch.setattr(relations, "finite_relation_space", finite_space)
     assert stdout_digest(command) == (0, digest)
 
 

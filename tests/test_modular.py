@@ -72,6 +72,19 @@ def test_is_prime_refuses_past_its_bases():
         M.omega_mod((2, 1), M.MILLER_RABIN_LIMIT)
 
 
+def test_primes_stay_below_the_int64_bound():
+    # p products below p^2 add up below 2^63 exactly while p < 2^21
+    below, above = 2097143, 2097169  # the primes next to 2^21
+    assert below * (below - 1) ** 2 < 2**63 < above * (above - 1) ** 2
+    assert M.MAX_PRIME == 2**21
+    M._check_prime(below)
+    for p in (above, 10**9 + 7):
+        with pytest.raises(RangeError, match=r"below 2\^21"):
+            M._check_prime(p)
+        with pytest.raises(RangeError):
+            M.omega_mod((2, 1), p)
+
+
 def test_hsum_examples():
     assert M.hsum_mod((1,), 5) == 0
     assert M.hsum_mod((2, 1), 5) == 1

@@ -402,9 +402,9 @@ FINITE_SPANS = {
 
 
 @pytest.mark.parametrize("weight", sorted(FINITE_SPANS))
-def test_finite_span_pinned(weight):
+def test_finite_span_pinned(weight, finite_space):
     d, count, digest = FINITE_SPANS[weight]
-    basis, rep = R.finite_relation_space(weight)
+    basis, rep = finite_space(weight)
     assert (rep.generator_count, rep.relation_count) == (d, count)
     red, _ = R.rref(basis.vectors)
     assert hashlib.sha256(repr([tuple(r) for r in red]).encode()).hexdigest() == digest
@@ -608,20 +608,15 @@ def test_m0_projection_is_finite_relation():
 
 
 def test_symmetric_weight3():
-    basis, rep = R.symmetric_relation_space(3, digits=60)
+    basis, rep = R.symmetric_relation_space(3)
     assert rep.dimension == 1
     assert (1, 0) in basis.vectors  # Omega(2,1) = 0
 
 
 def test_symmetric_weight2_proven():
-    basis, rep = R.symmetric_relation_space(2, digits=60)
+    basis, rep = R.symmetric_relation_space(2)
     assert rep.dimension == 0
     assert basis.statuses == ("proven",)  # Omega(1,1) = -2 zeta(2)
-
-
-def test_symmetric_needs_digits():
-    with pytest.raises(PrecisionError):
-        R.symmetric_relation_space(3, digits=40)
 
 
 def zagier_d(k_max):
@@ -632,11 +627,21 @@ def zagier_d(k_max):
     return d
 
 
-@pytest.mark.parametrize("weight,digits", [(9, 60), (10, 110)])
-def test_symmetric_dimension_matches_zagier(weight, digits):
+@pytest.mark.parametrize("weight", [9, 10])
+def test_symmetric_dimension_matches_zagier(weight, monkeypatch):
+    # weight 9 passes at 60 digits; weight 10 has no lattice gap there and
+    # gets its dimension from the retry at 120
+    tried, relations_at = [], R.integer_relations
+
+    def spy(xs, digits):
+        tried.append(digits)
+        return relations_at(xs, digits)
+
+    monkeypatch.setattr(R, "integer_relations", spy)
     d = zagier_d(weight)
-    _basis, rep = R.symmetric_relation_space(weight, digits=digits)
+    _basis, rep = R.symmetric_relation_space(weight)
     assert rep.dimension == d[weight] - d[weight - 2]
+    assert tried == {9: [60], 10: [60, 120]}[weight]
 
 
 # Relation span of the Omega block at weights 3..8 as the PSLQ miner found it
@@ -668,7 +673,7 @@ PSLQ_OMEGA_SPANS = {
 @pytest.mark.parametrize("weight", sorted(PSLQ_OMEGA_SPANS))
 def test_symmetric_omega_span_pinned(weight):
     d, rows = PSLQ_OMEGA_SPANS[weight]
-    basis, rep = R.symmetric_relation_space(weight, digits=60)
+    basis, rep = R.symmetric_relation_space(weight)
     assert rep.generator_count == d
     red, _ = R.rref([list(v[:d]) for v in basis.vectors if any(v[:d])])
     want = [tuple(row.get(i, 0) for i in range(d)) for row in rows]
@@ -687,7 +692,7 @@ def test_product_identity_checks_small_range():
 
 
 def test_conjecture_report_weight3():
-    rep = R.conjecture_report(3, range(2, 13), 60)
+    rep = R.conjecture_report(3, range(2, 13))
     assert rep["kernels_agree"]
     assert all(rep["m0_projection_in_finite_kernel"])
     assert rep["weight"] == 3
@@ -696,7 +701,7 @@ def test_conjecture_report_weight3():
 
 
 def test_conjecture_report_weight4_implied():
-    rep = R.conjecture_report(4, range(2, 13), 60)
+    rep = R.conjecture_report(4, range(2, 13))
     assert rep["kernels_agree"]
     assert rep["implied_relations"]
     assert all(rec["in_finite_kernel"] for rec in rep["implied_relations"])
