@@ -1,9 +1,11 @@
 """Finite-side arithmetic: harmonic and omega sums mod p, Bernoulli quotients.
 
 Residues are plain ints in [0, p), for a prime p below MAX_PRIME given in
-every call; any other modulus raises RangeError.
-numpy is imported where the cached int64 arrays are built, so commands that
-never build them never load it.
+every call; any other modulus raises RangeError.  The omega values are
+series products of float64 arrays, exact because `_mod_product` sums the
+nonnegative integer products directly and keeps every partial sum below 2^53.
+numpy is imported where the cached arrays are built, so commands that never
+build them never load it.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-#: The int64 sums of `_series_mod`'s convolution and `omega_mod`'s dot add up
-#: to p products below p^2, and p (p - 1)^2 < 2^63 needs p < 2^21.
+#: `_mod_product` splits a factor into limbs of 53 - 2 bitlen(p) bits, two of
+#: them at most while p < 2^21.
 MAX_PRIME = 2**21
 
 
@@ -74,15 +76,14 @@ def _check_prime(p: int) -> None:
         raise RangeError(f"modulus must be prime, got {p}")
 
 
-@functools.lru_cache(maxsize=256)
-def _inverses(p: int) -> tuple:
+def _inverses(p: int) -> list:
     """Inverse table mod p: inv[m] for 1 <= m < p (inv[0] unused)."""
     inv = [0] * p
     if p > 1:
         inv[1] = 1
     for m in range(2, p):
         inv[m] = (-(p // m) * inv[p % m]) % p
-    return tuple(inv)
+    return inv
 
 
 def hsum_mod(index, p: int) -> Residue:
@@ -98,15 +99,27 @@ def hsum_mod(index, p: int) -> Residue:
     return sum(sums.chain_levels(index, p, lambda m, k: pow(inv[m], k, p), 0)) % p
 
 
+def _mod_product(f, a, b, p: int):
+    """f(a, b) mod p, f summing at most p products (a dot, a convolution) of
+    float64 residues: in one product while p (p - 1)^2 < 2^53, else with b cut
+    into limbs below 2^L, L = 53 - 2 bitlen(p), so that sums stay below 2^53."""
+    if p * (p - 1) ** 2 < 2**53:
+        return f(a, b) % p
+    shift = float(1 << (53 - 2 * p.bit_length()))
+    high, low = b // shift, b % shift
+    return (f(a, high) % p * shift + f(a, low) % p) % p
+
+
 @functools.lru_cache(maxsize=1024)
 def _power_array(p: int, k: int) -> np.ndarray:
-    """m^(-k) mod p at position m, for 0 <= m < p (position 0 holds 0)."""
+    """m^(-k) mod p at position m, for 0 <= m < p (position 0 holds 0), as
+    float64; from the halves of k, so the recursion is about log2(k) deep."""
     import numpy as np
 
-    inv = _inverses(p)
-    arr = np.zeros(p, dtype=np.int64)
-    for m in range(1, p):
-        arr[m] = pow(inv[m], k, p)
+    if k == 1:
+        arr = np.array(_inverses(p), dtype=np.float64)
+    else:  # products below p^2 < 2^42 are exact
+        arr = _power_array(p, k // 2) * _power_array(p, k - k // 2) % p
     arr.setflags(write=False)  # cached and shared by every caller
     return arr
 
@@ -119,7 +132,8 @@ def _series_mod(prefix, p: int) -> np.ndarray:
 
     if len(prefix) == 1:
         return _power_array(p, prefix[0])
-    series = np.convolve(_series_mod(prefix[:-1], p), _power_array(p, prefix[-1]))[:p] % p
+    head, part = _series_mod(prefix[:-1], p), _power_array(p, prefix[-1])
+    series = _mod_product(lambda a, b: np.convolve(a, b)[:p], head, part, p)
     series.setflags(write=False)
     return series
 
@@ -136,7 +150,8 @@ def omega_mod(index, p: int) -> Residue:
     # product is formed (0 when p < r, as no composition exists)
     index = tuple(sorted(index))
     head = _series_mod(index[:-1], p)
-    return int(head[1:].dot(_power_array(p, index[-1])[p - 1 : 0 : -1])) % p
+    weights = _power_array(p, index[-1])[p - 1 : 0 : -1]
+    return int(_mod_product(lambda a, b: a.dot(b), head[1:], weights, p))
 
 
 def bern_div_mod(k: int, p: int) -> Residue:

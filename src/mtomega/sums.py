@@ -11,7 +11,7 @@ Each caller supplies its weight f(m, k) and the zero of its ring, a Python
 value (residues, packed group-ring integers, fixed-point integers, mpc); the
 sums use only + and the ring's product on the values, always in the same
 order, so exact and fixed-precision callers get the same results as their
-own loops would.  The omega values modulo primes, int64 arrays, are series
+own loops would.  The omega values modulo primes, on numpy arrays, are series
 products of their own (modular.omega_mod, cyclo.omega_gen_mod).
 """
 

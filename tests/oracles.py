@@ -21,7 +21,9 @@ regularization by the recursion that divides by the leading x1-run, and
 extends the harmonic sums mod p linearly to word sums; the tests use them
 to check the deformed shuffle and the word route to `omega_mod`.
 `bernoulli_mod_table` is the Bernoulli recurrence mod p, the reference for
-the power-sum quotients of `bern_div_mod`.
+the power-sum quotients of `bern_div_mod`.  `omega_mod_int64` is the int64
+series-product evaluator that `modular.omega_mod` replaced by its float64
+one: one `pow` per entry of a power array, and sums exact below 2^63.
 `l_series_rational` sums the truncated q-polylogarithm series at an exact
 rational q, for checking that the deformed shuffle multiplies them.
 `eword_weight` is the weight of an e-word, the hat letter counting 1.
@@ -244,6 +246,35 @@ def bernoulli_mod_table(p: int) -> tuple:
             s = (s + row[j] * bern[j]) % p
         bern[m] = -s * inv[m + 1] % p
     return tuple(bern)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_array_int64(p: int, k: int):
+    import numpy as np
+
+    inv = M._inverses(p)
+    arr = np.zeros(p, dtype=np.int64)
+    for m in range(1, p):
+        arr[m] = pow(inv[m], k, p)
+    return arr
+
+
+@functools.lru_cache(maxsize=None)
+def _series_mod_int64(prefix, p: int):
+    import numpy as np
+
+    if len(prefix) == 1:
+        return _power_array_int64(p, prefix[0])
+    series = _series_mod_int64(prefix[:-1], p)
+    return np.convolve(series, _power_array_int64(p, prefix[-1]))[:p] % p
+
+
+def omega_mod_int64(index, p: int) -> int:
+    """omega_p(index) mod p from int64 series products: the sums of p products
+    below p^2 are exact while p (p - 1)^2 < 2^63."""
+    index = tuple(sorted(index))
+    head = _series_mod_int64(index[:-1], p)
+    return int(head[1:].dot(_power_array_int64(p, index[-1])[p - 1 : 0 : -1])) % p
 
 
 def l_series_rational(u, q, order: int) -> list:

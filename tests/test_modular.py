@@ -4,12 +4,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mtomega import modular as M
 from mtomega import words as W
 from mtomega.errors import LengthError, RangeError
-from oracles import DenominatorError, bernoulli_mod_table, zeta_word_mod
+from mtomega.relations import default_prime_split
+from oracles import DenominatorError, bernoulli_mod_table, omega_mod_int64, zeta_word_mod
 
 
 def frac_mod(x: Fraction, p: int) -> int:
@@ -127,6 +129,54 @@ def test_omega_symmetry():
 def test_omega_small_prime_edge():
     # fewer summands than parts: empty composition set
     assert M.omega_mod((1, 1, 1), 2) == 0
+
+
+def dot(a, b):
+    return a.dot(b)
+
+
+def convolve(a, b):
+    return np.convolve(a, b)[: len(a)]
+
+
+@pytest.mark.parametrize("p", [397, 2097143], ids=["one-product", "two-limbs"])
+def test_mod_product_against_python_ints(p):
+    rng = np.random.default_rng(p)
+    for n in (1, 7, 300):
+        a, b = rng.integers(0, p, (2, n)).tolist()
+        fa, fb = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+        assert int(M._mod_product(dot, fa, fb, p)) == sum(x * y for x, y in zip(a, b)) % p
+        conv = [sum(a[j] * b[i - j] for j in range(i + 1)) % p for i in range(n)]
+        assert M._mod_product(convolve, fa, fb, p).astype(np.int64).tolist() == conv
+    # full-length dots: p - 1 products, as in omega_mod
+    a, b = rng.integers(0, p, (2, p - 1))
+    expected = sum(x * y for x, y in zip(a.tolist(), b.tolist())) % p
+    assert int(M._mod_product(dot, a.astype(np.float64), b.astype(np.float64), p)) == expected
+
+
+def test_mod_product_limb_bound_worst_case():
+    # the largest admitted prime, p - 1 products of the largest odd residue:
+    # limbs two bits wider than 53 - 2 bitlen(p) round this sum
+    p = 2097143
+    assert p == M.primes_in(2**21 - 100, M.MAX_PRIME)[-1]
+    a = np.full(p - 1, p - 2, dtype=np.float64)
+    assert (p - 1) * (p - 2) ** 2 % p == p - 4
+    assert int(M._mod_product(dot, a, a, p)) == p - 4
+
+
+def test_pair_vanishing_through_two_limbs():
+    # omega_p(k1, k2) = 0 for p > k1 + k2 + 2, the `specials` suite's pair
+    # identity, at the largest admitted prime
+    p = 2097143
+    assert M.omega_mod((1, 2), p) == M.omega_mod((3, 4), p) == 0
+
+
+def test_omega_mod_matches_int64_evaluator():
+    training, holdout = default_prime_split(10)
+    for p in training + holdout:
+        for w in range(3, 11):
+            for k in W.partitions_of_weight(w):
+                assert M.omega_mod(k, p) == omega_mod_int64(k, p), (k, p)
 
 
 def test_zeta_word_mod():
