@@ -23,7 +23,8 @@ to check the deformed shuffle and the word route to `omega_mod`.
 `bernoulli_mod_table` is the Bernoulli recurrence mod p, the reference for
 the power-sum quotients of `bern_div_mod`.  `omega_mod_int64` is the int64
 series-product evaluator that `modular.omega_mod` replaced by its float64
-one: one `pow` per entry of a power array, and sums exact below 2^63.
+one, with one `pow(m, -k, p)` per entry of a power array (no inverse table
+of the package) and sums exact below 2^63.
 `l_series_rational` sums the truncated q-polylogarithm series at an exact
 rational q, for checking that the deformed shuffle multiplies them.
 `eword_weight` is the weight of an e-word, the hat letter counting 1.
@@ -252,10 +253,9 @@ def bernoulli_mod_table(p: int) -> tuple:
 def _power_array_int64(p: int, k: int):
     import numpy as np
 
-    inv = M._inverses(p)
     arr = np.zeros(p, dtype=np.int64)
     for m in range(1, p):
-        arr[m] = pow(inv[m], k, p)
+        arr[m] = pow(m, -k, p)
     return arr
 
 
