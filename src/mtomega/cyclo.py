@@ -20,15 +20,16 @@ vanishes at zeta_n, makes all entries nonnegative; a vector is then packed
 into one Python int, a_i in bits [b i, b (i+1)), so a polynomial product is
 one integer product (Kronecker substitution).  The width b comes from a
 bound on the coefficient sum of every partial result, which bounds every
-coefficient, so the packed arithmetic is exact.
+coefficient, so the packed arithmetic is exact.  An omega value, here and
+modulo primes below, is the coefficient of t^n of a product of series in t,
+one cached per ascending-sorted index prefix, as in modular.omega_mod.
 
 For the cyclotomic miner omega also runs modulo primes l = 1 (mod n), which
 split in Q(zeta_n): the phi(n) embeddings identify Z[1/n][zeta_n]/(l) with
 F_l^phi(n) (mod_ring), and coordinate_bound lets vanishing modulo enough
-primes prove an integer combination of values zero.  The values come from
-cached series of the sorted index prefixes, as in modular.omega_mod.
-numpy is imported where those int64 arrays are built, so commands that never
-build them never load it.
+primes prove an integer combination of values zero.  numpy is imported
+where those int64 arrays are built, so commands that never build them never
+load it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -48,12 +50,13 @@ if TYPE_CHECKING:  # the annotations only; see the module docstring
 
 
 # Cache bounds.  The most distinct keys a benchmark workload uses are 713
-# omega values modulo primes and 29 values of n (cyclotomic) and 627 z
-# values (verify).  One n and batch of primes use at most 41 series prefixes
-# (weight 10); _series_mod keeps 64 of n x PRIME_BATCH x phi(n) int64 each,
-# 1.3 MB at n = 40.
+# omega values modulo primes and 29 values of n (cyclotomic), and 627 z and
+# 583 omega values at roots (verify).  One n and batch of primes use at most
+# 41 series prefixes (weight 10); _series_mod keeps 64 of n x PRIME_BATCH x
+# phi(n) int64 each, 1.3 MB at n = 40.  The rings keep the 238 prefix series
+# of the omega values at roots of verify, 0.66 MB.
 _CACHE_VALUES = 2048  # omega and z values, powers of 1 - zeta
-_CACHE_N = 128  # packed rings with their weight tables, one per n
+_CACHE_N = 128  # packed rings with their weights and series, one per n
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,8 +291,8 @@ class _PackedRing:
     slots at and above n back onto slot mod n (_fold) reduces mod x^n - 1;
     both are exact while no coefficient reaches 2^bits - 1, which widen()
     guarantees.  The nested sums get the packed weights den^e F_k(m) with
-    e = _exponent(k), multiply them as plain ints, and may leave products
-    unfolded; element() folds once and reduces mod Phi_n once.
+    e = _exponent(k) and multiply them as plain ints; series() folds each
+    entry it forms, element() folds once and reduces mod Phi_n once.
 
     den is the lcm of the orders n/gcd(m, n) of the non-unit [m], m < n
     (1 when n is prime), and masses[m] the coefficient sum of
@@ -305,25 +308,33 @@ class _PackedRing:
             for m, order in enumerate(orders, 1)
         ]
         self.nbytes = 0
+        self._series = {}
 
     def widen(self, index) -> "_PackedRing":
         """Make the coefficients wide enough for the nested sums over index.
 
         Every vector is nonnegative, so no coefficient exceeds the
         coefficient sum (the value at x = 1), which is additive and
-        multiplicative.  Each value the chain or composition sum forms,
+        multiplicative.  Each value the chain sum or a series forms,
         partial sums included, is a sub-sum of the expansion of
         prod_a sum_{m<n} den^e F_{k_a}(m), so the coefficient sum of that
         product bounds every coefficient.  A ring already wide enough keeps
-        its weights.
+        its weights; a wider one drops them and re-slots the stored series,
+        exactly, as a prefix's entries stay below bound(prefix) <= bound(index).
         """
         nbytes = self.bound(index).bit_length() // 8 + 1
         if nbytes > self.nbytes:
+            old, pad = self.nbytes, bytes(nbytes - self.nbytes)
             self.nbytes = nbytes
             self.bits = 8 * nbytes
             self.size = self.bits * self.n
             self.mask = (1 << self.size) - 1
             self._weights = {}
+            for series in self._series.values():
+                for t, c in enumerate(series):
+                    data = c.to_bytes(old * self.n, "little")
+                    slots = [data[i : i + old] for i in range(0, len(data), old)]
+                    series[t] = int.from_bytes(pad.join(slots), "little")
         return self
 
     def bound(self, index) -> int:
@@ -336,22 +347,36 @@ class _PackedRing:
             p = (p & mask) + (p >> size)
         return p
 
-    def weight(self, m: int, k) -> int:
-        """den^e F_k(m): den/[m] for k = 1, x^m den/[m] for the hat letter,
-        and F_k(m) = F_(k-1)(m) F_1hat(m) = x^((k-1)m) (den/[m])^k above."""
-        key = (m, k)
-        w = self._weights.get(key)
-        if w is None:
+    def weights(self, k) -> list:
+        """den^e F_k(m) at position m < n (0 at m = 0): den/[m] for k = 1,
+        x^m den/[m] for the hat letter, and F_k(m) = F_(k-1)(m) F_1hat(m) =
+        x^((k-1)m) (den/[m])^k above."""
+        row = self._weights.get(k)
+        if row is None:
             if k == 1:
-                vec = _scaled_inverse(self.n, self.den, m)
-                nb = self.nbytes
-                w = int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in vec]), "little")
+                nb, row = self.nbytes, [0]
+                for m in range(1, self.n):
+                    data = [c.to_bytes(nb, "little") for c in _scaled_inverse(self.n, self.den, m)]
+                    row.append(int.from_bytes(b"".join(data), "little"))
             elif k == HAT1:
-                w = self._fold(self.weight(m, 1) << (self.bits * m))
+                row = [self._fold(w << (self.bits * m)) for m, w in enumerate(self.weights(1))]
             else:
-                w = self._fold(self.weight(m, k - 1) * self.weight(m, HAT1))
-            self._weights[key] = w
-        return w
+                row = [self._fold(a * b) for a, b in zip(self.weights(k - 1), self.weights(HAT1))]
+            self._weights[k] = row
+        return row
+
+    def series(self, prefix) -> list:
+        """Coefficients of t^0..t^(n-1), each folded, of the product over the
+        parts k of prefix of sum_{0<m<n} den^e F_k(m) t^m; kept per prefix,
+        which the ascending-sorted indices of one weight share."""
+        series = self._series.get(prefix)
+        if series is None:
+            head = self.series(prefix[:-1]) if len(prefix) > 1 else [1] + [0] * (self.n - 1)
+            weights = self.weights(prefix[-1])[1:]
+            terms = (map(operator.mul, reversed(head[:s]), weights) for s in range(self.n))
+            series = [self._fold(sum(t)) for t in terms]
+            self._series[prefix] = series
+        return series
 
     def element(self, p: int, index) -> CycloElem:
         """The value p / den^(sum of the exponents of index) in Q(zeta_n)."""
@@ -369,8 +394,10 @@ def _packed_ring(n: int) -> _PackedRing:
 
 @functools.lru_cache(maxsize=_CACHE_VALUES)
 def _omega_at_root_sorted(index, n: int) -> CycloElem:
+    # only the coefficient of t^n of the last product is formed
     ring = _packed_ring(n).widen(index)
-    return ring.element(sums.composition_sum(index, n, ring.weight, 0), index)
+    head, weights = ring.series(index[:-1]), ring.weights(index[-1])[1:]
+    return ring.element(sum(map(operator.mul, reversed(head), weights)), index)
 
 
 def omega_at_root(index, n: int) -> CycloElem:
@@ -384,8 +411,8 @@ def omega_at_root(index, n: int) -> CycloElem:
         raise LengthError(f"omega_at_root needs length >= 2, got {index}")
     if n < len(index):
         return CycloElem.zero(CycloCtx(n))
-    # symmetric in the index
-    return _omega_at_root_sorted(tuple(sorted(index, reverse=True)), n)
+    # symmetric in the index: sorted ascending, indices share series prefixes
+    return _omega_at_root_sorted(tuple(sorted(index)), n)
 
 
 def omega_gen(m: int, index, n: int) -> CycloElem:
@@ -516,7 +543,8 @@ def _z_at_root_eword(eword, n: int) -> CycloElem:
     if not eword:
         return CycloElem.one(CycloCtx(n))
     ring = _packed_ring(n).widen(eword)
-    return ring.element(sum(sums.chain_levels(eword, n, ring.weight, 0)), eword)
+    levels = sums.chain_levels(eword, n, lambda m, k: ring.weights(k)[m], 0)
+    return ring.element(sum(levels), eword)
 
 
 def z_at_root(u, n: int) -> CycloElem:

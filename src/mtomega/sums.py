@@ -1,18 +1,19 @@
-"""The two nested sums behind every value in the toolkit, over any ring.
+"""The nested chain sum behind the harmonic, z and Li(1/2) values, over any ring.
 
-The finite, cyclotomic and numeric evaluators all sum a product of weights
-f(m_a, k_a) over one of two ranges of positive integers (m_1, ..., m_r):
-
-* decreasing chains top > m_1 > ... > m_r > 0 (multiple harmonic sums,
-  z-values at roots of unity, q-series coefficients, Li(1/2) series);
-* compositions m_1 + ... + m_r = n (omega values).
+The finite, cyclotomic and numeric evaluators sum a product of weights
+f(m_a, k_a) over decreasing chains top > m_1 > ... > m_r > 0 of positive
+integers: multiple harmonic sums, z-values at roots of unity, q-series
+coefficients, Li(1/2) series.
 
 Each caller supplies its weight f(m, k) and the zero of its ring, a Python
 value (residues, packed group-ring integers, fixed-point integers, mpc); the
-sums use only + and the ring's product on the values, always in the same
+sum uses only + and the ring's product on the values, always in the same
 order, so exact and fixed-precision callers get the same results as their
-own loops would.  The omega values modulo primes, on numpy arrays, are series
-products of their own (modular.omega_mod, cyclo.omega_gen_mod).
+own loops would.  The omega values, sums over compositions
+m_1 + ... + m_r = n, are products of cached prefix series in all three
+evaluators: modulo p (modular.omega_mod) and modulo primes l = 1 (mod n)
+(cyclo.omega_gen_mod) on numpy arrays, at zeta_n (cyclo.omega_at_root) on
+packed group-ring integers.
 """
 
 from __future__ import annotations
@@ -38,25 +39,3 @@ def chain_levels(index, top: int, f, zero, mul=operator.mul) -> list:
             prefix = prefix + level[m]
         level = new
     return level
-
-
-def composition_sum(index, n: int, f, zero):
-    """Sum of f(m_1, k_1) * ... * f(m_r, k_r) over m_1 + ... + m_r = n, m_a >= 1.
-
-    Zero when n < r = len(index).  After j parts only the partial sums
-    j <= s <= n - (r - j) can still be completed to n, so no other entry is
-    formed, and the last part computes the coefficient of n alone.  Each
-    weight f(m, k_a) is evaluated once.
-    """
-    r = len(index)
-    top = n - r + 1  # the largest part a composition of n into r parts has
-    cur = [zero] * (n + 1)
-    for s in range(1, top + 1):
-        cur[s] = f(s, index[0])
-    for j in range(1, r):
-        w = [zero] + [f(m, index[j]) for m in range(1, top + 1)]
-        new = [zero] * (n + 1)
-        for s in range(n if j == r - 1 else j + 1, top + j + 1):
-            new[s] = sum(map(operator.mul, cur[s - 1 : j - 1 : -1], w[1 : s - j + 1]), zero)
-        cur = new
-    return cur[n]

@@ -31,16 +31,20 @@ rational q, for checking that the deformed shuffle multiplies them.
 `lll_reduce_lists` is the exact LLL reduction with list rows, one new list
 per size-reduction step, the full Gram-Schmidt table up front and every swap
 updating all rows above it, the reference for the packed rows and the
-incremental Gram-Schmidt data of `relations.lll_reduce`.  `omega_circle_num` sums the omega values on the
-unit circle in mpc, with the closed form
-1/[m] = exp(-pi*i*(m-1)/n) * sin(pi/n)/sin(m*pi/n), which avoids cancellation
-for m close to n; the tests check it against the exact values embedded at
-e^(2 pi i/n) and watch it converge to the limit values Omega.
+incremental Gram-Schmidt data of `relations.lll_reduce`.  `composition_sum`
+is the ring-generic sum over the compositions m_1 + ... + m_r = n, level by
+level, where the package multiplies cached prefix series.
+`omega_circle_num` sums the omega values on the unit circle with it, in mpc,
+with the closed form 1/[m] = exp(-pi*i*(m-1)/n) * sin(pi/n)/sin(m*pi/n),
+which avoids cancellation for m close to n; the tests check it against the
+exact values embedded at e^(2 pi i/n) and watch it converge to the limit
+values Omega.
 """
 
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -636,6 +640,28 @@ class BigComplex:
         return mp.mpc(self.re.value, self.im.value)
 
 
+def composition_sum(index, n: int, f, zero):
+    """Sum of f(m_1, k_1) * ... * f(m_r, k_r) over m_1 + ... + m_r = n, m_a >= 1.
+
+    Zero when n < r = len(index).  After j parts only the partial sums
+    j <= s <= n - (r - j) can still be completed to n, so no other entry is
+    formed, and the last part computes the coefficient of n alone.  Each
+    weight f(m, k_a) is evaluated once.
+    """
+    r = len(index)
+    top = n - r + 1  # the largest part a composition of n into r parts has
+    cur = [zero] * (n + 1)
+    for s in range(1, top + 1):
+        cur[s] = f(s, index[0])
+    for j in range(1, r):
+        w = [zero] + [f(m, index[j]) for m in range(1, top + 1)]
+        new = [zero] * (n + 1)
+        for s in range(n if j == r - 1 else j + 1, top + j + 1):
+            new[s] = sum(map(operator.mul, cur[s - 1 : j - 1 : -1], w[1 : s - j + 1]), zero)
+        cur = new
+    return cur[n]
+
+
 def omega_circle_num(index, n: int, digits: int, normalized: bool = False) -> BigComplex:
     """omega_n(index; e^(2 pi i / n)) in big-complex arithmetic.
 
@@ -661,7 +687,7 @@ def omega_circle_num(index, n: int, digits: int, normalized: bool = False) -> Bi
         def f(m, k):
             return q_pow[((k - 1) * m) % n] * inv_qint[m] ** k
 
-        val = sums.composition_sum(index, n, f, mp.mpc(0))
+        val = composition_sum(index, n, f, mp.mpc(0))
         if normalized:
             val /= (mp.expjpi(mp.mpf(1) / n) * n / mp.pi * sin_pi_n) ** sum(index)
         return BigComplex(N.BigReal(+val.real, digits), N.BigReal(+val.imag, digits))

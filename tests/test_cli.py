@@ -355,7 +355,7 @@ PRIMES_PAST_THE_BOUND = (
 @pytest.mark.parametrize(
     "flags,error", PRIMES_PAST_THE_BOUND, ids=[f for f, _ in PRIMES_PAST_THE_BOUND]
 )
-def test_primes_past_the_int64_bound_exit_1(flags, error, monkeypatch):
+def test_primes_past_two_limbs_exit_1(flags, error, monkeypatch):
     # refused before a sieve or a table of p entries is built
     def no_table(*args):
         raise AssertionError(f"table built for {args}")

@@ -134,6 +134,22 @@ def test_wide_coefficients_match_oracle():
     assert C.z_at_root((4, HAT1, 1), n) == O.z_at_root((4, HAT1, 1), n)
 
 
+@pytest.mark.parametrize("n", [23, 47])
+def test_series_reslot_on_widen(n):
+    # a fresh ring, and no value cache, so every value comes from the stored
+    # series: (1, 1, 7) shares the prefix (1, 1) of (1, 1, 2) and widens the
+    # ring, which moves that series into the wider slots for the values after
+    C._packed_ring.cache_clear()
+    ring = C._packed_ring(n)
+    widths = []
+    for k in [(1, 1, 2), (1, 1, 7), (1, 1, 2), (1, 1, 3)]:
+        assert C._omega_at_root_sorted.__wrapped__(k, n) == O.omega_at_root(k, n), (k, n)
+        widths.append(ring.nbytes)
+    assert widths[0] < widths[1] == widths[3]
+    assert {(1,), (1, 1)} <= set(ring._series)
+    assert all(c >> ring.size == 0 for series in ring._series.values() for c in series)
+
+
 def test_omega_at_root_symmetry():
     for n in (5, 9, 16):
         for k in [(2, 1), (3, 1, 1), (2, 2, 1)]:

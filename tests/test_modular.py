@@ -74,10 +74,13 @@ def test_is_prime_refuses_past_its_bases():
         M.omega_mod((2, 1), M.MILLER_RABIN_LIMIT)
 
 
-def test_primes_stay_below_the_int64_bound():
-    # p products below p^2 add up below 2^63 exactly while p < 2^21
+def test_primes_stay_within_two_limbs():
+    # _mod_product cuts a factor below p into limbs below 2^L,
+    # L = 53 - 2 bitlen(p); two limbs cover it while bitlen(p) - L <= L
     below, above = 2097143, 2097169  # the primes next to 2^21
-    assert below * (below - 1) ** 2 < 2**63 < above * (above - 1) ** 2
+    for p, two_limbs in ((below, True), (above, False)):
+        limb = 53 - 2 * p.bit_length()
+        assert (p.bit_length() - limb <= limb) is two_limbs, p
     assert M.MAX_PRIME == 2**21
     M._check_prime(below)
     for p in (above, 10**9 + 7):
