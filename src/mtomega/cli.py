@@ -267,11 +267,11 @@ def cmd_verify(args) -> int:
 # dims / relations
 
 
-# side -> miner(weight, args) returning (RelationBasis, DimReport)
+# side -> miner(weights, n_range) yielding each weight's (RelationBasis, DimReport)
 MINERS = {
-    "finite": lambda w, args: relations.finite_relation_space(w),
-    "cyclotomic": lambda w, args: relations.cyclotomic_relation_space(w, range(2, args.n_max + 1)),
-    "symmetric": lambda w, args: relations.symmetric_relation_space(w),
+    "finite": lambda ws, ns: relations.finite_relation_spaces(ws),
+    "cyclotomic": lambda ws, ns: (relations.cyclotomic_relation_space(w, ns) for w in ws),
+    "symmetric": lambda ws, ns: map(relations.symmetric_relation_space, ws),
 }
 
 
@@ -293,8 +293,9 @@ def cmd_dims(args) -> int:
     weights = _guarded_weights(args)
     # the cyclotomic quotient by (1-z) shifts needs the dimension one weight down
     quotient = args.side == "cyclotomic"
-    need = set(weights) | {w - 1 for w in weights if quotient and w - 1 >= 2}
-    reps = {w: MINERS[args.side](w, args)[1] for w in sorted(need)}
+    need = sorted(set(weights) | {w - 1 for w in weights if quotient and w - 1 >= 2})
+    mined = MINERS[args.side](need, range(2, args.n_max + 1))
+    reps = {w: rep for w, (_basis, rep) in zip(need, mined)}
     rows = []
     for w in weights:
         row = {"weight": w, "dimension": reps[w].dimension}
@@ -314,11 +315,12 @@ def cmd_dims(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    for w in _guarded_weights(args):
-        if args.side == "conjecture":
-            out = relations.conjecture_report(w, range(2, args.n_max + 1))
-        else:
-            out = relations.basis_report_json(*MINERS[args.side](w, args))
+    weights, n_range = _guarded_weights(args), range(2, args.n_max + 1)
+    if args.side == "conjecture":
+        outs = (relations.conjecture_report(w, n_range) for w in weights)
+    else:
+        outs = (relations.basis_report_json(*r) for r in MINERS[args.side](weights, n_range))
+    for out in outs:
         _emit(json.dumps(out, sort_keys=True))
     return 0
 

@@ -76,14 +76,18 @@ def _check_prime(p: int) -> None:
         raise RangeError(f"modulus must be prime, got {p}")
 
 
-def _inverses(p: int) -> list:
-    """Inverse table mod p: inv[m] for 1 <= m < p (inv[0] unused)."""
-    inv = [0] * p
-    if p > 1:
-        inv[1] = 1
-    for m in range(2, p):
-        inv[m] = (-(p // m) * inv[p % m]) % p
-    return inv
+def _inverses(p: int) -> np.ndarray:
+    """m^(-1) mod p at position m, for 0 <= m < p (position 0 holds 0), as
+    float64: g^(p-1-i) at g^i, g a primitive root (1 at p = 2)."""
+    import numpy as np
+
+    m = p - 1  # g has order m when g^(m/q) != 1 for every divisor q > 1 of m
+    qs = [q for d in range(1, int(m**0.5) + 1) if m % d == 0 for q in (d, m // d) if q > 1]
+    g = next(g for g in range(1, p) if all(pow(g, m // q, p) != 1 for q in qs))
+    powers = np.ones(1, dtype=np.int64)  # g^i by doubling, products below 2^42
+    while len(powers) < m:
+        powers = np.concatenate((powers, powers[: m - len(powers)] * pow(g, len(powers), p) % p))
+    return np.bincount(powers, np.roll(powers[::-1], 1), p)
 
 
 def hsum_mod(index, p: int) -> Residue:
@@ -95,8 +99,7 @@ def hsum_mod(index, p: int) -> Residue:
     _check_prime(p)
     if not index:
         return 1
-    inv = _inverses(p)
-    return sum(sums.chain_levels(index, p, lambda m, k: pow(inv[m], k, p), 0)) % p
+    return sum(sums.chain_levels(index, p, lambda m, k: pow(m, -k, p), 0)) % p
 
 
 def _mod_product(f, a, b, p: int):
@@ -117,17 +120,18 @@ def _power_array(p: int, k: int) -> np.ndarray:
     import numpy as np
 
     if k == 1:
-        arr = np.array(_inverses(p), dtype=np.float64)
+        arr = _inverses(p)
     else:  # products below p^2 < 2^42 are exact
         arr = _power_array(p, k // 2) * _power_array(p, k - k // 2) % p
     arr.setflags(write=False)  # cached and shared by every caller
     return arr
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256)  # above the 230 sorted prefixes of weights <= 16
 def _series_mod(prefix, p: int) -> np.ndarray:
     """Coefficients of x^0..x^(p-1), mod p, of the product over the parts k
-    of sum_m m^(-k) x^m; cached per prefix, which the callers share."""
+    of sum_m m^(-k) x^m; cached per prefix, which the callers share: the
+    finite miner goes prime by prime, through 76 prefixes to weight 12."""
     import numpy as np
 
     if len(prefix) == 1:

@@ -386,8 +386,8 @@ def default_prime_split(weight):
     return ps[:40], ps[40:60]
 
 
-def finite_relation_space(weight: int):
-    """Mine integer relations among finite omega values of one weight.
+def finite_relation_spaces(weights):
+    """Mine integer relations among finite omega values, weight by weight.
 
     The residue vectors at the training primes (`default_prime_split`) are
     joined by CRT into C mod P, P the product of the primes at which some
@@ -397,33 +397,41 @@ def finite_relation_space(weight: int):
     Lenstra and Lovasz, Math. Ann. 261, 1982; Cohen, 1993, 2.7).  Those of
     height at most FINITE_HEIGHT_BOUND that also vanish at every holdout
     prime are the relations.
+
+    The residues are formed prime by prime across the weights, largest prime
+    first, so that each prime's prefix series (`modular._series_mod`) serve
+    all of them and those still cached during the reductions are the
+    shortest; then each weight's (RelationBasis, DimReport) is yielded in turn.
     """
-    training_primes, holdout_primes = default_prime_split(weight)
-    gens = words.partitions_of_weight(weight)
-    d = len(gens)
-    if d == 0:
-        return _mined("finite", weight, (), ())
-    holdout = [(q, [modular.omega_mod(g, q) for g in gens]) for q in holdout_primes]
-    crt, modulus = [0] * d, 1
-    for p in training_primes:
-        c = [modular.omega_mod(g, p) for g in gens]
-        if not any(c):
-            continue
-        inv = pow(modulus, -1, p)
-        crt = [x + modulus * ((y - x) * inv % p) for x, y in zip(crt, c)]
-        modulus *= p
-    scale = FINITE_RESIDUE_SCALE
-    rows = [[int(i == j) for j in range(d)] + [scale * x] for i, x in enumerate(crt)]
-    kept = []
-    for row in lll_reduce(rows + [[0] * d + [scale * modulus]]):
-        if row[d] or max(map(abs, row[:d])) > FINITE_HEIGHT_BOUND:
-            continue
-        if all(sum(map(operator.mul, row, res)) % q == 0 for q, res in holdout):
-            kept.append(primitive_integer(row[:d]))
-    return _mined(
-        "finite", weight, [(0, g) for g in gens], kept,
-        span_test(_proven_finite_span(weight, gens)),
-    )
+    plan = {w: (words.partitions_of_weight(w), *default_prime_split(w)) for w in weights}
+    residues = {w: {} for w in plan}  # weight -> prime -> the residues of its generators
+    for p in sorted({p for _gens, t, h in plan.values() for p in t + h}, reverse=True):
+        for w, (gens, t, h) in plan.items():
+            if p in t + h:
+                residues[w][p] = [modular.omega_mod(g, p) for g in gens]
+    for weight, (gens, training, holdout) in plan.items():
+        d = len(gens)
+        res = residues.pop(weight)  # each weight's residues are freed once it is mined
+        crt, modulus = [0] * d, 1
+        for p in training:
+            c = res[p]
+            if not any(c):
+                continue
+            inv = pow(modulus, -1, p)
+            crt = [x + modulus * ((y - x) * inv % p) for x, y in zip(crt, c)]
+            modulus *= p
+        scale = FINITE_RESIDUE_SCALE
+        rows = [[int(i == j) for j in range(d)] + [scale * x] for i, x in enumerate(crt)]
+        kept = []
+        for row in lll_reduce(rows + [[0] * d + [scale * modulus]]):
+            if row[d] or max(map(abs, row[:d])) > FINITE_HEIGHT_BOUND:
+                continue
+            if all(sum(map(operator.mul, row, res[q])) % q == 0 for q in holdout):
+                kept.append(primitive_integer(row[:d]))
+        yield _mined(
+            "finite", weight, [(0, g) for g in gens], kept,
+            span_test(_proven_finite_span(weight, gens)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +704,7 @@ def conjecture_report(weight: int, n_range) -> dict:
     Also reruns the two product identities and reports whether the relations
     they imply were found by the finite miner.  The report is JSON data.
     """
-    fin = finite_relation_space(weight)
+    fin = next(finite_relation_spaces([weight]))
     sym = symmetric_relation_space(weight)
     cyc = cyclotomic_relation_space(weight, n_range)
     fin_vecs = [list(v) for v in fin[0].vectors]

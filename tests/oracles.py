@@ -238,7 +238,7 @@ def zeta_word_mod(u: WordSum, p: int) -> int:
 def bernoulli_mod_table(p: int) -> tuple:
     """B_0..B_{p-3} mod p via the binomial recurrence (B_1 = -1/2), O(p^2)."""
     n = p - 3
-    inv = M._inverses(p)
+    inv = [0] + [pow(m, -1, p) for m in range(1, p)]
     bern = [0] * (n + 1)
     bern[0] = 1
     # Pascal row C(m+1, j) built incrementally

@@ -2,7 +2,7 @@
 
 Each command runs in-process through `cli.main`; the SHA-256 digest of its
 stdout must match the digest recorded before the refactor that added it.
-The finite miner runs through the session's `finite_space` cache, so a
+The finite miner runs through the session's `finite_spaces` cache, so a
 finite weight another test mined is not mined again.  A
 mismatch means some value, ordering or formatting changed.  Regenerate a
 digest only for an intended change of output, and say so in the changelog.
@@ -61,8 +61,8 @@ def stdout_digest(command):
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
-def test_cli_output_digest(command, digest, finite_space, monkeypatch):
-    monkeypatch.setattr(relations, "finite_relation_space", finite_space)
+def test_cli_output_digest(command, digest, finite_spaces, monkeypatch):
+    monkeypatch.setattr(relations, "finite_relation_spaces", finite_spaces)
     assert stdout_digest(command) == (0, digest)
 
 

@@ -90,6 +90,18 @@ def test_primes_stay_within_two_limbs():
             M.omega_mod((2, 1), p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 397, 2097143])
+def test_inverse_table(p):
+    inv = M._inverses(p)
+    assert inv.dtype == np.float64 and inv[0] == 0
+    sample = range(1, p, max(1, p // 5000))
+    assert [int(inv[m]) for m in sample] == [pow(m, -1, p) for m in sample]
+    # the whole table: every entry in [1, p) and an inverse of its position
+    table = inv[1:].astype(np.int64)
+    assert table.min() >= 1 and table.max() < p
+    assert (table * np.arange(1, p) % p == 1).all()
+
+
 def test_hsum_examples():
     assert M.hsum_mod((1,), 5) == 0
     assert M.hsum_mod((2, 1), 5) == 1

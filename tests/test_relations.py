@@ -278,8 +278,7 @@ def test_lll_packed_rows_replay_the_finite_miner(monkeypatch):
         return assert_matches_list_reference(basis, packed)
 
     monkeypatch.setattr(R, "lll_reduce", checked)
-    for weight in range(1, 13):
-        R.finite_relation_space(weight)
+    list(R.finite_relation_spaces(range(1, 13)))
     assert max(calls) == 77  # weight 12 has 76 generators, and the modulus row
 
 
@@ -369,19 +368,13 @@ def test_integer_relations_refuse_a_small_gap():
 
 
 def test_finite_examples():
-    basis, rep = R.finite_relation_space(3)
+    (basis, rep), (_, rep4), (_, rep8), (basis0, rep0) = R.finite_relation_spaces([3, 4, 8, 1])
     assert rep.dimension == 1
     assert basis.generators == ((0, (2, 1)), (0, (1, 1, 1)))
     assert basis.vectors == ((1, 0),)
     assert basis.statuses == ("proven",)
-
-    _, rep4 = R.finite_relation_space(4)
     assert rep4.dimension == 0
-
-    _, rep8 = R.finite_relation_space(8)
     assert rep8.dimension == 2
-
-    basis0, rep0 = R.finite_relation_space(1)
     assert rep0.dimension == 0 and basis0.vectors == ()
 
 
@@ -402,17 +395,41 @@ FINITE_SPANS = {
 
 
 @pytest.mark.parametrize("weight", sorted(FINITE_SPANS))
-def test_finite_span_pinned(weight, finite_space):
+def test_finite_span_pinned(weight, finite_spaces):
     d, count, digest = FINITE_SPANS[weight]
-    basis, rep = finite_space(weight)
+    basis, rep = next(finite_spaces([weight]))
     assert (rep.generator_count, rep.relation_count) == (d, count)
     red, _ = R.rref(basis.vectors)
     assert hashlib.sha256(repr([tuple(r) for r in red]).encode()).hexdigest() == digest
 
 
+def test_finite_pass_matches_single_weight_calls():
+    """One pass over weights 1..12, as `dims finite --weights 1..12` mines
+    them, gives each weight the basis and report of a one-weight call."""
+    weights = range(1, 13)
+    assert list(R.finite_relation_spaces(weights)) == [
+        next(R.finite_relation_spaces([w])) for w in weights
+    ]
+
+
+def test_finite_pass_forms_each_prefix_series_once_per_prime():
+    """Prime by prime, every (sorted prefix, prime) pair of weights 1..10 is
+    one miss of the series cache, and no series is formed twice."""
+    pairs = {
+        (tuple(sorted(g))[:j], p)
+        for w in range(1, 11)
+        for p in sum(R.default_prime_split(w), [])
+        for g in W.partitions_of_weight(w)
+        for j in range(1, len(g))
+    }
+    M._series_mod.cache_clear()
+    list(R.finite_relation_spaces(range(1, 11)))
+    assert M._series_mod.cache_info().misses == len(pairs)
+
+
 def test_finite_relations_reverify_on_fresh_primes():
     for weight in (3, 4, 5, 6):
-        basis, _rep = R.finite_relation_space(weight)
+        basis, _rep = next(R.finite_relation_spaces([weight]))
         fresh = [p for p in M.primes_in(400, 500)][:10]
         assert len(fresh) == 10
         for v in basis.vectors:
@@ -595,7 +612,7 @@ def test_certificate_refuses_a_single_generator():
 
 def test_m0_projection_is_finite_relation():
     basis, _ = R.cyclotomic_relation_space(4, range(2, 13))
-    fin_basis, _ = R.finite_relation_space(4)
+    fin_basis, _ = next(R.finite_relation_spaces([4]))
     fin = [list(v) for v in fin_basis.vectors]
     m0 = [i for i, (m, _g) in enumerate(basis.generators) if m == 0]
     for v in basis.vectors:
