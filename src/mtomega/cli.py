@@ -270,7 +270,7 @@ def cmd_verify(args) -> int:
 # side -> miner(weights, n_range) yielding each weight's (RelationBasis, DimReport)
 MINERS = {
     "finite": lambda ws, ns: relations.finite_relation_spaces(ws),
-    "cyclotomic": lambda ws, ns: (relations.cyclotomic_relation_space(w, ns) for w in ws),
+    "cyclotomic": relations.cyclotomic_relation_spaces,
     "symmetric": lambda ws, ns: map(relations.symmetric_relation_space, ws),
 }
 
@@ -317,7 +317,7 @@ def cmd_dims(args) -> int:
 def cmd_relations(args) -> int:
     weights, n_range = _guarded_weights(args), range(2, args.n_max + 1)
     if args.side == "conjecture":
-        outs = (relations.conjecture_report(w, n_range) for w in weights)
+        outs = relations.conjecture_reports(weights, n_range)
     else:
         outs = (relations.basis_report_json(*r) for r in MINERS[args.side](weights, n_range))
     for out in outs:

@@ -22,14 +22,14 @@ one integer product (Kronecker substitution).  The width b comes from a
 bound on the coefficient sum of every partial result, which bounds every
 coefficient, so the packed arithmetic is exact.  An omega value, here and
 modulo primes below, is the coefficient of t^n of a product of series in t,
-one cached per ascending-sorted index prefix, as in modular.omega_mod.
+one kept per ascending-sorted index prefix, as in modular.omega_mod.
 
 For the cyclotomic miner omega also runs modulo primes l = 1 (mod n), which
 split in Q(zeta_n): the phi(n) embeddings identify Z[1/n][zeta_n]/(l) with
-F_l^phi(n) (mod_ring), and coordinate_bound lets vanishing modulo enough
-primes prove an integer combination of values zero.  numpy is imported
-where those int64 arrays are built, so commands that never build them never
-load it.
+F_l^phi(n) (mod_ring, a new ring per call, keeping the tables formed on it),
+and coordinate_bound lets vanishing modulo enough primes prove an integer
+combination of values zero.  numpy is imported where those int64 arrays
+are built, so commands that never build them never load it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -49,14 +50,12 @@ if TYPE_CHECKING:  # the annotations only; see the module docstring
     import numpy as np
 
 
-# Cache bounds.  The most distinct keys a benchmark workload uses are 713
-# omega values modulo primes and 29 values of n (cyclotomic), and 627 z and
-# 583 omega values at roots (verify).  One n and batch of primes use at most
-# 41 series prefixes (weight 10); _series_mod keeps 64 of n x PRIME_BATCH x
-# phi(n) int64 each, 1.3 MB at n = 40.  The rings keep the 238 prefix series
-# of the omega values at roots of verify, 0.66 MB.
-_CACHE_VALUES = 2048  # omega and z values, powers of 1 - zeta
-_CACHE_N = 128  # packed rings with their weights and series, one per n
+# Cache bounds.  The most distinct keys a benchmark workload uses are 627 z
+# and 583 omega values at roots and 26 packed rings holding 238 prefix
+# series, 0.66 MB (verify), and 29 values of n (cyclotomic).  The tables
+# modulo primes are not cached: each ring of mod_ring belongs to its caller.
+_CACHE_VALUES = 2048  # omega and z values, powers of 1 - zeta, root primes
+_CACHE_N = 128  # packed rings with their weights and series, power norms
 
 
 @functools.lru_cache(maxsize=None)
@@ -445,15 +444,19 @@ def root_primes(n: int, batch: int = 0) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=_CACHE_N)
-def mod_ring(n: int, batch: int = 0) -> tuple:
+class _ModRing(types.SimpleNamespace):
+    """The tables of one n and batch of mod_ring, and those formed on them."""
+
+
+def mod_ring(n: int, batch: int = 0) -> _ModRing:
     """Z[x]/(x^n - 1) mapped to F_l^phi(n) for each prime l of
     root_primes(n, batch): x -> r^j for the j < n coprime to n, where
     r = a^((l - 1)/n) for the least a >= 2 of order n.
 
-    Returns the primes as a column and the images of x^m and of 1/[m]
-    (den/[m] of _scaled_inverse, times den^-1), each an int64 array over
-    (m < n, prime, j); the row of 1/[0] is zero.
+    The ring holds n, the primes and their column `col`, the images `powers`
+    of x^m over (m < n, prime, j), the weights F_1, F_2, ... formed so far
+    (F_1 = 1/[m], den/[m] of _scaled_inverse times den^-1, 0 at m = 0), and
+    dicts of the prefix series and sorted-index omega values formed on it.
     """
     import numpy as np
 
@@ -472,53 +475,49 @@ def mod_ring(n: int, batch: int = 0) -> tuple:
     den = _packed_ring(n).den
     scaled = np.array([[0] * n] + [_scaled_inverse(n, den, m) for m in range(1, n)])
     den_inv = np.array([[pow(den, -1, ell)] for ell in primes])
-    return col, powers, np.tensordot(scaled, powers, 1) % col * den_inv % col
+    f1 = np.tensordot(scaled, powers, 1) % col * den_inv % col
+    return _ModRing(n=n, primes=primes, col=col, powers=powers, weights=[f1], series={}, omega={})
 
 
-@functools.lru_cache(maxsize=16)  # the parts k of one n and batch
-def _mod_weights(n: int, batch: int, k: int) -> np.ndarray:
+def _mod_weights(ring: _ModRing, k: int) -> np.ndarray:
     """F_k(m) = F_(k-1)(m) x^m/[m] over (m, prime, j)."""
-    col, powers, inverses = mod_ring(n, batch)
-    if k == 1:
-        return inverses
-    return _mod_weights(n, batch, k - 1) * powers % col * inverses % col
+    weights = ring.weights
+    while len(weights) < k:
+        weights.append(weights[-1] * ring.powers % ring.col * weights[0] % ring.col)
+    return weights[k - 1]
 
 
-@functools.lru_cache(maxsize=64)  # series prefixes, see the cache bounds
-def _series_mod(prefix, n: int, batch: int) -> np.ndarray:
+def _series_mod(ring: _ModRing, prefix) -> np.ndarray:
     """Coefficients of x^0..x^(n-1), over (prime, j), of the product over the
-    parts k of sum_m F_k(m) x^m; cached per prefix, which the callers share."""
+    parts k of sum_m F_k(m) x^m; kept per prefix, which the callers share."""
     import numpy as np
 
-    weights = _mod_weights(n, batch, prefix[-1])
-    if len(prefix) == 1:
-        return weights
-    # window[s] is head[s-n+1 .. s], zero below 0, so each truncated product
-    # is one reduction: n < 2^13 products below 2^50 fit in int64
-    head = np.concatenate([np.zeros_like(weights[1:]), _series_mod(prefix[:-1], n, batch)])
-    window = np.lib.stride_tricks.sliding_window_view(head, n, axis=0)
-    series = np.einsum("s...m,m...->s...", window, weights[::-1]) % mod_ring(n, batch)[0]
-    series.setflags(write=False)  # cached and shared by every caller
-    return series
+    if prefix not in ring.series:
+        series = _mod_weights(ring, prefix[-1])
+        if len(prefix) > 1:
+            # window[s] is head[s-n+1 .. s], zero below 0, so each truncated
+            # product is one reduction: n < 2^13 products below 2^50 fit in int64
+            head = np.concatenate([np.zeros_like(series[1:]), _series_mod(ring, prefix[:-1])])
+            window = np.lib.stride_tricks.sliding_window_view(head, ring.n, axis=0)
+            series = np.einsum("s...m,m...->s...", window, series[::-1]) % ring.col
+            series.setflags(write=False)  # kept and shared by every caller
+        ring.series[prefix] = series
+    return ring.series[prefix]
 
 
-@functools.lru_cache(maxsize=_CACHE_VALUES)
-def _omega_mod(index, n: int, batch: int) -> np.ndarray:
+def omega_gen_mod(m: int, index, ring: _ModRing) -> np.ndarray:
+    """omega_gen(m, index, ring.n), len(index) >= 2, over (prime, j) of the ring."""
     import numpy as np
 
-    # only the coefficient of x^n of the last product is formed
-    head, weights = _series_mod(index[:-1], n, batch), _mod_weights(n, batch, index[-1])
-    val = np.einsum("m...,m...->...", head[1:], weights[:0:-1]) % mod_ring(n, batch)[0]
-    val.setflags(write=False)  # cached and shared by every caller
-    return val
-
-
-def omega_gen_mod(m: int, index, n: int, batch: int = 0) -> np.ndarray:
-    """omega_gen(m, index, n), len(index) >= 2, over (prime, j) of mod_ring."""
-    col, powers, _ = mod_ring(n, batch)
-    val = _omega_mod(tuple(sorted(index)), n, batch)  # symmetric: sorted prefixes are shared
+    index = tuple(sorted(index))  # symmetric: sorted prefixes are shared
+    val = ring.omega.get(index)
+    if val is None:
+        # only the coefficient of x^n of the last product is formed
+        head, weights = _series_mod(ring, index[:-1]), _mod_weights(ring, index[-1])
+        val = ring.omega[index] = np.einsum("m...,m...->...", head[1:], weights[:0:-1]) % ring.col
+        val.setflags(write=False)  # kept and shared by every caller
     for _ in range(m):
-        val = val * (1 + col - powers[1]) % col
+        val = val * (1 + ring.col - ring.powers[1]) % ring.col
     return val
 
 

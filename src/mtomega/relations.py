@@ -23,6 +23,7 @@ real values are, so commands that never build them never load the library.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -443,36 +444,34 @@ def cyclo_generators(weight):
     return tuple((m, i) for m in range(weight - 1) for i in words.partitions_of_weight(weight - m))
 
 
-def cyclotomic_relation_space(weight: int, n_range):
-    """Exact rational kernel of the Q(zeta_n) constraints over a range of n.
+def cyclotomic_relation_spaces(weights, n_range):
+    """Exact rational kernels of the Q(zeta_n) constraints over a range of n.
 
-    A primitive integer basis of the kernel for the n done so far starts as
-    the identity and is cut down at each n by `_kernel_at`; its RREF, rows
-    made primitive, is the reported basis.  Relations in the kernel are
-    exact identities for every tested n and are reported as conjectural
-    beyond that (except those the vanishing theorem proves for all n).
+    A weight's primitive integer basis of the kernel for the n done so far
+    starts as the identity and is cut down at each n by `_kernel_at`; its
+    RREF, rows made primitive, is the reported basis.  Relations in the
+    kernel are exact identities for every tested n and are reported as
+    conjectural beyond that (except those the vanishing theorem proves for
+    all n).  Every weight is cut at n, from n's rings (`cyclo.mod_ring`),
+    before any at the next n; then each weight's result is yielded in turn.
     """
-    gens = cyclo_generators(weight)
-    d = len(gens)
-    if d == 0:
-        return _mined("cyclotomic", weight, (), ())
-    basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    gens = {w: cyclo_generators(w) for w in weights}
+    bases = {w: [tuple(int(i == j) for j in g) for i in g] for w, g in gens.items()}
     for n in n_range:
-        if basis:
-            basis = _kernel_at(basis, gens, n)
-    return _mined(
-        "cyclotomic", weight, gens, rref(basis)[0],
-        span_test(_proven_cyclo_span(weight, gens)),
-    )
+        rings = functools.cache(functools.partial(cyclo.mod_ring, n))  # batch -> ring
+        bases = {w: basis and _kernel_at(basis, gens[w], rings) for w, basis in bases.items()}
+    for w, g in gens.items():
+        yield _mined("cyclotomic", w, g, rref(bases[w])[0], span_test(_proven_cyclo_span(w, g)))
 
 
-def _values_mod(gens, n):
-    """(l, values over (generator, embedding) mod l), l over root_primes."""
+def _values_mod(gens, rings):
+    """(l, values over (generator, embedding) mod l), batch by batch from the
+    rings of one n, which every weight at that n reads."""
     import numpy as np
 
-    for batch in itertools.count():
-        values = [cyclo.omega_gen_mod(m, idx, n, batch) for m, idx in gens]
-        yield from zip(cyclo.root_primes(n, batch), np.stack(values, axis=1))
+    for ring in map(rings, itertools.count()):
+        values = [cyclo.omega_gen_mod(m, idx, ring) for m, idx in gens]
+        yield from zip(ring.primes, np.stack(values, axis=1))
 
 
 def _residues(vectors, ell):
@@ -524,9 +523,9 @@ def _rational(vectors, modulus):
     return out
 
 
-def _kernel_at(basis, gens, n):
+def _kernel_at(basis, gens, rings):
     """Primitive integer basis of the combinations of `basis` that vanish on
-    the generator values in Q(zeta_n).
+    the generator values in Q(zeta_n), rings(b) the batch-b ring of that n.
 
     Mod l = 1 (mod n) an element of Z[1/n][zeta_n] vanishes at all phi(n)
     embeddings exactly when its power-basis coordinates do, so the values
@@ -541,7 +540,7 @@ def _kernel_at(basis, gens, n):
     basis itself is the candidate.
     """
     best = None
-    for ell, values in _values_mod(gens, n):
+    for ell, values in _values_mod(gens, rings):
         pivots, kernel = _kernel_mod((_residues(basis, ell) @ values % ell).T, ell)
         if best is None or (-len(pivots), pivots) < (-len(best), best):
             best, modulus, residues = pivots, ell, kernel
@@ -563,19 +562,20 @@ def _kernel_at(basis, gens, n):
                 primitive_integer([sum(map(operator.mul, a, col)) for col in zip(*basis)])
                 for a in lifted
             ]
-        if certified(vectors, gens, n):
+        if certified(vectors, gens, rings):
             return vectors
 
 
-def certified(vectors, gens, n) -> bool:
+def certified(vectors, gens, rings) -> bool:
     """Whether every vector's combination of the generator values is 0 in
-    Q(zeta_n).  Times den^w its power-basis coordinates are integers of
-    absolute value at most B = sum_g |a_g| beta_g (cyclo.coordinate_bound),
-    so vanishing at every embedding mod primes of product > 2B proves it."""
-    bounds = [cyclo.coordinate_bound(m, idx, n) for m, idx in gens]
+    Q(zeta_n), rings as in `_kernel_at`.  Times den^w its power-basis
+    coordinates are integers of absolute value at most B = sum_g |a_g| beta_g
+    (cyclo.coordinate_bound), so vanishing at every embedding mod primes of
+    product > 2B proves it."""
+    bounds = [cyclo.coordinate_bound(m, idx, rings(0).n) for m, idx in gens]
     need = max((sum(abs(a) * b for a, b in zip(v, bounds)) for v in vectors), default=0)
     proved = 1
-    for ell, values in _values_mod(gens, n):
+    for ell, values in _values_mod(gens, rings):
         if proved > 2 * need:
             return True
         if (_residues(vectors, ell) @ values % ell).any():
@@ -696,51 +696,52 @@ def product_identity_checks(n_range):
     return out
 
 
-def conjecture_report(weight: int, n_range) -> dict:
-    """Compare the finite, symmetric, and cyclotomic kernels at one weight.
+def conjecture_reports(weights, n_range):
+    """Compare the finite, symmetric, and cyclotomic kernels weight by weight.
 
     The m = 0 projection of every cyclotomic relation must be a finite
     relation; the finite and symmetric kernels are conjectured to coincide.
-    Also reruns the two product identities and reports whether the relations
-    they imply were found by the finite miner.  The report is JSON data.
+    Also reports the two product identities, checked once for the run, and
+    whether the relations they imply were found by the finite miner.  Each
+    miner makes one pass over the weights, and each weight's JSON report is
+    yielded in turn.
     """
-    fin = next(finite_relation_spaces([weight]))
-    sym = symmetric_relation_space(weight)
-    cyc = cyclotomic_relation_space(weight, n_range)
-    fin_vecs = [list(v) for v in fin[0].vectors]
-    gens = fin[0].generators
-    d = len(gens)
-    sym_omega = [list(v[:d]) for v in sym[0].vectors if any(v[:d])]
-    m0 = [i for i, (m, _idx) in enumerate(cyc[0].generators) if m == 0]
-    in_fin = span_test(fin_vecs)
-    in_sym = span_test(sym_omega)
-    finite_in_symmetric = [in_sym(v) for v in fin_vecs]
-    symmetric_in_finite = [in_fin(v) for v in sym_omega]
-    # on the finite side omega(1,1) = 0 and (1-z) -> 0, so the m = 0 terms of
-    # each product identity sum to zero: a relation at that identity's weight
-    gen_pos = {idx: i for i, (_m, idx) in enumerate(gens)}
-    implied = []
-    for _name, _lhs, _d, rhs in _PRODUCT_CHECKS:
-        terms = [(c, idx) for c, m, idx in rhs if m == 0]
-        if sum(terms[0][1]) != weight:
-            continue
-        v = [0] * d
-        bits = []
-        for c, (_c, idx) in zip(primitive_integer([c for c, _idx in terms]), terms):
-            v[gen_pos[idx]] = c
-            bits.append(("" if c == 1 else f"{c}*") + f"omega({','.join(map(str, idx))})")
-        implied.append(
-            {"relation": " + ".join(bits) + " = 0", "in_finite_kernel": in_fin(v)}
-        )
-    return {
-        "weight": weight,
-        "finite": basis_report_json(*fin),
-        "symmetric": basis_report_json(*sym),
-        "cyclotomic": basis_report_json(*cyc),
-        "m0_projection_in_finite_kernel": [in_fin([v[i] for i in m0]) for v in cyc[0].vectors],
-        "finite_in_symmetric": finite_in_symmetric,
-        "symmetric_in_finite": symmetric_in_finite,
-        "kernels_agree": all(finite_in_symmetric) and all(symmetric_in_finite),
-        "product_checks": product_identity_checks(n_range),
-        "implied_relations": implied,
-    }
+    products = product_identity_checks(n_range)
+    fins, cycs = finite_relation_spaces(weights), cyclotomic_relation_spaces(weights, n_range)
+    for weight, fin, cyc in zip(weights, fins, cycs):
+        sym = symmetric_relation_space(weight)
+        fin_vecs = [list(v) for v in fin[0].vectors]
+        gens = fin[0].generators
+        d = len(gens)
+        sym_omega = [list(v[:d]) for v in sym[0].vectors if any(v[:d])]
+        m0 = [i for i, (m, _idx) in enumerate(cyc[0].generators) if m == 0]
+        in_fin = span_test(fin_vecs)
+        in_sym = span_test(sym_omega)
+        finite_in_symmetric = [in_sym(v) for v in fin_vecs]
+        symmetric_in_finite = [in_fin(v) for v in sym_omega]
+        # on the finite side omega(1,1) = 0 and (1-z) -> 0, so the m = 0 terms of
+        # each product identity sum to zero: a relation at that identity's weight
+        gen_pos = {idx: i for i, (_m, idx) in enumerate(gens)}
+        implied = []
+        for _name, _lhs, _d, rhs in _PRODUCT_CHECKS:
+            terms = [(c, idx) for c, m, idx in rhs if m == 0]
+            if sum(terms[0][1]) != weight:
+                continue
+            v = [0] * d
+            bits = []
+            for c, (_c, idx) in zip(primitive_integer([c for c, _idx in terms]), terms):
+                v[gen_pos[idx]] = c
+                bits.append(("" if c == 1 else f"{c}*") + f"omega({','.join(map(str, idx))})")
+            implied.append({"relation": " + ".join(bits) + " = 0", "in_finite_kernel": in_fin(v)})
+        yield {
+            "weight": weight,
+            "finite": basis_report_json(*fin),
+            "symmetric": basis_report_json(*sym),
+            "cyclotomic": basis_report_json(*cyc),
+            "m0_projection_in_finite_kernel": [in_fin([v[i] for i in m0]) for v in cyc[0].vectors],
+            "finite_in_symmetric": finite_in_symmetric,
+            "symmetric_in_finite": symmetric_in_finite,
+            "kernels_agree": all(finite_in_symmetric) and all(symmetric_in_finite),
+            "product_checks": products,
+            "implied_relations": implied,
+        }

@@ -10,10 +10,10 @@ value (residues, packed group-ring integers, fixed-point integers, mpc); the
 sum uses only + and the ring's product on the values, always in the same
 order, so exact and fixed-precision callers get the same results as their
 own loops would.  The omega values, sums over compositions
-m_1 + ... + m_r = n, are products of cached prefix series in all three
-evaluators: modulo p (modular.omega_mod) and modulo primes l = 1 (mod n)
-(cyclo.omega_gen_mod) on numpy arrays, at zeta_n (cyclo.omega_at_root) on
-packed group-ring integers.
+m_1 + ... + m_r = n, are products of prefix series kept per prefix in all
+three evaluators: cached modulo p (modular.omega_mod), in the per-n rings of
+cyclo.mod_ring that the miner drops with their n modulo primes l = 1 (mod n)
+(cyclo.omega_gen_mod), and at zeta_n (cyclo.omega_at_root) on packed integers.
 """
 
 from __future__ import annotations

@@ -60,9 +60,9 @@ def test_criterion_02_cyclotomic_tables():
     statuses = [rows[w]["status"] for w in range(2, 8)]
 
     # relation lists at weights 3..5 recovered up to sign/scaling
-    basis3, _ = R.cyclotomic_relation_space(3, range(2, 41))
-    basis4, _ = R.cyclotomic_relation_space(4, range(2, 41))
-    basis5, _ = R.cyclotomic_relation_space(5, range(2, 41))
+    basis3, _ = next(R.cyclotomic_relation_spaces([3], range(2, 41)))
+    basis4, _ = next(R.cyclotomic_relation_spaces([4], range(2, 41)))
+    basis5, _ = next(R.cyclotomic_relation_spaces([5], range(2, 41)))
     k3 = [list(v) for v in basis3.vectors]
     k4 = [list(v) for v in basis4.vectors]
     k5 = [list(v) for v in basis5.vectors]
@@ -315,7 +315,7 @@ def test_criterion_11_products_and_conjecture():
     products_ok = all(rec["ok"] for rec in checks)
     agree = {}
     for w in range(3, 7):
-        rep = R.conjecture_report(w, range(2, 21))
+        rep = next(R.conjecture_reports([w], range(2, 21)))
         agree[w] = rep["kernels_agree"] and all(rep["m0_projection_in_finite_kernel"])
     ok = products_ok and all(agree.values())
     _report(

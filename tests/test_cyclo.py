@@ -342,7 +342,7 @@ def test_root_primes_and_embeddings(n):
         primes = C.root_primes(n, batch)
         assert len(set(primes)) == C.PRIME_BATCH
         assert all(M.is_prime(l) and l % n == 1 and l < C.PRIME_LIMIT for l in primes)
-        emb = C.mod_ring(n, batch)[1][1]  # the images of x = zeta_n
+        emb = C.mod_ring(n, batch).powers[1]  # the images of x = zeta_n
         assert emb.shape == (len(primes), phi)
         for ell, row in zip(primes, emb.tolist()):
             assert len(set(row)) == phi
@@ -369,10 +369,11 @@ def test_omega_gen_mod_matches_exact(n):
     # prime, prime-power and composite n, so non-unit [m] are exercised
     for batch in (0, 1) if n == 12 else (0,):
         primes = C.root_primes(n, batch)
-        emb = C.mod_ring(n, batch)[1][1].tolist()
+        ring = C.mod_ring(n, batch)
+        emb = ring.powers[1].tolist()
         for m, idx in generators_upto(6):
             exact = C.omega_gen(m, idx, n)
-            got = C.omega_gen_mod(m, idx, n, batch)
+            got = C.omega_gen_mod(m, idx, ring)
             want = [[image_mod(exact, ell, z) for z in row] for ell, row in zip(primes, emb)]
             assert got.tolist() == want, (m, idx)
 

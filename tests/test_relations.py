@@ -1,16 +1,22 @@
 """Tests for lattice reduction, integer relations, and the three relation miners."""
 
+import functools
+import gc
 import hashlib
+import io
 import itertools
 import math
 import operator
 import random
+import weakref
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from mtomega import cli
 from mtomega import cyclo as C
 from mtomega import modular as M
 from mtomega import numeric as N
@@ -460,10 +466,10 @@ def test_cyclo_generators():
 
 
 def test_cyclotomic_weight2_and_3():
-    basis, rep = R.cyclotomic_relation_space(2, range(2, 13))
+    basis, rep = next(R.cyclotomic_relation_spaces([2], range(2, 13)))
     assert rep.dimension == 1 and rep.relation_count == 0
 
-    basis, rep = R.cyclotomic_relation_space(3, range(2, 13))
+    basis, rep = next(R.cyclotomic_relation_spaces([3], range(2, 13)))
     assert rep.dimension == 2
     assert basis.vectors == ((2, 0, 1),)
     assert basis.statuses == ("proven",)
@@ -493,13 +499,13 @@ def paper_weight5_relations():
 
 
 def test_cyclotomic_recovers_paper_relations():
-    basis4, rep4 = R.cyclotomic_relation_space(4, range(2, 13))
+    basis4, rep4 = next(R.cyclotomic_relation_spaces([4], range(2, 13)))
     assert rep4.dimension == 4
     kernel4 = [list(v) for v in basis4.vectors]
     for vec in paper_weight4_relations():
         assert R.span_test(kernel4)(vec), vec
 
-    basis5, rep5 = R.cyclotomic_relation_space(5, range(2, 13))
+    basis5, rep5 = next(R.cyclotomic_relation_spaces([5], range(2, 13)))
     assert rep5.dimension == 7
     kernel5 = [list(v) for v in basis5.vectors]
     for vec in paper_weight5_relations():
@@ -511,7 +517,7 @@ def test_cyclotomic_recovers_paper_relations():
 
 
 def test_cyclotomic_relations_reverify_on_fresh_n():
-    basis, _ = R.cyclotomic_relation_space(4, range(2, 13))
+    basis, _ = next(R.cyclotomic_relation_spaces([4], range(2, 13)))
     for n in (13, 14, 15, 16, 17):  # outside the mining range
         vals = [C.omega_gen(m, idx, n) for m, idx in basis.generators]
         for v in basis.vectors:
@@ -526,8 +532,54 @@ def test_cyclotomic_relations_reverify_on_fresh_n():
     "weight,n_max", [(2, 30), (3, 30), (4, 30), (5, 30), (6, 30), (7, 24)]
 )
 def test_cyclotomic_miner_matches_exact_oracle(weight, n_max):
-    basis, _ = R.cyclotomic_relation_space(weight, range(2, n_max + 1))
+    basis, _ = next(R.cyclotomic_relation_spaces([weight], range(2, n_max + 1)))
     assert basis.vectors == cyclotomic_kernel_exact(weight, range(2, n_max + 1))
+
+
+def test_cyclotomic_pass_matches_single_weight_calls():
+    """One pass over weights 2..6, as `dims cyclotomic --weights 2..6` mines
+    them, gives each weight the basis and report of a one-weight call."""
+    weights, n_range = range(2, 7), range(2, 21)
+    assert list(R.cyclotomic_relation_spaces(weights, n_range)) == [
+        next(R.cyclotomic_relation_spaces([w], n_range)) for w in weights
+    ]
+
+
+def test_cyclotomic_rings_are_freed_when_the_miner_leaves_their_n(monkeypatch):
+    """While the miner builds a ring, only rings of the same n are alive, and
+    none is after the command; each (n, batch, sorted prefix) series is formed
+    once, for every weight at that n."""
+    made, batches, formed = [], [], []
+    build, series = C.mod_ring, C._series_mod
+
+    def mod_ring(n, batch=0):
+        gc.collect()
+        assert {r().n for r in made if r() is not None} <= {n}, n
+        ring = build(n, batch)
+        made.append(weakref.ref(ring))
+        batches.append((n, batch))
+        return ring
+
+    def series_mod(ring, prefix):
+        if prefix not in ring.series:
+            formed.append((ring.n, ring.primes, prefix))
+        return series(ring, prefix)
+
+    monkeypatch.setattr(C, "mod_ring", mod_ring)
+    monkeypatch.setattr(C, "_series_mod", series_mod)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main("dims cyclotomic --weights 2..6 --n-max 30".split()) == 0
+    gc.collect()
+    assert made and all(r() is None for r in made)
+    keys = {
+        (n, C.root_primes(n, batch), tuple(sorted(idx))[:j])
+        for n, batch in batches
+        for w in range(2, 7)
+        for _m, idx in R.cyclo_generators(w)
+        for j in range(1, len(idx))
+    }
+    assert len(formed) == len(keys) == 310
+    assert set(formed) == keys
 
 
 def test_kernel_mod_matches_exact_kernel():
@@ -564,23 +616,29 @@ def identity(d):
     return [tuple(int(i == j) for j in range(d)) for i in range(d)]
 
 
+def rings_at(n):
+    """The miner's per-n ring getter: batch -> cyclo.mod_ring(n, batch)."""
+    return functools.cache(functools.partial(C.mod_ring, n))
+
+
 def test_cyclotomic_kernel_after_each_n_is_exact():
     # the incremental kernel spans, at every n, what the exact stack up to n
     # spans, and each of its vectors is certified at n
     gens = R.cyclo_generators(5)
     basis = identity(len(gens))
     for n in range(2, 21):
-        basis = R._kernel_at(basis, gens, n)
+        rings = rings_at(n)
+        basis = R._kernel_at(basis, gens, rings)
         exact = cyclotomic_kernel_exact(5, range(2, n + 1))
         assert len(basis) == len(exact), n
         assert all(map(R.span_test(exact), basis)), n
-        assert R.certified(basis, gens, n), n
+        assert R.certified(basis, gens, rings), n
 
 
 def test_cyclotomic_relations_certified_at_every_n():
-    basis, _ = R.cyclotomic_relation_space(6, range(2, 31))
+    basis, _ = next(R.cyclotomic_relation_spaces([6], range(2, 31)))
     for n in range(2, 31):
-        assert R.certified(basis.vectors, basis.generators, n), n
+        assert R.certified(basis.vectors, basis.generators, rings_at(n)), n
 
 
 @pytest.mark.parametrize("n", [5, 9, 12])
@@ -588,8 +646,9 @@ def test_certificate_refuses_a_forged_candidate(n):
     # v + l e_i vanishes mod l at every embedding, so a test at the one prime
     # l passes it; the certificate needs more primes and must refuse it
     gens = R.cyclo_generators(5)
-    basis, _ = R.cyclotomic_relation_space(5, range(2, 13))
-    ell, values = next(R._values_mod(gens, n))
+    basis, _ = next(R.cyclotomic_relation_spaces([5], range(2, 13)))
+    rings = rings_at(n)
+    ell, values = next(R._values_mod(gens, rings))
     assert ell == C.root_primes(n)[0]
     nonzero = [i for i, (m, idx) in enumerate(gens) if C.omega_gen(m, idx, n)]
     assert nonzero
@@ -597,9 +656,9 @@ def test_certificate_refuses_a_forged_candidate(n):
         forged = list(v)
         forged[i] += ell
         assert not (np.array(forged) % ell @ values % ell).any()
-        assert R.certified([v], gens, n)
-        assert not R.certified([forged], gens, n)
-        assert not R.certified([v, forged], gens, n)
+        assert R.certified([v], gens, rings)
+        assert not R.certified([forged], gens, rings)
+        assert not R.certified([v, forged], gens, rings)
 
 
 def test_certificate_refuses_a_single_generator():
@@ -607,11 +666,11 @@ def test_certificate_refuses_a_single_generator():
     for n in (3, 8, 15):
         for i, (m, idx) in enumerate(gens):
             unit = [int(i == j) for j in range(len(gens))]
-            assert R.certified([unit], gens, n) == (not C.omega_gen(m, idx, n)), (n, i)
+            assert R.certified([unit], gens, rings_at(n)) == (not C.omega_gen(m, idx, n)), (n, i)
 
 
 def test_m0_projection_is_finite_relation():
-    basis, _ = R.cyclotomic_relation_space(4, range(2, 13))
+    basis, _ = next(R.cyclotomic_relation_spaces([4], range(2, 13)))
     fin_basis, _ = next(R.finite_relation_spaces([4]))
     fin = [list(v) for v in fin_basis.vectors]
     m0 = [i for i, (m, _g) in enumerate(basis.generators) if m == 0]
@@ -709,7 +768,7 @@ def test_product_identity_checks_small_range():
 
 
 def test_conjecture_report_weight3():
-    rep = R.conjecture_report(3, range(2, 13))
+    rep = next(R.conjecture_reports([3], range(2, 13)))
     assert rep["kernels_agree"]
     assert all(rep["m0_projection_in_finite_kernel"])
     assert rep["weight"] == 3
@@ -718,7 +777,7 @@ def test_conjecture_report_weight3():
 
 
 def test_conjecture_report_weight4_implied():
-    rep = R.conjecture_report(4, range(2, 13))
+    rep = next(R.conjecture_reports([4], range(2, 13)))
     assert rep["kernels_agree"]
     assert rep["implied_relations"]
     assert all(rec["in_finite_kernel"] for rec in rep["implied_relations"])
