@@ -1,18 +1,23 @@
 """Certified high-precision evaluation of zeta-type and omega-type values.
 
 Multiple zeta values are evaluated by splitting the defining iterated
-integral at 1/2, which rewrites zeta(w) as a finite sum of products of
-multiple polylogarithms at argument 1/2; each of those is a geometrically
-convergent series whose truncation error is bounded explicitly, so a
-requested accuracy of `digits` decimal digits is honest.  The series run in
-fixed-point integers, with guard bits that cover every rounding step; the
-values built from them run in mpmath at `digits` plus guard digits.
+integral at 1/2 (Borwein, Bradley, Broadhurst and Lisonek, Trans. AMS 353,
+2001), which rewrites zeta(w) as a finite sum of products of multiple
+polylogarithms at argument 1/2; each of those is a geometrically convergent
+series whose truncation error is bounded explicitly, so a requested accuracy
+of `digits` decimal digits is honest.  The series of all the pieces a caller
+needs run as one batch over the trie of their suffixes (`li_half_values`), in
+fixed-point integers with guard bits that cover every rounding step;
+`zeta_table` turns them into the zeta values of the caller's words, in
+mpmath at `digits` plus guard digits.  The module keeps no cache: a caller
+builds one table for the words it will read (`omega_limit_sums` lists those
+of an Omega value) and passes it down, or each value builds its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from typing import NamedTuple
 
 import mpmath as mp
@@ -22,7 +27,6 @@ from .errors import LengthError, NotAdmissibleError
 from .words import X1, WordSum
 
 GUARD_DIGITS = 15
-_CACHE_SERIES = 1024  # a benchmark command uses at most 192 series, 127 zetas
 
 
 class BigReal(NamedTuple):
@@ -40,7 +44,9 @@ class BigReal(NamedTuple):
 
 
 def _li_truncation_order(r: int, digits: int) -> int:
-    """Smallest M with 1.5 * 2^-M * (M+1)^(r-1) < 10^-(digits+8)."""
+    """A truncation order M with 1.5 * 2^-M * (M+1)^(r-1) < 10^-(digits+8):
+    the first that passes, from max(8r, floor(3.33 (digits + 8))) up in
+    steps of 16, so not always the smallest."""
     target = (digits + 8) * math.log(10)
     m = max(8 * r, int(3.33 * (digits + 8)))
     while math.log(1.5) - m * math.log(2) + (r - 1) * math.log(m + 1) >= -target:
@@ -48,58 +54,85 @@ def _li_truncation_order(r: int, digits: int) -> int:
     return m
 
 
-@functools.lru_cache(maxsize=_CACHE_SERIES)
-def _li_half(index, digits: int) -> mp.mpf:
-    """Li_{s_1,...,s_r}(1/2) = sum over m_1 > ... > m_r of 2^-m_1 / prod m^s,
-    truncated with a certified geometric tail bound.
+def li_half_values(indices, digits: int) -> dict:
+    """Li_{s_1,...,s_r}(1/2) = sum over m_1 > ... > m_r of 2^-m_1 / prod m^s
+    of each index, truncated with a certified geometric tail bound.
 
     The levels run in integers scaled by 2^P, with a floor after each product
     and 2^-m as a shift.  Below the truncation order M a level sums to under
     3M, so an entry is off by at most the errors before it, plus that prefix
     for the floor of m^-s, plus one: under (4M)^j units of 2^-P at level j,
-    and the final shifts add M.  r * bitlen(4M) guard bits cover both.
+    and the final shifts add M.  r * bitlen(4M) guard bits cover both.  M, P
+    and r are those of the longest index: the tail bound grows with r, so a
+    larger M and more guard bits only tighten a shorter index's bound.
+
+    The levels are built depth first over the trie of the indices' suffixes,
+    one `sums.chain_pass` per node from its parent's level, with one m^-s
+    table per part value; only the levels on the current path are kept.
     """
-    if not index:
-        return mp.mpf(1)
-    r = len(index)
+    indices = set(indices)
+    r = max(map(len, indices), default=0)
     order = _li_truncation_order(r, digits)
     prec = math.ceil((digits + GUARD_DIGITS) * math.log2(10)) + r * (4 * order).bit_length()
-    powers = {s: [0] + [(1 << prec) // m**s for m in range(1, order + 1)] for s in set(index)}
-    level = sums.chain_levels(
-        index, order + 1, lambda m, s: powers[s][m], 0, lambda a, b: a * b >> prec
-    )
+    children = {}  # suffix -> the entries that extend it in front
+    for index in indices:
+        for j in range(len(index)):
+            children.setdefault(index[j + 1 :], set()).add(index[j])
+    parts = {k for index in indices for k in index}
+    powers = {s: [0] + [(1 << prec) // m**s for m in range(1, order + 1)] for s in parts}
+    values = {}
+
+    def visit(index, level):
+        if index in indices:
+            scaled = sum(map(operator.rshift, level, range(len(level))))
+            values[index] = mp.ldexp(mp.mpf(scaled), -prec)
+        for k in children.get(index, ()):
+            visit((k,) + index, [x >> prec for x in sums.chain_pass(level, powers[k], 0)])
+
     with mp.workdps(digits + GUARD_DIGITS):
-        return mp.ldexp(mp.mpf(sum(x >> m for m, x in enumerate(level))), -prec)
+        visit((), [1 << prec] + [0] * order)  # level[0] = 1: the empty index
+    return values
 
 
-def _dual_prefix(word) -> tuple:
-    """Reverse the word and swap the letters (the left factor of the split)."""
-    return tuple(X1 - l for l in reversed(word))
-
-
-@functools.lru_cache(maxsize=_CACHE_SERIES)
-def _zeta_word(word, digits: int) -> mp.mpf:
-    """zeta of one admissible monomial by splitting the iterated integral at 1/2."""
-    if not word:
-        return mp.mpf(1)
+def _cuts(word) -> list:
+    """(left, right) indices of the cuts word = u v, u from empty to whole:
+    left of u reversed with its letters swapped, right of v."""
+    dual = tuple(X1 - l for l in reversed(word))
     n = len(word)
+    return [
+        (words.index_of_word(dual[n - j :]), words.index_of_word(word[j:])) for j in range(n + 1)
+    ]
+
+
+def zeta_table(word_sums, digits: int) -> dict:
+    """zeta of every monomial of the admissible word sums, at `digits`, by
+    splitting the iterated integral at 1/2: zeta(w) is the sum over the cuts
+    of w of Li(left)(1/2) * Li(right)(1/2), every piece of every word taken
+    from one `li_half_values` batch."""
+    ws = {w for u in word_sums for w, _c in u.items()}
+    li = li_half_values({piece for w in ws for cut in _cuts(w) for piece in cut}, digits)
+    table = {}
     with mp.workdps(digits + GUARD_DIGITS):
-        total = mp.mpf(0)
-        for j in range(n + 1):
-            left = words.index_of_word(_dual_prefix(word[:j]))
-            right = words.index_of_word(word[j:])
-            total += _li_half(left, digits) * _li_half(right, digits)
-        return +total
+        for w in ws:
+            total = mp.mpf(0)
+            for left, right in _cuts(w):
+                total += li[left] * li[right]
+            table[w] = +total
+    return table
 
 
-def mzv_num(u: WordSum, digits: int) -> BigReal:
-    """Linear combination of multiple zeta values, accurate to `digits`."""
+def mzv_num(u: WordSum, digits: int, zetas=None) -> BigReal:
+    """Linear combination of multiple zeta values, accurate to `digits`;
+    `zetas` is a `zeta_table` at those digits with u's words, by default
+    one built for them."""
     if not u.in_h0():
         raise NotAdmissibleError("mzv_num needs admissible monomials")
+    if zetas is None:
+        zetas = zeta_table([u], digits)
     with mp.workdps(digits + GUARD_DIGITS):
         total = mp.mpf(0)
         for w, c in u.items():
-            total += mp.mpf(c.numerator) / c.denominator * _zeta_word(w, digits)
+            total += mp.mpf(c.numerator) / c.denominator * zetas[w]
         return BigReal(+total, digits)
 
 
@@ -119,25 +152,37 @@ def zeta_s_num(index, digits: int) -> BigReal:
     return mzv_num(words.zeta_s_word(index), digits)
 
 
-def omega_limit_num(index, digits: int) -> BigReal:
+def omega_limit_sums(index) -> list:
+    """The signed word sums behind Omega(index): for each entry k_a, the
+    Mordell-Tornheim word with k_a moved into the weight slot, sign
+    (-1)^{k_a}; last, the regularized symmetric value of the MT word, sign
+    (-1)^{k_r}."""
+    index = words.check_index(index)
+    if len(index) < 2:
+        raise LengthError(f"omega_limit_num needs length >= 2, got {index}")
+    mt = [
+        ((-1) ** ka, words.mt_word(index[:a] + index[a + 1 :] + (ka,)))
+        for a, ka in enumerate(index)
+    ]
+    return mt + [((-1) ** index[-1], words.reg_shuffle0(words.phi(words.mt_word(index))))]
+
+
+def omega_limit_num(index, digits: int, zetas=None) -> BigReal:
     """Limit value Omega(index) of the unit-circle omega sums.
 
     Computed two ways and cross-checked: as the alternating sum of
     Mordell-Tornheim values with one entry moved into the weight slot, and as
-    (-1)^{k_r} times the regularized symmetric value of the MT word.
+    (-1)^{k_r} times the regularized symmetric value of the MT word
+    (`omega_limit_sums`).  `zetas` is as in `mzv_num`.
     """
-    index = words.check_index(index)
-    if len(index) < 2:
-        raise LengthError(f"omega_limit_num needs length >= 2, got {index}")
+    *mt, (sign, via) = omega_limit_sums(index)
+    if zetas is None:
+        zetas = zeta_table([u for _sign, u in mt] + [via], digits)
     with mp.workdps(digits + GUARD_DIGITS):
         total = mp.mpf(0)
-        for a, ka in enumerate(index):
-            rest = index[:a] + index[a + 1 :]
-            term = mt_num(rest, ka, digits).value
-            total += term if ka % 2 == 0 else -term
-        via_words = mzv_num(words.reg_shuffle0(words.phi(words.mt_word(index))), digits).value
-        if index[-1] % 2:
-            via_words = -via_words
+        for s, u in mt:
+            total += s * mzv_num(u, digits, zetas).value
+        via_words = sign * mzv_num(via, digits, zetas).value
         if abs(total - via_words) > mp.mpf(10) ** (-(digits - 5)):
             raise ArithmeticError(
                 f"two evaluation routes for Omega{index} disagree: {total} vs {via_words}"

@@ -539,7 +539,7 @@ def _kernel_at(basis, gens, rings):
     span the kernel.  When the basis vanishes mod l (no pivots), the
     basis itself is the candidate.
     """
-    best = None
+    best, columns = None, list(zip(*basis))
     for ell, values in _values_mod(gens, rings):
         pivots, kernel = _kernel_mod((_residues(basis, ell) @ values % ell).T, ell)
         if best is None or (-len(pivots), pivots) < (-len(best), best):
@@ -559,7 +559,7 @@ def _kernel_at(basis, gens, rings):
             if lifted is None:
                 continue
             vectors = [
-                primitive_integer([sum(map(operator.mul, a, col)) for col in zip(*basis)])
+                primitive_integer([sum(map(operator.mul, a, col)) for col in columns])
                 for a in lifted
             ]
         if certified(vectors, gens, rings):
@@ -602,8 +602,19 @@ SYMMETRIC_DIGITS = 60
 MAX_DIGITS = 10_000
 
 
-def symmetric_relation_space(weight: int):
-    """Mine relations among limit Omega values modulo zeta(2) multiples.
+def _symmetric_sums(weight):
+    """The word sums of a weight's value vector: each generator's
+    `numeric.omega_limit_sums`, then zeta(2) and the Hoffman zeta values."""
+    from . import numeric
+
+    gens = words.partitions_of_weight(weight)
+    omegas = [u for g in gens for _sign, u in numeric.omega_limit_sums(g)]
+    return omegas + [words.y_word(k) for k in [(2,)] + _hoffman_indices(weight - 2)]
+
+
+def symmetric_relation_spaces(weights):
+    """Mine relations among limit Omega values modulo zeta(2) multiples,
+    weight by weight, yielding each weight's (RelationBasis, DimReport).
 
     The value vector is the Omega values of one weight followed by
     zeta(2) * zeta(k) for the Hoffman indices k of weight - 2, and one LLL
@@ -612,43 +623,54 @@ def symmetric_relation_space(weight: int):
     value".  The reported dimension counts only the Omega block of the
     quotient.  The digits double from SYMMETRIC_DIGITS while there is no
     lattice gap (`integer_relations`); at MAX_DIGITS its error is raised.
+
+    The run keeps one `numeric.zeta_table` per digits, built when a weight
+    first needs those digits, with the words of that weight and of every
+    later one.
     """
     import mpmath as mp
 
     from . import numeric
 
-    gens = words.partitions_of_weight(weight)
-    d = len(gens)
-    if d == 0:
-        return _mined("symmetric", weight, (), ())
-    digits = SYMMETRIC_DIGITS
-    while True:
-        values = [numeric.omega_limit_num(g, digits) for g in gens]
-        with mp.workdps(digits + numeric.GUARD_DIGITS):
-            z2 = numeric.mzv_num(words.y_word((2,)), digits).value
-            for k in _hoffman_indices(weight - 2):
-                values.append(
-                    numeric.BigReal(+(z2 * numeric.mzv_num(words.y_word(k), digits).value), digits)
-                )
-        try:
-            found = integer_relations(values, digits)
-            break
-        except PrecisionError as exc:
-            if digits >= MAX_DIGITS:
-                raise PrecisionError(f"weight {weight}: {exc}") from None
-            digits = min(2 * digits, MAX_DIGITS)
-    # dimension counts the Omega block of the quotient
-    omega_parts = [list(v[:d]) for v in found]
-    dim = d - len(rref([r for r in omega_parts if any(r)])[0])
-    in_proven = span_test(_proven_finite_span(weight, gens))
-    # a relation is proven when its Omega-block statement (mod zeta(2) times a
-    # zeta value) follows from the proved special values; pure-augmentation
-    # relations are classical zeta identities found numerically, so they stay
-    # conjectural here
-    return _mined(
-        "symmetric", weight, [(0, g) for g in gens], found,
-        lambda v: any(v[:d]) and in_proven(v[:d]), dim,
-    )
+    weights = list(weights)
+    tables = {}  # digits -> zeta table
+    for i, weight in enumerate(weights):
+        gens = words.partitions_of_weight(weight)
+        d = len(gens)
+        if d == 0:
+            yield _mined("symmetric", weight, (), ())
+            continue
+        digits = SYMMETRIC_DIGITS
+        while True:
+            if digits not in tables:
+                run_sums = (u for w in weights[i:] for u in _symmetric_sums(w))
+                tables[digits] = numeric.zeta_table(run_sums, digits)
+            zetas = tables[digits]
+            values = [numeric.omega_limit_num(g, digits, zetas) for g in gens]
+            with mp.workdps(digits + numeric.GUARD_DIGITS):
+                z2 = numeric.mzv_num(words.y_word((2,)), digits, zetas).value
+                for k in _hoffman_indices(weight - 2):
+                    zk = numeric.mzv_num(words.y_word(k), digits, zetas).value
+                    values.append(numeric.BigReal(+(z2 * zk), digits))
+            try:
+                found = integer_relations(values, digits)
+                break
+            except PrecisionError as exc:
+                if digits >= MAX_DIGITS:
+                    raise PrecisionError(f"weight {weight}: {exc}") from None
+                digits = min(2 * digits, MAX_DIGITS)
+        # dimension counts the Omega block of the quotient
+        omega_parts = [list(v[:d]) for v in found]
+        dim = d - len(rref([r for r in omega_parts if any(r)])[0])
+        in_proven = span_test(_proven_finite_span(weight, gens))
+        # a relation is proven when its Omega-block statement (mod zeta(2)
+        # times a zeta value) follows from the proved special values;
+        # pure-augmentation relations are classical zeta identities found
+        # numerically, so they stay conjectural here
+        yield _mined(
+            "symmetric", weight, [(0, g) for g in gens], found,
+            lambda v: any(v[:d]) and in_proven(v[:d]), dim,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +730,7 @@ def conjecture_reports(weights, n_range):
     """
     products = product_identity_checks(n_range)
     fins, cycs = finite_relation_spaces(weights), cyclotomic_relation_spaces(weights, n_range)
-    for weight, fin, cyc in zip(weights, fins, cycs):
-        sym = symmetric_relation_space(weight)
+    for weight, fin, cyc, sym in zip(weights, fins, cycs, symmetric_relation_spaces(weights)):
         fin_vecs = [list(v) for v in fin[0].vectors]
         gens = fin[0].generators
         d = len(gens)

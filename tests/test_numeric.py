@@ -52,12 +52,49 @@ def test_mzv_shuffle_homomorphism_numeric():
 
 @pytest.mark.parametrize("digits,max_weight", [(60, 7), (200, 5)])
 def test_li_half_fixed_point_against_mpmath(digits, max_weight):
-    for w in range(1, max_weight + 1):
-        for index in W.indices_of_weight(w):
-            got = N._li_half(index, digits)
-            with mp.workdps(digits + 30):
-                err = abs(got - O.li_half(index, digits))
-                assert err < mp.mpf(10) ** (-(digits + 5)), index
+    indices = [index for w in range(1, max_weight + 1) for index in W.indices_of_weight(w)]
+    values = N.li_half_values(indices, digits)
+    assert set(values) == set(indices)
+    for index in indices:
+        with mp.workdps(digits + 30):
+            err = abs(values[index] - O.li_half(index, digits))
+            assert err < mp.mpf(10) ** (-(digits + 5)), index
+
+
+def count_passes(monkeypatch):
+    """Record the index set of each Li(1/2) batch and count the level passes."""
+    from mtomega import sums
+
+    batches, passes = [], []
+    batch, chain_pass = N.li_half_values, sums.chain_pass
+
+    def spy_batch(indices, digits):
+        batches.append(set(indices))
+        return batch(indices, digits)
+
+    def spy_pass(*args):
+        passes.append(1)
+        return chain_pass(*args)
+
+    monkeypatch.setattr(N, "li_half_values", spy_batch)
+    monkeypatch.setattr(sums, "chain_pass", spy_pass)
+    return batches, passes
+
+
+def test_li_half_one_level_per_piece(monkeypatch):
+    from mtomega import relations as R
+
+    batches, passes = count_passes(monkeypatch)
+    list(R.symmetric_relation_spaces(range(3, 9)))
+    # one batch at 60 digits: the empty index, every index of weight 1..7 and
+    # the admissible ones of weight 8; one level per nonempty index
+    pieces = {()} | {k for w in range(1, 9) for k in W.indices_of_weight(w) if w < 8 or k[0] > 1}
+    assert batches == [pieces] and len(pieces) == 192
+    assert len(passes) == 191
+    batches.clear(), passes.clear()
+    N.omega_limit_num((7, 7), 60)
+    assert [len(b) for b in batches] == [28]
+    assert len(passes) == 27
 
 
 def test_mzv_rejects_divergent():

@@ -684,13 +684,13 @@ def test_m0_projection_is_finite_relation():
 
 
 def test_symmetric_weight3():
-    basis, rep = R.symmetric_relation_space(3)
+    basis, rep = next(R.symmetric_relation_spaces([3]))
     assert rep.dimension == 1
     assert (1, 0) in basis.vectors  # Omega(2,1) = 0
 
 
 def test_symmetric_weight2_proven():
-    basis, rep = R.symmetric_relation_space(2)
+    basis, rep = next(R.symmetric_relation_spaces([2]))
     assert rep.dimension == 0
     assert basis.statuses == ("proven",)  # Omega(1,1) = -2 zeta(2)
 
@@ -715,9 +715,30 @@ def test_symmetric_dimension_matches_zagier(weight, monkeypatch):
 
     monkeypatch.setattr(R, "integer_relations", spy)
     d = zagier_d(weight)
-    _basis, rep = R.symmetric_relation_space(weight)
+    _basis, rep = next(R.symmetric_relation_spaces([weight]))
     assert rep.dimension == d[weight] - d[weight - 2]
     assert tried == {9: [60], 10: [60, 120]}[weight]
+
+
+def test_symmetric_run_matches_one_weight_passes(monkeypatch):
+    # at 30 digits weights 2..7 find their gap and weight 8 retries at 60;
+    # the run builds one table per digits, each with the longer pieces of
+    # the later weights, and still mines what one-weight passes mine
+    from mtomega import numeric
+
+    monkeypatch.setattr(R, "SYMMETRIC_DIGITS", 30)
+    tables, zeta_table = [], numeric.zeta_table
+
+    def spy(word_sums, digits):
+        tables.append(digits)
+        return zeta_table(word_sums, digits)
+
+    monkeypatch.setattr(numeric, "zeta_table", spy)
+    run = list(R.symmetric_relation_spaces(range(2, 9)))
+    assert tables == [30, 60]
+    for weight, mined in zip(range(2, 9), run):
+        assert mined == next(R.symmetric_relation_spaces([weight])), weight
+    assert tables.count(60) == 2  # only weight 8 retried
 
 
 # Relation span of the Omega block at weights 3..8 as the PSLQ miner found it
@@ -749,7 +770,7 @@ PSLQ_OMEGA_SPANS = {
 @pytest.mark.parametrize("weight", sorted(PSLQ_OMEGA_SPANS))
 def test_symmetric_omega_span_pinned(weight):
     d, rows = PSLQ_OMEGA_SPANS[weight]
-    basis, rep = R.symmetric_relation_space(weight)
+    basis, rep = next(R.symmetric_relation_spaces([weight]))
     assert rep.generator_count == d
     red, _ = R.rref([list(v[:d]) for v in basis.vectors if any(v[:d])])
     want = [tuple(row.get(i, 0) for i in range(d)) for row in rows]

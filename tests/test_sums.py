@@ -41,6 +41,20 @@ def test_chain_levels_bruteforce(ring):
 
 
 @pytest.mark.parametrize("ring", WEIGHTS)
+def test_chain_pass_from_the_empty_index(ring):
+    # a level with level[0] = 1 stands for the empty index: one pass per
+    # entry from it gives chain_levels, as a walk over a suffix trie does
+    f, zero = WEIGHTS[ring]
+    top = 9
+    for r in range(1, 5):
+        for index in indices(r):
+            level = [zero + 1] + [zero] * (top - 1)
+            for k in reversed(index):
+                level = sums.chain_pass(level, [zero] + [f(m, k) for m in range(1, top)], zero)
+            assert level == sums.chain_levels(index, top, f, zero), index
+
+
+@pytest.mark.parametrize("ring", WEIGHTS)
 def test_composition_sum_bruteforce(ring):
     f, zero = WEIGHTS[ring]
     for r in range(1, 5):
