@@ -13,8 +13,10 @@ failed (the falsifying instance is printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import operator
 import sys
 
 from . import cyclo, modular, relations, words
@@ -125,48 +127,59 @@ def _emit(line: str):
 
 # ---------------------------------------------------------------------------
 # verify suites
+#
+# A suite lists its checks as (instance, test, needs): test(*values) decides
+# a check, values being f(k, ring(m)) for the (ring, f, k, m) of needs, which
+# cmd_verify forms for all its suites together, modulus by modulus.
+
+
+def _values(needs) -> dict:
+    """f(k, ring(m)) for each (ring, f, k, m) of needs, modulus by modulus: one
+    ring per (ring, m), shared by its needs and dropped before the next."""
+    by_ring = {}
+    for ring, f, k, m in needs:
+        by_ring.setdefault((ring, m), {})[f, k] = None
+    out = {}
+    for (ring, m), fks in by_ring.items():
+        out.update(((ring, f, k, m), f(k, r)) for r in [ring(m)] for f, k in fks)
+    return out
+
+
+def _indices(lo, max_w, **kw) -> list:
+    return [k for w in range(lo, max_w + 1) for k in words.indices_of_weight(w, min_len=2, **kw)]
 
 
 def _suite_fmzv_reduction(args):
-    max_w = args.max_weight or 5
-    primes = modular.primes_upto(args.prime_max or 50)
-    for w in range(2, max_w + 1):
-        for k in words.indices_of_weight(w, min_len=2):
-            for p in primes:
-                ok = (
-                    cyclo.reduce_at_one(cyclo.omega_at_root(k, p), p)
-                    == modular.omega_mod(k, p)
-                )
-                yield (f"reduce_at_one(omega_at_root) == omega_mod {k} p={p}", ok)
+    def reduced(k, ring):
+        return cyclo.reduce_at_one(cyclo.omega_at_root(k, ring), ring.n)
+
+    for k in _indices(2, args.max_weight or 5):
+        for p in modular.primes_upto(args.prime_max or 50):
+            finite = (modular.prime_ring, modular.omega_mod, k, p)
+            needs = [(cyclo.packed_ring, reduced, k, p), finite]
+            yield (f"reduce_at_one(omega_at_root) == omega_mod {k} p={p}", operator.eq, needs)
 
 
 def _suite_q_kamano(args):
-    max_w = args.max_weight or 5
-    for w in range(2, max_w + 1):
-        for k in words.indices_of_weight(w, min_len=2):
-            for n in range(2, args.n_max + 1):
-                yield (f"q-kamano {k} n={n}", cyclo.check_q_kamano(k, n))
+    for k in _indices(2, args.max_weight or 5):
+        for n in _n_range(args):
+            yield (f"q-kamano {k} n={n}", bool, [(cyclo.packed_ring, cyclo.check_q_kamano, k, n)])
 
 
 def _suite_identity_words(args):
-    max_w = args.max_weight or 7
-    for w in range(2, max_w + 1):
-        for k in words.indices_of_weight(w, min_len=2):
-            yield (f"word identity {k}", words.check_identity_words(k))
+    for k in _indices(2, args.max_weight or 7):
+        yield (f"word identity {k}", functools.partial(words.check_identity_words, k), ())
 
 
 def _suite_generating(args):
-    max_w = args.max_weight or 5
-    for rec in words.check_generating_identities(max_w):
-        yield (f"{rec.identity} [{rec.instance}]", rec.ok)
+    for rec in words.check_generating_identities(args.max_weight or 5):
+        yield (f"{rec.identity} [{rec.instance}]", functools.partial(bool, rec.ok), ())
 
 
 def _suite_sym_sum(args):
-    max_w = args.max_weight or 8
-    for w in range(4, max_w + 1):
-        for k in words.indices_of_weight(w, min_len=2, min_part=2):
-            for n in range(2, args.n_max + 1):
-                yield (f"sym-sum {k} n={n}", cyclo.check_sym_sum(k, n))
+    for k in _indices(4, args.max_weight or 8, min_part=2):
+        for n in _n_range(args):
+            yield (f"sym-sum {k} n={n}", bool, [(cyclo.packed_ring, cyclo.check_sym_sum, k, n)])
 
 
 def _suite_corollary52(args):
@@ -174,55 +187,40 @@ def _suite_corollary52(args):
 
     from . import numeric
 
-    max_w = args.max_weight or 8
+    terms = {k: words.corollary52_terms(k) for k in _indices(4, args.max_weight or 8, min_part=2)}
     primes = modular.primes_upto(args.prime_max or 200)
-    for w in range(4, max_w + 1):
-        for k in words.indices_of_weight(w, min_len=2, min_part=2):
-            terms = words.corollary52_terms(k)
-            for p in primes:
-                total = sum(modular.omega_mod(t, p) for t in terms)
-                yield (f"corollary52 finite {k} p={p}", total % p == 0)
+    for k, ts in terms.items():
+        for p in primes:
+            needs = [(modular.prime_ring, modular.omega_mod, t, p) for t in ts]
+            yield (f"corollary52 finite {k} p={p}", lambda *res, p=p: sum(res) % p == 0, needs)
     digits = 40
     tol = mp.mpf(10) ** (-digits + 5)
-    terms = {
-        k: words.corollary52_terms(k)
-        for w in range(4, min(max_w, 7) + 1)
-        for k in words.indices_of_weight(w, min_len=2, min_part=2)
-    }
+    terms = {k: ts for k, ts in terms.items() if sum(k) <= 7}
     sums = (u for ts in terms.values() for t in ts for _sign, u in numeric.omega_limit_sums(t))
     zetas = numeric.zeta_table(sums, digits)  # one table for every Omega value below
     for k, ts in terms.items():
         with mp.workdps(digits + numeric.GUARD_DIGITS):
             total = mp.fsum(numeric.omega_limit_num(t, digits, zetas).value for t in ts)
-            yield (f"corollary52 symmetric {k}", abs(total) < tol)
+        yield (f"corollary52 symmetric {k}", functools.partial(bool, abs(total) < tol), ())
 
 
 def _suite_specials(args):
-    # almost-all-primes identities bind above the weight floor; see ledger
+    # each identity is proved for p > weight + 2, so smaller primes are skipped
     max_w = args.max_weight or 8
     primes = modular.primes_upto(args.prime_max or 200)
-    for w in range(2, max_w + 1):
-        for k1 in range(1, w):
-            k = (k1, w - k1)
-            for p in primes:
-                if p <= w + 2:
-                    continue
-                yield (f"pair vanishing {k} p={p}", modular.omega_mod(k, p) == 0)
-    for r in range(2, 5):
-        k = (2,) * (r - 1) + (1,)
-        if sum(k) > max_w:
-            continue
-        for p in primes:
-            if p <= sum(k) + 2:
-                continue
-            yield (f"two-one vanishing {k} p={p}", modular.omega_mod(k, p) == 0)
-    for kk in range(2, 7):
-        for p in primes:
-            if p < kk + 3:
-                continue
-            lhs = modular.omega_mod((1,) * kk, p)
-            rhs = (-math.factorial(kk) * modular.bern_div_mod(kk, p)) % p
-            yield (f"ones value {{1}}^{kk} p={p}", lhs == rhs)
+    families = {
+        "pair vanishing": [(k1, w - k1) for w in range(2, max_w + 1) for k1 in range(1, w)],
+        "two-one vanishing": [(2,) * r + (1,) for r in range(1, 4) if 2 * r + 1 <= max_w],
+        "ones value": [(1,) * n for n in range(2, 7)],
+    }
+    for name, ks in families.items():
+        for k, p in ((k, p) for k in ks for p in primes if p > sum(k) + 2):
+            needs, n = [(modular.prime_ring, modular.omega_mod, k, p)], len(k)
+            if name != "ones value":
+                yield (f"{name} {k} p={p}", operator.not_, needs)
+            else:  # omega({1}^n) = -n! B_(p-n)/n mod p
+                want = -math.factorial(n) * modular.bern_div_mod(n, p) % p
+                yield (f"ones value {{1}}^{n} p={p}", functools.partial(operator.eq, want), needs)
 
 
 SUITES = {
@@ -238,13 +236,10 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    records = []
-    failed = 0
-    for name in names:
-        for instance, ok in SUITES[name](args):
-            records.append((name, instance, ok))
-            if not ok:
-                failed += 1
+    checks = [(name, *check) for name in names for check in SUITES[name](args)]
+    values = _values(need for *_check, needs in checks for need in needs)
+    records = [(name, i, test(*(values[n] for n in needs))) for name, i, test, needs in checks]
+    failed = sum(not ok for *_record, ok in records)
     if args.output_format == "json":
         _emit(
             json.dumps(
@@ -278,6 +273,13 @@ MINERS = {
 }
 
 
+def _n_range(args) -> range:
+    """n = 2..--n-max, 20 when unset; refused on the sides that have no n."""
+    if getattr(args, "side", None) in ("finite", "symmetric") and args.n_max is not None:
+        raise ConfigError(f"--n-max does nothing on the {args.side} side")
+    return range(2, (args.n_max or 20) + 1)
+
+
 def _guarded_weights(args) -> list:
     """The run's weights, refused past the side's guardrail unless forced."""
     if not args.weights:
@@ -297,7 +299,7 @@ def cmd_dims(args) -> int:
     # the cyclotomic quotient by (1-z) shifts needs the dimension one weight down
     quotient = args.side == "cyclotomic"
     need = sorted(set(weights) | {w - 1 for w in weights if quotient and w - 1 >= 2})
-    mined = MINERS[args.side](need, range(2, args.n_max + 1))
+    mined = MINERS[args.side](need, _n_range(args))
     reps = {w: rep for w, (_basis, rep) in zip(need, mined)}
     rows = []
     for w in weights:
@@ -318,7 +320,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    weights, n_range = _guarded_weights(args), range(2, args.n_max + 1)
+    weights, n_range = _guarded_weights(args), _n_range(args)
     if args.side == "conjecture":
         outs = relations.conjecture_reports(weights, n_range)
     else:
@@ -338,12 +340,13 @@ def cmd_values(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.kind == "omega-mod":
-        primes = args.primes or modular.primes_in(len(index), args.prime_max or 200)
-        for p in primes:
-            _emit(json.dumps({"index": args.index, "p": p, "res": modular.omega_mod(index, p)}))
+        primes = args.primes or modular.primes_in(len(index), (args.prime_max or 200) + 1)
+        for p in primes:  # one ring per prime, dropped before the next
+            res = modular.omega_mod(index, modular.prime_ring(p))
+            _emit(json.dumps({"index": args.index, "p": p, "res": res}))
     elif args.kind == "omega-root":
-        for n in args.n or [args.n_max]:
-            val = cyclo.omega_at_root(index, n)
+        for n in args.n or [args.n_max or 20]:
+            val = cyclo.omega_at_root(index, cyclo.packed_ring(n))
             _emit(json.dumps({"index": args.index, **val.to_json()}))
     else:  # omega-limit or zeta-s, the real values
         from . import numeric
@@ -357,15 +360,15 @@ def cmd_values(args) -> int:
 
 
 # Every flag with its type, range check and default; each subcommand declares
-# the ones it reads.  A --max-weight or --prime-max left at None takes the
-# verify suite's or the command's own default.
+# the ones it reads.  A --max-weight, --prime-max or --n-max left at None
+# takes the verify suite's or the command's own default.
 FLAGS = {
     "--weights": {"type": _parse_weights, "help": "e.g. 3..8 or 2,3,5"},
     "--max-weight": {"type": _bounded("max_weight", 2)},
     "--primes": {"type": _parse_ints, "help": "comma-separated primes"},
     "--n": {"type": _parse_ints, "help": "comma-separated n values"},
     "--prime-max": {"type": _bounded("prime_max", 3, modular.MAX_PRIME)},
-    "--n-max": {"type": _bounded("n_max", 2), "default": 20},
+    "--n-max": {"type": _bounded("n_max", 2)},
     "--digits": {"type": _bounded("digits", 30, relations.MAX_DIGITS), "default": 60},
     "--format": {"dest": "output_format", "choices": FORMATS, "default": "text"},
     "--force": {"action": "store_true"},

@@ -22,7 +22,9 @@ one integer product (Kronecker substitution).  The width b comes from a
 bound on the coefficient sum of every partial result, which bounds every
 coefficient, so the packed arithmetic is exact.  An omega value, here and
 modulo primes below, is the coefficient of t^n of a product of series in t,
-one kept per ascending-sorted index prefix, as in modular.omega_mod.
+one kept per ascending-sorted index prefix, as in modular.omega_mod.  The
+evaluators take the ring of n (packed_ring), which keeps those series and
+the values formed on it until the caller drops it, before the next n.
 
 For the cyclotomic miner omega also runs modulo primes l = 1 (mod n), which
 split in Q(zeta_n): the phi(n) embeddings identify Z[1/n][zeta_n]/(l) with
@@ -48,14 +50,6 @@ from .words import HAT1, HbarSum
 
 if TYPE_CHECKING:  # the annotations only; see the module docstring
     import numpy as np
-
-
-# Cache bounds.  The most distinct keys a benchmark workload uses are 627 z
-# and 583 omega values at roots and 26 packed rings holding 238 prefix
-# series, 0.66 MB (verify), and 29 values of n (cyclotomic).  The tables
-# modulo primes are not cached: each ring of mod_ring belongs to its caller.
-_CACHE_VALUES = 2048  # omega and z values, powers of 1 - zeta, root primes
-_CACHE_N = 128  # packed rings with their weights and series, power norms
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,10 +236,10 @@ def one_minus_zeta(ctx: CycloCtx) -> CycloElem:
     return CycloElem(ctx, [1, -1])
 
 
-@functools.lru_cache(maxsize=_CACHE_VALUES)
-def _one_minus_zeta_pow(n: int, m: int) -> CycloElem:
-    ctx = CycloCtx(n)
-    return one_minus_zeta(ctx) ** m
+def _one_minus_zeta_pow(ring: _PackedRing, m: int) -> CycloElem:
+    if m not in ring.hbar:
+        ring.hbar[m] = one_minus_zeta(ring.ctx) ** m
+    return ring.hbar[m]
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +289,13 @@ class _PackedRing:
 
     den is the lcm of the orders n/gcd(m, n) of the non-unit [m], m < n
     (1 when n is prime), and masses[m] the coefficient sum of
-    _scaled_inverse(n, den, m) (masses[0] = 0).
+    _scaled_inverse(n, den, m) (masses[0] = 0).  The ring also keeps the
+    values formed on it: omega per sorted index, z per e-word, and
+    (1 - zeta_n)^m per m, in `omega`, `z` and `hbar`.
     """
 
     def __init__(self, n: int):
+        self.ctx = CycloCtx(n)  # RangeError below n = 2
         self.n = n
         orders = [n // math.gcd(m, n) for m in range(1, n)]  # the order of x^m
         self.den = den = math.lcm(*(o for o in orders if o < n))
@@ -307,7 +304,7 @@ class _PackedRing:
             for m, order in enumerate(orders, 1)
         ]
         self.nbytes = 0
-        self._series = {}
+        self._series, self.omega, self.z, self.hbar = {}, {}, {(): CycloElem.one(self.ctx)}, {}
 
     def widen(self, index) -> "_PackedRing":
         """Make the coefficients wide enough for the nested sums over index.
@@ -383,24 +380,21 @@ class _PackedRing:
         data = self._fold(p).to_bytes(self.size // 8, "little")
         vec = [int.from_bytes(data[i : i + nb], "little") for i in range(0, len(data), nb)]
         weight = sum(map(_exponent, index))
-        return CycloElem(CycloCtx(self.n), vec, self.den**weight)
+        return CycloElem(self.ctx, vec, self.den**weight)
+
+    @functools.cached_property
+    def power_norm(self) -> int:
+        """The largest coordinate of any x^i mod Phi_n, i < n."""
+        return max(max(map(abs, self.ctx._reduce([0] * i + [1]))) for i in range(self.n))
 
 
-@functools.lru_cache(maxsize=_CACHE_N)
-def _packed_ring(n: int) -> _PackedRing:
+def packed_ring(n: int) -> _PackedRing:
+    """The ring of the values at zeta_n, n >= 2, and of those formed on it."""
     return _PackedRing(n)
 
 
-@functools.lru_cache(maxsize=_CACHE_VALUES)
-def _omega_at_root_sorted(index, n: int) -> CycloElem:
-    # only the coefficient of t^n of the last product is formed
-    ring = _packed_ring(n).widen(index)
-    head, weights = ring.series(index[:-1]), ring.weights(index[-1])[1:]
-    return ring.element(sum(map(operator.mul, reversed(head), weights)), index)
-
-
-def omega_at_root(index, n: int) -> CycloElem:
-    """omega_n(index; zeta_n) in Q(zeta_n), exactly.
+def omega_at_root(index, ring: _PackedRing) -> CycloElem:
+    """omega_n(index; zeta_n) in Q(zeta_n), exactly, n = ring.n.
 
     Sum over compositions m_1 + ... + m_r = n of the product of the F-weights;
     empty when n < r.  Needs r >= 2 (the r = 1 value would involve 1/[n] = 0).
@@ -408,16 +402,21 @@ def omega_at_root(index, n: int) -> CycloElem:
     index = words.check_index(index)
     if len(index) < 2:
         raise LengthError(f"omega_at_root needs length >= 2, got {index}")
-    if n < len(index):
-        return CycloElem.zero(CycloCtx(n))
-    # symmetric in the index: sorted ascending, indices share series prefixes
-    return _omega_at_root_sorted(tuple(sorted(index)), n)
+    if ring.n < len(index):
+        return CycloElem.zero(ring.ctx)
+    # symmetric in the index: sorted ascending, indices share series prefixes,
+    # and only the coefficient of t^n of the last product is formed
+    index = tuple(sorted(index))
+    if index not in ring.omega:
+        head, weights = ring.widen(index).series(index[:-1]), ring.weights(index[-1])[1:]
+        ring.omega[index] = ring.element(sum(map(operator.mul, reversed(head), weights)), index)
+    return ring.omega[index]
 
 
-def omega_gen(m: int, index, n: int) -> CycloElem:
+def omega_gen(m: int, index, ring: _PackedRing) -> CycloElem:
     """The generator value (1 - zeta_n)^m * omega_n(index; zeta_n)."""
-    val = omega_at_root(index, n)
-    return val * _one_minus_zeta_pow(n, m) if m else val
+    val = omega_at_root(index, ring)
+    return val * _one_minus_zeta_pow(ring, m) if m else val
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +426,7 @@ PRIME_LIMIT = 1 << 25  # n < 2^13 products of residues below it fit in int64
 PRIME_BATCH = 4  # primes evaluated together, as one array
 
 
-@functools.lru_cache(maxsize=_CACHE_VALUES)
+@functools.lru_cache(maxsize=None)
 def root_primes(n: int, batch: int = 0) -> tuple:
     """The batch-th PRIME_BATCH primes l = 1 (mod n), counting down from
     PRIME_LIMIT.  Such an l splits completely in Q(zeta_n)."""
@@ -454,9 +453,10 @@ def mod_ring(n: int, batch: int = 0) -> _ModRing:
     r = a^((l - 1)/n) for the least a >= 2 of order n.
 
     The ring holds n, the primes and their column `col`, the images `powers`
-    of x^m over (m < n, prime, j), the weights F_1, F_2, ... formed so far
-    (F_1 = 1/[m], den/[m] of _scaled_inverse times den^-1, 0 at m = 0), and
-    dicts of the prefix series and sorted-index omega values formed on it.
+    of x^m over (m < n, prime, j), the packed ring `packed` of n, the
+    weights F_1, F_2, ... formed so far (F_1 = 1/[m], den/[m] of
+    _scaled_inverse times den^-1, 0 at m = 0), and dicts of the prefix
+    series and sorted-index omega values formed on it.
     """
     import numpy as np
 
@@ -472,11 +472,13 @@ def mod_ring(n: int, batch: int = 0) -> _ModRing:
     for _ in range(1, n):
         powers.append(powers[-1] * z % col)
     powers = np.stack(powers)
-    den = _packed_ring(n).den
-    scaled = np.array([[0] * n] + [_scaled_inverse(n, den, m) for m in range(1, n)])
-    den_inv = np.array([[pow(den, -1, ell)] for ell in primes])
+    packed = packed_ring(n)
+    scaled = np.array([[0] * n] + [_scaled_inverse(n, packed.den, m) for m in range(1, n)])
+    den_inv = np.array([[pow(packed.den, -1, ell)] for ell in primes])
     f1 = np.tensordot(scaled, powers, 1) % col * den_inv % col
-    return _ModRing(n=n, primes=primes, col=col, powers=powers, weights=[f1], series={}, omega={})
+    return _ModRing(
+        n=n, primes=primes, col=col, powers=powers, packed=packed, weights=[f1], series={}, omega={}
+    )
 
 
 def _mod_weights(ring: _ModRing, k: int) -> np.ndarray:
@@ -521,47 +523,37 @@ def omega_gen_mod(m: int, index, ring: _ModRing) -> np.ndarray:
     return val
 
 
-def coordinate_bound(m: int, index, n: int) -> int:
+def coordinate_bound(m: int, index, ring: _PackedRing) -> int:
     """beta_g for g = (m, index): den^w sum_g a_g omega_gen(g), a_g integers,
     w the weight, has power-basis coordinates of size <= sum_g |a_g| beta_g.
     Its g-term is (den (1 - x))^m P(zeta_n), P of 1-norm at most widen's
-    bound, and each x^i mod Phi_n has coordinates at most _power_norm(n)."""
-    ring = _packed_ring(n)
-    return (2 * ring.den) ** m * ring.bound(index) * _power_norm(n)
+    bound, and each x^i mod Phi_n has coordinates at most ring.power_norm."""
+    return (2 * ring.den) ** m * ring.bound(index) * ring.power_norm
 
 
-@functools.lru_cache(maxsize=_CACHE_N)
-def _power_norm(n: int) -> int:
-    """The largest coordinate of any x^i mod Phi_n, i < n."""
-    ctx = CycloCtx(n)
-    return max(max(map(abs, ctx._reduce([0] * i + [1]))) for i in range(n))
+def _z_at_root_eword(eword, ring: _PackedRing) -> CycloElem:
+    if eword not in ring.z:  # the empty e-word, of value 1, is there from the start
+        weights = ring.widen(eword).weights
+        levels = sums.chain_levels(eword, ring.n, lambda m, k: weights(k)[m], 0)
+        ring.z[eword] = ring.element(sum(levels), eword)
+    return ring.z[eword]
 
 
-@functools.lru_cache(maxsize=_CACHE_VALUES)
-def _z_at_root_eword(eword, n: int) -> CycloElem:
-    if not eword:
-        return CycloElem.one(CycloCtx(n))
-    ring = _packed_ring(n).widen(eword)
-    levels = sums.chain_levels(eword, n, lambda m, k: ring.weights(k)[m], 0)
-    return ring.element(sum(levels), eword)
-
-
-def z_at_root(u, n: int) -> CycloElem:
-    """z_n(u) at q = zeta_n for an HbarSum, an extended index, or an index.
+def z_at_root(u, ring: _PackedRing) -> CycloElem:
+    """z_n(u) at q = zeta_n (n = ring.n) for an HbarSum, an extended index, or an index.
 
     Sum over n > m_1 > ... > m_r > 0 of the product of F-weights; the central
     variable hbar specializes to 1 - zeta_n.
     """
-    ctx = CycloCtx(n)
     if not isinstance(u, HbarSum):
         ew = tuple(u)
         words._check_eword(ew)
-        return _z_at_root_eword(ew, n)
-    total = CycloElem.zero(ctx)
+        return _z_at_root_eword(ew, ring)
+    total = CycloElem.zero(ring.ctx)
     for (h, ew), c in u.items():
-        term = _z_at_root_eword(ew, n)
+        term = _z_at_root_eword(ew, ring)
         if h:
-            term = term * _one_minus_zeta_pow(n, h)
+            term = term * _one_minus_zeta_pow(ring, h)
         total = total + term * c
     return total
 
@@ -583,7 +575,7 @@ def reduce_at_one(x: CycloElem, p: int) -> int:
     return sum(x.num) * pow(x.den, p - 2, p) % p
 
 
-def check_q_kamano(index, n: int) -> bool:
+def check_q_kamano(index, ring: _PackedRing) -> bool:
     """Exact check of the q-lift of Kamano's theorem:
 
     omega_n(k; zeta_n) = (-1)^{k_r} sum_j C(k_r-1, j-1) (1-zeta)^{k_r-j}
@@ -592,23 +584,22 @@ def check_q_kamano(index, n: int) -> bool:
     index = words.check_index(index)
     if len(index) < 2:
         raise LengthError(f"check_q_kamano needs length >= 2, got {index}")
-    lhs = omega_at_root(index, n)
+    lhs = omega_at_root(index, ring)
     kr = index[-1]
     base = words.shuffle_hbar_many([words.e(k) for k in index[:-1]])
-    ctx = CycloCtx(n)
-    rhs = CycloElem.zero(ctx)
+    rhs = CycloElem.zero(ring.ctx)
     for j in range(1, kr + 1):
         coeff = math.comb(kr - 1, j - 1)
-        term = z_at_root(words.a_mult(j, base), n)
+        term = z_at_root(words.a_mult(j, base), ring)
         if kr - j:
-            term = term * _one_minus_zeta_pow(n, kr - j)
+            term = term * _one_minus_zeta_pow(ring, kr - j)
         rhs = rhs + coeff * term
     if kr % 2:
         rhs = -rhs
     return lhs == rhs
 
 
-def check_sym_sum(index, n: int) -> bool:
+def check_sym_sum(index, ring: _PackedRing) -> bool:
     """Exact check of the binomial-weighted vanishing sum for all parts >= 2:
     the terms of words.vanishing_sum_terms(index), each evaluated as
     coefficient * (1-zeta)^m * omega_n(l; zeta_n), add up to zero.
@@ -616,6 +607,5 @@ def check_sym_sum(index, n: int) -> bool:
     index = words.check_index(index)
     if len(index) < 2 or min(index) < 2:
         raise RangeError(f"need r >= 2 and all parts >= 2, got {index}")
-    zero = CycloElem.zero(CycloCtx(n))
     terms = words.vanishing_sum_terms(index).items()
-    return not sum((c * omega_gen(m, l, n) for (m, l), c in terms), zero)
+    return not sum((c * omega_gen(m, l, ring) for (m, l), c in terms), CycloElem.zero(ring.ctx))

@@ -1,16 +1,16 @@
 """Finite-side arithmetic: harmonic and omega sums mod p, Bernoulli quotients.
 
-Residues are plain ints in [0, p), for a prime p below MAX_PRIME given in
-every call; any other modulus raises RangeError.  The omega values are
-series products of float64 arrays, exact because `_mod_product` sums the
-nonnegative integer products directly and keeps every partial sum below 2^53.
-numpy is imported where the cached arrays are built, so commands that never
-build them never load it.
+Residues are plain ints in [0, p), for a prime p below MAX_PRIME; any other
+modulus raises RangeError.  The omega values are series products of float64
+arrays, exact because `_mod_product` sums the nonnegative integer products
+directly and keeps every partial sum below 2^53.  Those arrays live in the
+ring of their prime (prime_ring), which the caller keeps while it reads the
+values at that prime and drops before the next.  numpy is imported where the
+arrays are built, so commands that never build them never load it.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING
 
 from . import sums, words
@@ -66,14 +66,25 @@ def is_prime(n: int) -> bool:
 MAX_PRIME = 2**21
 
 
-@functools.lru_cache(maxsize=256)
 def _check_prime(p: int) -> None:
-    """Raise RangeError unless p is a prime below MAX_PRIME; cached, since
-    the hot callers revisit the same few primes many times."""
+    """Raise RangeError unless p is a prime below MAX_PRIME."""
     if p >= MAX_PRIME:
         raise RangeError(f"modulus must be below 2^21, got {p}")
     if not is_prime(p):
         raise RangeError(f"modulus must be prime, got {p}")
+
+
+class _PrimeRing:
+    """The power arrays (per k) and prefix series (per sorted prefix) of p."""
+
+    def __init__(self, p: int):
+        self.p, self.powers, self.series = p, {}, {}
+
+
+def prime_ring(p: int) -> _PrimeRing:
+    """The ring of omega_mod at p; RangeError unless p is a prime below MAX_PRIME."""
+    _check_prime(p)
+    return _PrimeRing(p)
 
 
 def _inverses(p: int) -> np.ndarray:
@@ -113,48 +124,46 @@ def _mod_product(f, a, b, p: int):
     return (f(a, high) % p * shift + f(a, low) % p) % p
 
 
-@functools.lru_cache(maxsize=1024)
-def _power_array(p: int, k: int) -> np.ndarray:
+def _power_array(ring: _PrimeRing, k: int) -> np.ndarray:
     """m^(-k) mod p at position m, for 0 <= m < p (position 0 holds 0), as
     float64; from the halves of k, so the recursion is about log2(k) deep."""
-    import numpy as np
+    if k not in ring.powers:
+        if k == 1:
+            arr = _inverses(ring.p)
+        else:  # products below p^2 < 2^42 are exact
+            arr = _power_array(ring, k // 2) * _power_array(ring, k - k // 2) % ring.p
+        arr.setflags(write=False)  # kept and shared by every caller
+        ring.powers[k] = arr
+    return ring.powers[k]
 
-    if k == 1:
-        arr = _inverses(p)
-    else:  # products below p^2 < 2^42 are exact
-        arr = _power_array(p, k // 2) * _power_array(p, k - k // 2) % p
-    arr.setflags(write=False)  # cached and shared by every caller
-    return arr
 
-
-@functools.lru_cache(maxsize=256)  # above the 230 sorted prefixes of weights <= 16
-def _series_mod(prefix, p: int) -> np.ndarray:
+def _series_mod(ring: _PrimeRing, prefix) -> np.ndarray:
     """Coefficients of x^0..x^(p-1), mod p, of the product over the parts k
-    of sum_m m^(-k) x^m; cached per prefix, which the callers share: the
-    finite miner goes prime by prime, through 76 prefixes to weight 12."""
+    of sum_m m^(-k) x^m; kept per prefix, which the sorted indices share."""
     import numpy as np
 
-    if len(prefix) == 1:
-        return _power_array(p, prefix[0])
-    head, part = _series_mod(prefix[:-1], p), _power_array(p, prefix[-1])
-    series = _mod_product(lambda a, b: np.convolve(a, b)[:p], head, part, p)
-    series.setflags(write=False)
-    return series
+    if prefix not in ring.series:
+        series = _power_array(ring, prefix[-1])
+        if len(prefix) > 1:
+            head, p = _series_mod(ring, prefix[:-1]), ring.p
+            series = _mod_product(lambda a, b: np.convolve(a, b)[:p], head, series, p)
+            series.setflags(write=False)
+        ring.series[prefix] = series
+    return ring.series[prefix]
 
 
-def omega_mod(index, p: int) -> Residue:
-    """omega_p(index) mod p: sum over compositions m_1+...+m_r = p of the
-    product m_a^(-k_a), via convolution of power arrays.  Needs r >= 2."""
+def omega_mod(index, ring: _PrimeRing) -> Residue:
+    """omega_p(index) mod p, p = ring.p: sum over compositions m_1+...+m_r = p
+    of the product m_a^(-k_a), via convolution of power arrays.  Needs r >= 2."""
     index = words.check_index(index)
     if len(index) < 2:
         raise LengthError(f"omega_mod needs length >= 2, got {index}")
-    _check_prime(p)
     # symmetric in the index: sorted ascending, indices of one weight share
     # their leading parts, and only the coefficient of x^p of the last
     # product is formed (0 when p < r, as no composition exists)
-    index = tuple(sorted(index))
-    head = _series_mod(index[:-1], p)
-    weights = _power_array(p, index[-1])[p - 1 : 0 : -1]
+    index, p = tuple(sorted(index)), ring.p
+    head = _series_mod(ring, index[:-1])
+    weights = _power_array(ring, index[-1])[p - 1 : 0 : -1]
     return int(_mod_product(lambda a, b: a.dot(b), head[1:], weights, p))
 
 

@@ -399,17 +399,17 @@ def finite_relation_spaces(weights):
     height at most FINITE_HEIGHT_BOUND that also vanish at every holdout
     prime are the relations.
 
-    The residues are formed prime by prime across the weights, largest prime
-    first, so that each prime's prefix series (`modular._series_mod`) serve
-    all of them and those still cached during the reductions are the
-    shortest; then each weight's (RelationBasis, DimReport) is yielded in turn.
+    The residues are formed prime by prime across the weights, from one ring
+    per prime (`modular.prime_ring`) whose prefix series serve all of them;
+    then each weight's (RelationBasis, DimReport) is yielded in turn.
     """
     plan = {w: (words.partitions_of_weight(w), *default_prime_split(w)) for w in weights}
     residues = {w: {} for w in plan}  # weight -> prime -> the residues of its generators
-    for p in sorted({p for _gens, t, h in plan.values() for p in t + h}, reverse=True):
+    for p in sorted({p for _gens, t, h in plan.values() for p in t + h}):
+        ring = modular.prime_ring(p)
         for w, (gens, t, h) in plan.items():
             if p in t + h:
-                residues[w][p] = [modular.omega_mod(g, p) for g in gens]
+                residues[w][p] = [modular.omega_mod(g, ring) for g in gens]
     for weight, (gens, training, holdout) in plan.items():
         d = len(gens)
         res = residues.pop(weight)  # each weight's residues are freed once it is mined
@@ -572,7 +572,7 @@ def certified(vectors, gens, rings) -> bool:
     coordinates are integers of absolute value at most B = sum_g |a_g| beta_g
     (cyclo.coordinate_bound), so vanishing at every embedding mod primes of
     product > 2B proves it."""
-    bounds = [cyclo.coordinate_bound(m, idx, rings(0).n) for m, idx in gens]
+    bounds = [cyclo.coordinate_bound(m, idx, rings(0).packed) for m, idx in gens]
     need = max((sum(abs(a) * b for a, b in zip(v, bounds)) for v in vectors), default=0)
     proved = 1
     for ell, values in _values_mod(gens, rings):
@@ -703,19 +703,17 @@ _PRODUCT_CHECKS = (
 
 
 def product_identity_checks(n_range):
-    """Exact verification, per n, of the two displayed product identities."""
-    out = []
-    for name, (ka, kb), d, rhs in _PRODUCT_CHECKS:
-        failures = []
-        for n in n_range:
-            lhs = cyclo.omega_at_root(ka, n) * cyclo.omega_at_root(kb, n) * d
-            acc = cyclo.CycloElem.zero(cyclo.CycloCtx(n))
-            for coeff, m, idx in rhs:
-                acc = acc + cyclo.omega_gen(m, idx, n) * coeff
-            if lhs != acc:
-                failures.append(n)
-        out.append({"identity": name, "ok": not failures, "failures": failures})
-    return out
+    """Exact verification, per n, of the two displayed product identities,
+    both from one ring per n."""
+    failures = {name: [] for name, *_ in _PRODUCT_CHECKS}
+    for n in n_range:
+        ring = cyclo.packed_ring(n)
+        for name, (ka, kb), d, rhs in _PRODUCT_CHECKS:
+            lhs = cyclo.omega_at_root(ka, ring) * cyclo.omega_at_root(kb, ring) * d
+            terms = (cyclo.omega_gen(m, idx, ring) * coeff for coeff, m, idx in rhs)
+            if lhs != sum(terms, cyclo.CycloElem.zero(ring.ctx)):
+                failures[name].append(n)
+    return [{"identity": name, "ok": not f, "failures": f} for name, f in failures.items()]
 
 
 def conjecture_reports(weights, n_range):

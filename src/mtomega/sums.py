@@ -13,10 +13,10 @@ own loops would.  `chain_pass`, the step from one level to the next, is the
 whole loop: `chain_levels` runs it over one index, and the numeric evaluator
 over the trie of many indices' suffixes, flooring each fixed-point level
 after its pass.  The omega values, sums over compositions
-m_1 + ... + m_r = n, are products of prefix series kept per prefix in all
-three evaluators: cached modulo p (modular.omega_mod), in the per-n rings of
-cyclo.mod_ring that the miner drops with their n modulo primes l = 1 (mod n)
-(cyclo.omega_gen_mod), and at zeta_n (cyclo.omega_at_root) on packed integers.
+m_1 + ... + m_r = n, are products of prefix series, which all three
+evaluators keep per prefix in a ring of one modulus that their caller drops
+before the next: modulo p (modular.prime_ring), at zeta_n on packed integers
+(cyclo.packed_ring), and modulo primes l = 1 (mod n) (cyclo.mod_ring).
 """
 
 from __future__ import annotations

@@ -480,7 +480,7 @@ def cyclotomic_kernel_exact(weight: int, n_range) -> tuple:
     gens = R.cyclo_generators(weight)
     constraints = []
     for n in n_range:
-        vals = [C.omega_gen(m, idx, n).coeffs for m, idx in gens]
+        vals = [C.omega_gen(m, idx, C.packed_ring(n)).coeffs for m, idx in gens]
         constraints.extend(zip(*vals))
     red, _ = rref(kernel_basis(constraints, len(gens)))
     vectors = map(primitive, red)

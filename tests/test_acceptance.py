@@ -106,7 +106,7 @@ def test_criterion_03_fmzv_reduction():
         for k in W.indices_of_weight(w, min_len=2):
             for p in M.primes_upto(50):
                 count += 1
-                if C.reduce_at_one(C.omega_at_root(k, p), p) != M.omega_mod(k, p):
+                if C.reduce_at_one(C.omega_at_root(k, C.packed_ring(p)), p) != M.omega_mod(k, M.prime_ring(p)):
                     failures.append((k, p))
     _report(3, not failures, f"reduction = finite residue, {count} checks, failures={failures}")
 
@@ -118,7 +118,7 @@ def test_criterion_04_q_kamano():
         for k in W.indices_of_weight(w, min_len=2):
             for n in range(2, 21):
                 count += 1
-                if not C.check_q_kamano(k, n):
+                if not C.check_q_kamano(k, C.packed_ring(n)):
                     failures.append((k, n))
     _report(4, not failures, f"q-Kamano identity, {count} checks, failures={failures}")
 
@@ -197,7 +197,7 @@ def test_criterion_07_vanishing_sum_and_corollary():
         for k in W.indices_of_weight(w, min_len=2, min_part=2):
             for n in range(2, 31):
                 count += 1
-                if not C.check_sym_sum(k, n):
+                if not C.check_sym_sum(k, C.packed_ring(n)):
                     failures.append(("sym-sum", k, n))
     primes = M.primes_upto(200)
     for w in range(4, 9):
@@ -205,7 +205,7 @@ def test_criterion_07_vanishing_sum_and_corollary():
             for p in primes:
                 count += 1
                 total = sum(
-                    M.omega_mod(k[:j] + (k[j] - 1,) + k[j + 1 :], p)
+                    M.omega_mod(k[:j] + (k[j] - 1,) + k[j + 1 :], M.prime_ring(p))
                     for j in range(len(k))
                 )
                 if total % p:
@@ -240,7 +240,7 @@ def test_criterion_08_special_values():
                 if p <= w + 2:
                     continue
                 count += 1
-                if M.omega_mod((k1, w - k1), p):
+                if M.omega_mod((k1, w - k1), M.prime_ring(p)):
                     failures.append(("pair", (k1, w - k1), p))
     for r in range(2, 5):
         k = (2,) * (r - 1) + (1,)
@@ -250,7 +250,7 @@ def test_criterion_08_special_values():
             if p <= sum(k) + 2:
                 continue
             count += 1
-            if M.omega_mod(k, p):
+            if M.omega_mod(k, M.prime_ring(p)):
                 failures.append(("two-one", k, p))
     import math
 
@@ -259,7 +259,7 @@ def test_criterion_08_special_values():
             if p < kk + 3:
                 continue
             count += 1
-            lhs = M.omega_mod((1,) * kk, p)
+            lhs = M.omega_mod((1,) * kk, M.prime_ring(p))
             rhs = (-math.factorial(kk) * M.bern_div_mod(kk, p)) % p
             if lhs != rhs:
                 failures.append(("ones", kk, p))

@@ -31,12 +31,19 @@ def test_values_omega_mod():
     assert json.loads(lines[1]) == {"index": "2.1", "p": 7, "res": 0}
 
 
+def test_values_omega_mod_prime_max_is_inclusive():
+    # the primes above the index length and at most --prime-max, as in verify
+    code, out, _ = run_cli("values", "omega-mod", "2.1", "--prime-max", "7")
+    assert code == 0
+    assert [json.loads(line)["p"] for line in out.splitlines()] == [3, 5, 7]
+
+
 def test_values_omega_root_roundtrip():
     code, out, _ = run_cli("values", "omega-root", "1.1", "--n", "3")
     assert code == 0
     data = json.loads(out)
     assert data["n"] == 3 and data["coeffs"] == ["0", "-2"]
-    assert data == {"index": "1.1", **C.omega_at_root((1, 1), 3).to_json()}
+    assert data == {"index": "1.1", **C.omega_at_root((1, 1), C.packed_ring(3)).to_json()}
 
 
 def test_values_omega_limit():
@@ -259,6 +266,32 @@ def test_fmzv_reduction_prime_max(extra, checks):
     code, out, _ = run_cli("verify", "fmzv-reduction", "--max-weight", "2", *extra)
     assert code == 0
     assert out.splitlines()[-1] == f"{checks} checks, 0 failures"
+
+
+@pytest.mark.parametrize("side", ["finite", "symmetric"])
+@pytest.mark.parametrize("command", ["dims", "relations"])
+def test_n_max_refused_on_the_sides_without_n(tmp_path, command, side):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 8\n")
+    for extra in (("--n-max", "8"), ("--n-max", "20"), ("--config", str(cfg))):
+        code, out, err = run_cli(command, side, "--weights", "3", *extra)
+        assert code == 1 and out == "", extra
+        assert err == f"config error: --n-max does nothing on the {side} side\n", extra
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "cyclotomic", "--weights", "3"),
+        ("relations", "conjecture", "--weights", "3"),
+        ("verify", "q-kamano", "--max-weight", "2"),
+        ("values", "omega-root", "2.1"),
+    ],
+    ids=" ".join,
+)
+def test_n_max_defaults_to_20(argv):
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and out == run_cli(*argv, "--n-max", "20")[1]
 
 
 def test_dims_finite_csv():

@@ -63,7 +63,7 @@ def test_qint_units():
     for n in range(2, 21):
         ctx = C.CycloCtx(n)
         one = C.CycloElem.one(ctx)
-        ring = C._packed_ring(n)
+        ring = C.packed_ring(n)
         for m in range(1, n):
             vec = C._scaled_inverse(n, ring.den, m)
             assert len(vec) == n and min(vec) >= 0 and sum(vec) == ring.masses[m], (n, m)
@@ -86,20 +86,21 @@ def test_field_axioms_sample():
 
 
 def test_omega_at_root_examples():
-    assert C.omega_at_root((1, 1), 3) == elem(3, 0, -2)
-    assert C.omega_at_root((2, 1), 3) == elem(3, 1, 2)
-    assert C.omega_at_root((2, 1), 2) == elem(2, -1)
+    assert C.omega_at_root((1, 1), C.packed_ring(3)) == elem(3, 0, -2)
+    assert C.omega_at_root((2, 1), C.packed_ring(3)) == elem(3, 1, 2)
+    assert C.omega_at_root((2, 1), C.packed_ring(2)) == elem(2, -1)
     # empty composition set below the length
-    assert not C.omega_at_root((1, 1, 1), 2)
+    assert not C.omega_at_root((1, 1, 1), C.packed_ring(2))
     with pytest.raises(LengthError):
-        C.omega_at_root((2,), 5)
+        C.omega_at_root((2,), C.packed_ring(5))
 
 
 def test_omega_at_root_bruteforce():
     for n in range(2, 9):
+        ring = C.packed_ring(n)
         for w in range(2, 5):
             for k in W.indices_of_weight(w, min_len=2):
-                assert C.omega_at_root(k, n) == O.omega_at_root(k, n), (k, n)
+                assert C.omega_at_root(k, ring) == O.omega_at_root(k, n), (k, n)
 
 
 # omega is symmetric in the index, so the sorted indices cover weight <= 5
@@ -114,15 +115,16 @@ ORACLE_HBAR = W.a_mult(2, W.shuffle_hbar(W.e(2), W.e(HAT1)))
 @pytest.mark.parametrize("n", range(2, 31))
 def test_values_at_root_match_termwise_oracle(n):
     # primes, the prime powers 4, 8, 9, 16, 25, 27, composites with non-unit [m]
+    ring = C.packed_ring(n)
     for k in ORACLE_INDICES:
-        assert C.omega_at_root(k, n) == O.omega_at_root(k, n), (k, n)
+        assert C.omega_at_root(k, ring) == O.omega_at_root(k, n), (k, n)
     for u in ORACLE_EWORDS + [ORACLE_HBAR]:
-        assert C.z_at_root(u, n) == O.z_at_root(u, n), (u, n)
+        assert C.z_at_root(u, ring) == O.z_at_root(u, n), (u, n)
 
 
 @pytest.mark.parametrize("n", [97, 120, 199])
 def test_omega_at_root_large_n_matches_oracle(n):
-    assert C.omega_at_root((2, 1), n) == O.omega_at_root((2, 1), n)
+    assert C.omega_at_root((2, 1), C.packed_ring(n)) == O.omega_at_root((2, 1), n)
 
 
 def test_wide_coefficients_match_oracle():
@@ -130,20 +132,20 @@ def test_wide_coefficients_match_oracle():
     n = 30
     for k in [(4, 2), (4, HAT1, 1)]:
         assert C._PackedRing(n).widen(k).bits > 64, k
-    assert C.omega_at_root((4, 2), n) == O.omega_at_root((4, 2), n)
-    assert C.z_at_root((4, HAT1, 1), n) == O.z_at_root((4, HAT1, 1), n)
+    assert C.omega_at_root((4, 2), C.packed_ring(n)) == O.omega_at_root((4, 2), n)
+    assert C.z_at_root((4, HAT1, 1), C.packed_ring(n)) == O.z_at_root((4, HAT1, 1), n)
 
 
 @pytest.mark.parametrize("n", [23, 47])
 def test_series_reslot_on_widen(n):
-    # a fresh ring, and no value cache, so every value comes from the stored
-    # series: (1, 1, 7) shares the prefix (1, 1) of (1, 1, 2) and widens the
-    # ring, which moves that series into the wider slots for the values after
-    C._packed_ring.cache_clear()
-    ring = C._packed_ring(n)
+    # a fresh ring, its stored values dropped, so every value comes from the
+    # stored series: (1, 1, 7) shares the prefix (1, 1) of (1, 1, 2) and widens
+    # the ring, which moves that series into the wider slots for the values after
+    ring = C.packed_ring(n)
     widths = []
     for k in [(1, 1, 2), (1, 1, 7), (1, 1, 2), (1, 1, 3)]:
-        assert C._omega_at_root_sorted.__wrapped__(k, n) == O.omega_at_root(k, n), (k, n)
+        ring.omega.clear()
+        assert C.omega_at_root(k, ring) == O.omega_at_root(k, n), (k, n)
         widths.append(ring.nbytes)
     assert widths[0] < widths[1] == widths[3]
     assert {(1,), (1, 1)} <= set(ring._series)
@@ -153,24 +155,26 @@ def test_series_reslot_on_widen(n):
 def test_omega_at_root_symmetry():
     for n in (5, 9, 16):
         for k in [(2, 1), (3, 1, 1), (2, 2, 1)]:
-            base = C.omega_at_root(k, n)
+            base = C.omega_at_root(k, C.packed_ring(n))
             for perm in set(itertools.permutations(k)):
-                assert C.omega_at_root(perm, n) == base
+                assert C.omega_at_root(perm, C.packed_ring(n)) == base
 
 
 def test_z_at_root_examples():
-    assert C.z_at_root((1,), 2) == elem(2, 1)
-    assert C.z_at_root((1, 1), 3) == elem(3, 0, -1)
-    assert C.z_at_root(W.e(2), 3) == elem(3, 0, 2)
+    assert C.z_at_root((1,), C.packed_ring(2)) == elem(2, 1)
+    assert C.z_at_root((1, 1), C.packed_ring(3)) == elem(3, 0, -1)
+    assert C.z_at_root(W.e(2), C.packed_ring(3)) == elem(3, 0, 2)
     # hbar acts as 1 - zeta
     u = HbarSum.monomial((2,), hbar=1)
-    assert C.z_at_root(u, 3) == C.one_minus_zeta(C.CycloCtx(3)) * C.z_at_root((2,), 3)
+    ring = C.packed_ring(3)
+    assert C.z_at_root(u, ring) == C.one_minus_zeta(C.CycloCtx(3)) * C.z_at_root((2,), ring)
     # extended letter
-    assert C.z_at_root((HAT1,), 3) == O.f_weight(3, 1, HAT1) + O.f_weight(3, 2, HAT1)
+    assert C.z_at_root((HAT1,), C.packed_ring(3)) == O.f_weight(3, 1, HAT1) + O.f_weight(3, 2, HAT1)
 
 
 def test_reduce_at_one_examples():
-    assert C.reduce_at_one(C.omega_at_root((2, 1), 5), 5) == M.omega_mod((2, 1), 5)
+    root, mod = C.packed_ring(5), M.prime_ring(5)
+    assert C.reduce_at_one(C.omega_at_root((2, 1), root), 5) == M.omega_mod((2, 1), mod)
     assert C.reduce_at_one(elem(3, 1, 2), 3) == 0
     assert C.reduce_at_one(C.CycloElem.zero(C.CycloCtx(7)), 7) == 0
     with pytest.raises(NotIntegralError):
@@ -206,10 +210,11 @@ def test_reduce_at_one_with_p_in_the_denominator():
 
 def test_fmzv_reduction_small_sweep():
     for p in (2, 3, 5, 7, 11, 13):
+        root, mod = C.packed_ring(p), M.prime_ring(p)
         for w in range(2, 5):
             for k in W.indices_of_weight(w, min_len=2):
-                got = C.reduce_at_one(C.omega_at_root(k, p), p)
-                assert got == M.omega_mod(k, p), (k, p)
+                got = C.reduce_at_one(C.omega_at_root(k, root), p)
+                assert got == M.omega_mod(k, mod), (k, p)
 
 
 def test_l_series_examples():
@@ -250,21 +255,21 @@ def test_series_shuffle_homomorphism():
 
 
 def test_check_q_kamano_examples():
-    assert C.check_q_kamano((1, 1), 3)
-    assert C.check_q_kamano((2, 1), 2)
-    assert C.check_q_kamano((1, 1, 1), 5)
+    assert C.check_q_kamano((1, 1), C.packed_ring(3))
+    assert C.check_q_kamano((2, 1), C.packed_ring(2))
+    assert C.check_q_kamano((1, 1, 1), C.packed_ring(5))
     with pytest.raises(LengthError):
-        C.check_q_kamano((2,), 5)
+        C.check_q_kamano((2,), C.packed_ring(5))
 
 
 def test_check_sym_sum_examples():
-    assert C.check_sym_sum((2, 2), 2)
-    assert C.check_sym_sum((2, 2), 3)
-    assert C.check_sym_sum((3, 2), 4)
+    assert C.check_sym_sum((2, 2), C.packed_ring(2))
+    assert C.check_sym_sum((2, 2), C.packed_ring(3))
+    assert C.check_sym_sum((3, 2), C.packed_ring(4))
     with pytest.raises(RangeError):
-        C.check_sym_sum((2, 1), 5)
+        C.check_sym_sum((2, 1), C.packed_ring(5))
     with pytest.raises(RangeError):
-        C.check_sym_sum((3,), 5)
+        C.check_sym_sum((3,), C.packed_ring(5))
 
 
 def test_sym_sum_222case_expansion():
@@ -274,16 +279,16 @@ def test_sym_sum_222case_expansion():
 
     for n in (2, 3, 7, 10):
         for r in (2, 3):
-            ctx = C.CycloCtx(n)
+            ctx, ring = C.CycloCtx(n), C.packed_ring(n)
             total = C.CycloElem.zero(ctx)
             for j in range(1, r + 1):
                 idx = (2,) * (r - j) + (1,) * j
-                term = math.comb(r, j) * C.omega_at_root(idx, n)
+                term = math.comb(r, j) * C.omega_at_root(idx, ring)
                 if j > 1:
-                    term = term * C._one_minus_zeta_pow(n, j - 1)
+                    term = term * C._one_minus_zeta_pow(ring, j - 1)
                 total = total + term
             assert not total, (n, r)
-            assert C.check_sym_sum((2,) * r, n)
+            assert C.check_sym_sum((2,) * r, ring)
     # the same collapse, read off the enumeration itself
     for r in range(2, 6):
         assert W.vanishing_sum_terms((2,) * r) == {
@@ -295,8 +300,9 @@ def test_weight3_relation_all_n_to_200():
     # proven for every n; this is the long exact sweep, so it sits last
     lam = Fraction(-1, 2)
     for n in range(2, 201):
-        lhs = C.omega_at_root((2, 1), n)
-        rhs = lam * C.one_minus_zeta(C.CycloCtx(n)) * C.omega_at_root((1, 1), n)
+        ring = C.packed_ring(n)
+        lhs = C.omega_at_root((2, 1), ring)
+        rhs = lam * C.one_minus_zeta(C.CycloCtx(n)) * C.omega_at_root((1, 1), ring)
         assert lhs == rhs, n
 
 
@@ -372,7 +378,7 @@ def test_omega_gen_mod_matches_exact(n):
         ring = C.mod_ring(n, batch)
         emb = ring.powers[1].tolist()
         for m, idx in generators_upto(6):
-            exact = C.omega_gen(m, idx, n)
+            exact = C.omega_gen(m, idx, ring.packed)
             got = C.omega_gen_mod(m, idx, ring)
             want = [[image_mod(exact, ell, z) for z in row] for ell, row in zip(primes, emb)]
             assert got.tolist() == want, (m, idx)
@@ -383,15 +389,16 @@ def test_coordinate_bound_covers_exact_coordinates(n):
     # den^w times an integer combination has integer coordinates of absolute
     # value at most sum |a_g| beta_g: single generators and random samples
     rng = random.Random(n)
-    den = C._packed_ring(n).den
+    ring = C.packed_ring(n)
+    den = ring.den
     zero = C.CycloElem.zero(C.CycloCtx(n))
     for w in (3, 5, 6):
         gens = [(m, idx) for m in range(w - 1) for idx in W.partitions_of_weight(w - m)]
         samples = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
         samples += [[rng.randint(-60, 60) for _ in gens] for _ in range(6)]
         for a in samples:
-            x = sum((c * C.omega_gen(m, idx, n) for c, (m, idx) in zip(a, gens) if c), zero)
+            x = sum((c * C.omega_gen(m, idx, ring) for c, (m, idx) in zip(a, gens) if c), zero)
             scaled = x * den**w
             assert scaled.den == 1
-            bound = sum(abs(c) * C.coordinate_bound(m, idx, n) for c, (m, idx) in zip(a, gens))
+            bound = sum(abs(c) * C.coordinate_bound(m, idx, ring) for c, (m, idx) in zip(a, gens))
             assert max(map(abs, scaled.num)) <= bound, (w, a)

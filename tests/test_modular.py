@@ -71,7 +71,7 @@ def test_is_prime_refuses_past_its_bases():
         with pytest.raises(RangeError):
             M.is_prime(n)
     with pytest.raises(RangeError):
-        M.omega_mod((2, 1), M.MILLER_RABIN_LIMIT)
+        M.omega_mod((2, 1), M.prime_ring(M.MILLER_RABIN_LIMIT))
 
 
 def test_primes_stay_within_two_limbs():
@@ -87,7 +87,7 @@ def test_primes_stay_within_two_limbs():
         with pytest.raises(RangeError, match=r"below 2\^21"):
             M._check_prime(p)
         with pytest.raises(RangeError):
-            M.omega_mod((2, 1), p)
+            M.omega_mod((2, 1), M.prime_ring(p))
 
 
 @pytest.mark.parametrize("p", [2, 3, 397, 2097143])
@@ -118,32 +118,34 @@ def test_hsum_against_bruteforce():
 
 
 def test_omega_examples():
-    assert M.omega_mod((2, 1), 5) == 0
-    assert M.omega_mod((1, 1, 1), 5) == 3
-    assert M.omega_mod((1, 1), 7) == 0
+    assert M.omega_mod((2, 1), M.prime_ring(5)) == 0
+    assert M.omega_mod((1, 1, 1), M.prime_ring(5)) == 3
+    assert M.omega_mod((1, 1), M.prime_ring(7)) == 0
     with pytest.raises(LengthError):
-        M.omega_mod((3,), 7)
+        M.omega_mod((3,), M.prime_ring(7))
 
 
 def test_omega_against_bruteforce():
     # p = 2, 3 give p < r and p = r; weight 6 gives length-6 prefixes
     for p in (2, 3, 5, 7, 11, 13):
+        ring = M.prime_ring(p)
         for w in range(2, 7):
             for k in W.indices_of_weight(w, min_len=2):
-                assert M.omega_mod(k, p) == brute_omega(k, p), (k, p)
+                assert M.omega_mod(k, ring) == brute_omega(k, p), (k, p)
 
 
 def test_omega_symmetry():
     for p in (7, 31, 101):
+        ring = M.prime_ring(p)
         for k in [(3, 1), (2, 1, 1), (4, 2, 1), (2, 2, 1, 1)]:
-            base = M.omega_mod(k, p)
+            base = M.omega_mod(k, ring)
             for perm in set(itertools.permutations(k)):
-                assert M.omega_mod(perm, p) == base
+                assert M.omega_mod(perm, ring) == base
 
 
 def test_omega_small_prime_edge():
     # fewer summands than parts: empty composition set
-    assert M.omega_mod((1, 1, 1), 2) == 0
+    assert M.omega_mod((1, 1, 1), M.prime_ring(2)) == 0
 
 
 def dot(a, b):
@@ -182,16 +184,17 @@ def test_mod_product_limb_bound_worst_case():
 def test_pair_vanishing_through_two_limbs():
     # omega_p(k1, k2) = 0 for p > k1 + k2 + 2, the `specials` suite's pair
     # identity, at the largest admitted prime
-    p = 2097143
-    assert M.omega_mod((1, 2), p) == M.omega_mod((3, 4), p) == 0
+    ring = M.prime_ring(2097143)
+    assert M.omega_mod((1, 2), ring) == M.omega_mod((3, 4), ring) == 0
 
 
 def test_omega_mod_matches_int64_evaluator():
     training, holdout = default_prime_split(10)
     for p in training + holdout:
+        ring = M.prime_ring(p)
         for w in range(3, 11):
             for k in W.partitions_of_weight(w):
-                assert M.omega_mod(k, p) == omega_mod_int64(k, p), (k, p)
+                assert M.omega_mod(k, ring) == omega_mod_int64(k, p), (k, p)
 
 
 def test_zeta_word_mod():
@@ -209,7 +212,7 @@ def test_kamano_consistency():
         for k in W.indices_of_weight(w, min_len=2):
             for p in (11, 13, 17):
                 got = (-1) ** k[-1] * zeta_word_mod(W.mt_word(k), p) % p
-                assert M.omega_mod(k, p) == got, (k, p)
+                assert M.omega_mod(k, M.prime_ring(p)) == got, (k, p)
 
 
 def brute_bernoulli(n):
@@ -260,7 +263,7 @@ def test_ones_special_value():
         for p in M.primes_upto(60):
             if p < k + 3:
                 continue
-            lhs = M.omega_mod((1,) * k, p)
+            lhs = M.omega_mod((1,) * k, M.prime_ring(p))
             assert lhs == (-math.factorial(k) * M.bern_div_mod(k, p)) % p
 
 
@@ -269,17 +272,15 @@ def test_corollary_sum_small():
     for w in range(4, 8):
         for k in W.indices_of_weight(w, min_len=2, min_part=2):
             for p in (11, 29, 97):
-                total = sum(
-                    M.omega_mod(k[:j] + (k[j] - 1,) + k[j + 1 :], p)
-                    for j in range(len(k))
-                )
+                ring = M.prime_ring(p)
+                total = sum(M.omega_mod(k[:j] + (k[j] - 1,) + k[j + 1 :], ring) for j in range(len(k)))
                 assert total % p == 0, (k, p)
 
 
 def test_composite_modulus_rejected():
     for p in (1, 4, 9, 15):
         with pytest.raises(RangeError):
-            M.omega_mod((2, 1), p)
+            M.omega_mod((2, 1), M.prime_ring(p))
         with pytest.raises(RangeError):
             M.hsum_mod((2, 1), p)
         with pytest.raises(RangeError):
@@ -288,7 +289,7 @@ def test_composite_modulus_rejected():
             M.bern_div_mod(2, p)
     # the check comes before the empty-composition shortcut for p < r
     with pytest.raises(RangeError):
-        M.omega_mod((1, 1, 1), 1)
+        M.omega_mod((1, 1, 1), M.prime_ring(1))
 
 
 def test_index_format_parse():

@@ -225,7 +225,7 @@ def test_omega_circle_matches_cyclotomic_embedding():
 
     with mp.workdps(40):
         for k, n in [((1, 1), 3), ((2, 1), 5), ((1, 1, 1), 6)]:
-            exact = C.omega_at_root(k, n)
+            exact = C.omega_at_root(k, C.packed_ring(n))
             zeta = mp.expjpi(mp.mpf(2) / n)
             emb = mp.fsum(
                 (mp.mpf(c.numerator) / c.denominator) * zeta**j

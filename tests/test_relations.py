@@ -418,9 +418,9 @@ def test_finite_pass_matches_single_weight_calls():
     ]
 
 
-def test_finite_pass_forms_each_prefix_series_once_per_prime():
+def test_finite_pass_forms_each_prefix_series_once_per_prime(monkeypatch):
     """Prime by prime, every (sorted prefix, prime) pair of weights 1..10 is
-    one miss of the series cache, and no series is formed twice."""
+    one series of that prime's ring, and no series is formed twice."""
     pairs = {
         (tuple(sorted(g))[:j], p)
         for w in range(1, 11)
@@ -428,9 +428,15 @@ def test_finite_pass_forms_each_prefix_series_once_per_prime():
         for g in W.partitions_of_weight(w)
         for j in range(1, len(g))
     }
-    M._series_mod.cache_clear()
+    made, build = [], M.prime_ring
+
+    def prime_ring(p):
+        made.append(build(p))
+        return made[-1]
+
+    monkeypatch.setattr(M, "prime_ring", prime_ring)
     list(R.finite_relation_spaces(range(1, 11)))
-    assert M._series_mod.cache_info().misses == len(pairs)
+    assert sum(len(ring.series) for ring in made) == len(pairs)
 
 
 def test_finite_relations_reverify_on_fresh_primes():
@@ -440,10 +446,8 @@ def test_finite_relations_reverify_on_fresh_primes():
         assert len(fresh) == 10
         for v in basis.vectors:
             for p in fresh:
-                total = sum(
-                    a * M.omega_mod(g, p)
-                    for a, (_m, g) in zip(v, basis.generators)
-                )
+                ring = M.prime_ring(p)
+                total = sum(a * M.omega_mod(g, ring) for a, (_m, g) in zip(v, basis.generators))
                 assert total % p == 0, (weight, v, p)
 
 
@@ -519,7 +523,7 @@ def test_cyclotomic_recovers_paper_relations():
 def test_cyclotomic_relations_reverify_on_fresh_n():
     basis, _ = next(R.cyclotomic_relation_spaces([4], range(2, 13)))
     for n in (13, 14, 15, 16, 17):  # outside the mining range
-        vals = [C.omega_gen(m, idx, n) for m, idx in basis.generators]
+        vals = [C.omega_gen(m, idx, C.packed_ring(n)) for m, idx in basis.generators]
         for v in basis.vectors:
             acc = C.CycloElem.zero(C.CycloCtx(n))
             for a, val in zip(v, vals):
@@ -580,6 +584,47 @@ def test_cyclotomic_rings_are_freed_when_the_miner_leaves_their_n(monkeypatch):
     }
     assert len(formed) == len(keys) == 310
     assert set(formed) == keys
+
+
+# (command, the module and name of its ring builder)
+RING_RUNS = (
+    ("values omega-mod 2.1 --primes 5,7,11,13", M, "prime_ring"),
+    ("verify specials --max-weight 4", M, "prime_ring"),
+    ("verify q-kamano --max-weight 4 --n-max 8", C, "packed_ring"),
+)
+
+
+@pytest.mark.parametrize("command,module,name", RING_RUNS, ids=[c for c, *_ in RING_RUNS])
+def test_rings_are_freed_before_the_next_modulus(monkeypatch, command, module, name):
+    """While a command builds a ring, no ring of another modulus is alive,
+    and none is after the command; each modulus gets one ring."""
+    made, build = [], getattr(module, name)
+
+    def ring(m):
+        gc.collect()
+        assert {k for k, r in made if r() is not None} <= {m}, m
+        out = build(m)
+        made.append((m, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(module, name, ring)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(command.split()) == 0
+    gc.collect()
+    assert made and all(r() is None for _m, r in made)
+    assert len(made) == len({m for m, _r in made})
+
+
+def test_no_module_level_cache_holds_a_modulus_table():
+    """The tables and values of a modulus live in the ring its caller holds;
+    only these functools caches remain at module level."""
+    caches = {
+        f"{mod.__name__}.{name}"
+        for mod in (M, C)
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info")
+    }
+    assert caches == {"mtomega.cyclo.cyclotomic_poly", "mtomega.cyclo.root_primes"}
 
 
 def test_kernel_mod_matches_exact_kernel():
@@ -650,7 +695,7 @@ def test_certificate_refuses_a_forged_candidate(n):
     rings = rings_at(n)
     ell, values = next(R._values_mod(gens, rings))
     assert ell == C.root_primes(n)[0]
-    nonzero = [i for i, (m, idx) in enumerate(gens) if C.omega_gen(m, idx, n)]
+    nonzero = [i for i, (m, idx) in enumerate(gens) if C.omega_gen(m, idx, rings(0).packed)]
     assert nonzero
     for v, i in zip(basis.vectors, itertools.cycle(nonzero)):
         forged = list(v)
@@ -664,9 +709,10 @@ def test_certificate_refuses_a_forged_candidate(n):
 def test_certificate_refuses_a_single_generator():
     gens = R.cyclo_generators(4)
     for n in (3, 8, 15):
+        ring = C.packed_ring(n)
         for i, (m, idx) in enumerate(gens):
             unit = [int(i == j) for j in range(len(gens))]
-            assert R.certified([unit], gens, rings_at(n)) == (not C.omega_gen(m, idx, n)), (n, i)
+            assert R.certified([unit], gens, rings_at(n)) == (not C.omega_gen(m, idx, ring)), (n, i)
 
 
 def test_m0_projection_is_finite_relation():
