@@ -33,7 +33,7 @@ per size-reduction step, the full Gram-Schmidt table up front and every swap
 updating all rows above it, the reference for the packed rows and the
 incremental Gram-Schmidt data of `relations.lll_reduce`.  `composition_sum`
 is the ring-generic sum over the compositions m_1 + ... + m_r = n, level by
-level, where the package multiplies cached prefix series.
+level, where the package multiplies stored prefix series.
 `omega_circle_num` sums the omega values on the unit circle with it, in mpc,
 with the closed form 1/[m] = exp(-pi*i*(m-1)/n) * sin(pi/n)/sin(m*pi/n),
 which avoids cancellation for m close to n; the tests check it against the
