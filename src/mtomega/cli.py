@@ -183,25 +183,16 @@ def _suite_sym_sum(args):
 
 
 def _suite_corollary52(args):
-    import mpmath as mp
-
-    from . import numeric
-
     terms = {k: words.corollary52_terms(k) for k in _indices(4, args.max_weight or 8, min_part=2)}
     primes = modular.primes_upto(args.prime_max or 200)
     for k, ts in terms.items():
         for p in primes:
             needs = [(modular.prime_ring, modular.omega_mod, t, p) for t in ts]
             yield (f"corollary52 finite {k} p={p}", lambda *res, p=p: sum(res) % p == 0, needs)
-    digits = 40
-    tol = mp.mpf(10) ** (-digits + 5)
-    terms = {k: ts for k, ts in terms.items() if sum(k) <= 7}
-    sums = (u for ts in terms.values() for t in ts for _sign, u in numeric.omega_limit_sums(t))
-    zetas = numeric.zeta_table(sums, digits)  # one table for every Omega value below
     for k, ts in terms.items():
-        with mp.workdps(digits + numeric.GUARD_DIGITS):
-            total = mp.fsum(numeric.omega_limit_num(t, digits, zetas).value for t in ts)
-        yield (f"corollary52 symmetric {k}", functools.partial(bool, abs(total) < tol), ())
+        if sum(k) <= 7:  # the Omega words of the terms cancel exactly
+            cancel = lambda ts=ts: not sum(map(words.omega_word, ts), words.WordSum.zero())
+            yield (f"corollary52 symmetric {k}", cancel, ())
 
 
 def _suite_specials(args):
@@ -274,10 +265,25 @@ MINERS = {
 
 
 def _n_range(args) -> range:
-    """n = 2..--n-max, 20 when unset; refused on the sides that have no n."""
-    if getattr(args, "side", None) in ("finite", "symmetric") and args.n_max is not None:
-        raise ConfigError(f"--n-max does nothing on the {args.side} side")
+    """n = 2..--n-max, 20 when unset."""
     return range(2, (args.n_max or 20) + 1)
+
+
+#: Where each flag does nothing: --n-max on the sides and verify suites that
+#: have no n, --prime-max on the suites that have no primes.
+UNREAD = {
+    "--n-max": {"finite", "symmetric", *SUITES} - {"q-kamano", "sym-sum"},
+    "--prime-max": {"q-kamano", "identity-words", "generating", "sym-sum"},
+}
+
+
+def _refuse_unread(args):
+    """Refuse a flag, or its config key, that the side or suite would ignore."""
+    side, suite = getattr(args, "side", None), getattr(args, "suite", None)
+    for flag, names in UNREAD.items():
+        if (side or suite) in names and getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            where = f"on the {side} side" if side else f"in the {suite} suite"
+            raise ConfigError(f"{flag} does nothing {where}")
 
 
 def _guarded_weights(args) -> list:
@@ -418,6 +424,7 @@ def main(argv=None) -> int:
             # the file's flags go right after the subcommand name, so the
             # command line's own flags come later and win
             args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
+        _refuse_unread(args)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

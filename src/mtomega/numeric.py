@@ -10,8 +10,8 @@ needs run as one batch over the trie of their suffixes (`li_half_values`), in
 fixed-point integers with guard bits that cover every rounding step;
 `zeta_table` turns them into the zeta values of the caller's words, in
 mpmath at `digits` plus guard digits.  The module keeps no cache: a caller
-builds one table for the words it will read (`omega_limit_sums` lists those
-of an Omega value) and passes it down, or each value builds its own.
+builds one table for the words it will read (`words.omega_word` is that of
+an Omega value) and passes it down, or each value builds its own.
 """
 
 from __future__ import annotations
@@ -152,39 +152,6 @@ def zeta_s_num(index, digits: int) -> BigReal:
     return mzv_num(words.zeta_s_word(index), digits)
 
 
-def omega_limit_sums(index) -> list:
-    """The signed word sums behind Omega(index): for each entry k_a, the
-    Mordell-Tornheim word with k_a moved into the weight slot, sign
-    (-1)^{k_a}; last, the regularized symmetric value of the MT word, sign
-    (-1)^{k_r}."""
-    index = words.check_index(index)
-    if len(index) < 2:
-        raise LengthError(f"omega_limit_num needs length >= 2, got {index}")
-    mt = [
-        ((-1) ** ka, words.mt_word(index[:a] + index[a + 1 :] + (ka,)))
-        for a, ka in enumerate(index)
-    ]
-    return mt + [((-1) ** index[-1], words.reg_shuffle0(words.phi(words.mt_word(index))))]
-
-
-def omega_limit_num(index, digits: int, zetas=None) -> BigReal:
-    """Limit value Omega(index) of the unit-circle omega sums.
-
-    Computed two ways and cross-checked: as the alternating sum of
-    Mordell-Tornheim values with one entry moved into the weight slot, and as
-    (-1)^{k_r} times the regularized symmetric value of the MT word
-    (`omega_limit_sums`).  `zetas` is as in `mzv_num`.
-    """
-    *mt, (sign, via) = omega_limit_sums(index)
-    if zetas is None:
-        zetas = zeta_table([u for _sign, u in mt] + [via], digits)
-    with mp.workdps(digits + GUARD_DIGITS):
-        total = mp.mpf(0)
-        for s, u in mt:
-            total += s * mzv_num(u, digits, zetas).value
-        via_words = sign * mzv_num(via, digits, zetas).value
-        if abs(total - via_words) > mp.mpf(10) ** (-(digits - 5)):
-            raise ArithmeticError(
-                f"two evaluation routes for Omega{index} disagree: {total} vs {via_words}"
-            )
-        return BigReal(+total, digits)
+def omega_limit_num(index, digits: int) -> BigReal:
+    """Limit Omega(index) of the unit-circle omega sums: zeta of `words.omega_word`."""
+    return mzv_num(words.omega_word(index), digits)

@@ -602,16 +602,6 @@ SYMMETRIC_DIGITS = 60
 MAX_DIGITS = 10_000
 
 
-def _symmetric_sums(weight):
-    """The word sums of a weight's value vector: each generator's
-    `numeric.omega_limit_sums`, then zeta(2) and the Hoffman zeta values."""
-    from . import numeric
-
-    gens = words.partitions_of_weight(weight)
-    omegas = [u for g in gens for _sign, u in numeric.omega_limit_sums(g)]
-    return omegas + [words.y_word(k) for k in [(2,)] + _hoffman_indices(weight - 2)]
-
-
 def symmetric_relation_spaces(weights):
     """Mine relations among limit Omega values modulo zeta(2) multiples,
     weight by weight, yielding each weight's (RelationBasis, DimReport).
@@ -624,15 +614,21 @@ def symmetric_relation_spaces(weights):
     quotient.  The digits double from SYMMETRIC_DIGITS while there is no
     lattice gap (`integer_relations`); at MAX_DIGITS its error is raised.
 
-    The run keeps one `numeric.zeta_table` per digits, built when a weight
-    first needs those digits, with the words of that weight and of every
-    later one.
+    The run forms each weight's word sums once (`words.omega_word`, then
+    zeta(2) and the Hoffman words) and drops them once the weight is mined.
+    It keeps one `numeric.zeta_table` per digits, built when a weight first
+    needs those digits, with the words of that weight and every later one.
     """
     import mpmath as mp
 
     from . import numeric
 
     weights = list(weights)
+    sums = {
+        w: [words.omega_word(g) for g in words.partitions_of_weight(w)]
+        + [words.y_word(k) for k in [(2,)] + _hoffman_indices(w - 2)]
+        for w in weights
+    }
     tables = {}  # digits -> zeta table
     for i, weight in enumerate(weights):
         gens = words.partitions_of_weight(weight)
@@ -643,15 +639,12 @@ def symmetric_relation_spaces(weights):
         digits = SYMMETRIC_DIGITS
         while True:
             if digits not in tables:
-                run_sums = (u for w in weights[i:] for u in _symmetric_sums(w))
+                run_sums = (u for w in weights[i:] for u in sums[w])
                 tables[digits] = numeric.zeta_table(run_sums, digits)
-            zetas = tables[digits]
-            values = [numeric.omega_limit_num(g, digits, zetas) for g in gens]
+            values = [numeric.mzv_num(u, digits, tables[digits]) for u in sums[weight]]
             with mp.workdps(digits + numeric.GUARD_DIGITS):
-                z2 = numeric.mzv_num(words.y_word((2,)), digits, zetas).value
-                for k in _hoffman_indices(weight - 2):
-                    zk = numeric.mzv_num(words.y_word(k), digits, zetas).value
-                    values.append(numeric.BigReal(+(z2 * zk), digits))
+                z2 = values[d].value
+                values[d:] = [numeric.BigReal(+(z2 * zk.value), digits) for zk in values[d + 1 :]]
             try:
                 found = integer_relations(values, digits)
                 break
@@ -659,6 +652,7 @@ def symmetric_relation_spaces(weights):
                 if digits >= MAX_DIGITS:
                     raise PrecisionError(f"weight {weight}: {exc}") from None
                 digits = min(2 * digits, MAX_DIGITS)
+        del sums[weight]
         # dimension counts the Omega block of the quotient
         omega_parts = [list(v[:d]) for v in found]
         dim = d - len(rref([r for r in omega_parts if any(r)])[0])

@@ -42,8 +42,8 @@ EWord = tuple  # tuple over {1, 2, ...} | {HAT1}
 Scalar = Union[int, Fraction]
 
 # `verify identity-words --max-weight 9` fills 1654 keys of `_shuffle_words`,
-# the most of any benchmark command; `dims symmetric --weights 3..8`, whose
-# regularization adds the x1^l keys, fills 737.
+# the most of any benchmark command, and `dims symmetric --weights 3..8` 737;
+# only `zeta_s_word` regularizes, so only it fills `_reg0_word`.
 _CACHE_WORDS = 8192
 
 
@@ -419,21 +419,27 @@ def zeta_s_word(index: Index) -> WordSum:
     return out
 
 
-def check_identity_words(index: Index) -> bool:
-    """Exact check of the word identity behind the symmetric omega formula:
-
-    phi((-1)^{k_r} x0^{k_r}(y_{k_1} sh ... sh y_{k_{r-1}}))
-      = sum_a (-1)^{k_a} x0^{k_a}(shuffle of the other y's).
-    """
+def omega_word(index: Index) -> WordSum:
+    """The admissible word whose zeta value is Omega(index), sum_a (-1)^{k_a}
+    x0^{k_a}(shuffle of the other y's).  Raises ArithmeticError unless it is
+    (-1)^{k_r} phi(x0^{k_r}(y_{k_1} sh ... sh y_{k_{r-1}})) exactly: the word
+    identity behind the symmetric omega formula."""
     index = check_index(index)
-    if len(index) < 2:
-        raise LengthError(f"need length >= 2, got {index}")
-    lhs = ((-1) ** index[-1]) * phi(mt_word(index))
-    rhs = WordSum.zero()
+    out = WordSum.zero()
     for a, ka in enumerate(index):
-        rest = [y_word((k,)) for i, k in enumerate(index) if i != a]
-        rhs = rhs + ((-1) ** ka) * shuffle_many(rest).prepend((X0,) * ka)
-    return lhs == rhs
+        out = out + ((-1) ** ka) * mt_word(index[:a] + index[a + 1 :] + (ka,))
+    if out != ((-1) ** index[-1]) * phi(mt_word(index)):
+        raise ArithmeticError(f"the two routes give different words for Omega{index}")
+    return out
+
+
+def check_identity_words(index: Index) -> bool:
+    """Exact check of the word identity that `omega_word` checks."""
+    try:
+        omega_word(index)
+    except ArithmeticError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,30 @@ def test_n_max_refused_on_the_sides_without_n(tmp_path, command, side):
         assert err == f"config error: --n-max does nothing on the {side} side\n", extra
 
 
+UNREAD_BY_SUITES = [
+    ("n_max", "3", suite)
+    for suite in ("fmzv-reduction", "identity-words", "generating", "corollary52", "specials")
+] + [("prime_max", "5", suite) for suite in ("q-kamano", "identity-words", "generating", "sym-sum")]
+
+
+@pytest.mark.parametrize("key,value,suite", UNREAD_BY_SUITES)
+def test_verify_refuses_the_flag_its_suite_ignores(tmp_path, key, value, suite):
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    for extra in ((flag, value), ("--config", str(cfg))):
+        code, out, err = run_cli("verify", suite, "--max-weight", "2", *extra)
+        assert code == 1 and out == "", extra
+        assert err == f"config error: {flag} does nothing in the {suite} suite\n", extra
+
+
+def test_verify_all_takes_every_flag():
+    flags = ("--max-weight", "3", "--prime-max", "5", "--n-max", "3")
+    code, out, _ = run_cli("verify", "all", *flags)
+    assert code == 0 and out.endswith(" checks, 0 failures\n")
+    assert "[q-kamano]" in out and "p=5" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -441,6 +465,8 @@ _LOADS = [
     (["dims", "cyclotomic", "--weights", "2..4", "--n-max", "12"], ["numpy", "inspect"]),
     (["values", "omega-mod", "2.1", "--primes", "5"], ["numpy", "inspect"]),
     (["verify", "identity-words", "--max-weight", "5"], []),
+    (["verify", "corollary52", "--max-weight", "5"], ["numpy", "inspect"]),
+    (["verify", "all"], ["numpy", "inspect"]),
     (["values", "omega-root", "1.1", "--n", "3"], []),
 ]
 

@@ -50,6 +50,7 @@ GOLDEN = (
     ("dims symmetric --weights 3..8 --force", "55903c8b589beeab5fce492dc269fac89a722ecdcf263d1eee4292672f136c8b"),
     ("relations cyclotomic --weights 8 --n-max 40", "90e351de8db27e8fcd29861dbe44c29e172a664efe9a2a4e3b9922700888526a"),
     ("relations conjecture --weights 4..5 --n-max 12", "a6f55eeb7183c88678b9d63eefcae95bb2a624eb61863b4db3e6dacd6ca14056"),
+    ("relations symmetric --weights 9..10 --force", "1446115111a5812348893350d7dfae3f60bde63a71ca79ff7a5c32147189ef16"),
 )
 
 

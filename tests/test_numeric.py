@@ -194,7 +194,7 @@ def test_omega_limit_examples():
 
 
 def test_omega_limit_two_routes_agree():
-    # the cross-check is internal; exercise it across shapes
+    # words.omega_word checks the two routes exactly; exercise it across shapes
     for k in [(1, 2), (2, 2), (3, 1), (1, 1, 2), (2, 1, 1)]:
         N.omega_limit_num(k, 45)
 

@@ -780,8 +780,17 @@ def test_symmetric_run_matches_one_weight_passes(monkeypatch):
         return zeta_table(word_sums, digits)
 
     monkeypatch.setattr(numeric, "zeta_table", spy)
+    formed, omega_word = [], W.omega_word
+
+    def word_spy(index):
+        formed.append(index)
+        return omega_word(index)
+
+    monkeypatch.setattr(W, "omega_word", word_spy)
     run = list(R.symmetric_relation_spaces(range(2, 9)))
     assert tables == [30, 60]
+    # each generator's Omega word is formed once, across weight 8's retry too
+    assert formed == [g for w in range(2, 9) for g in W.partitions_of_weight(w)]
     for weight, mined in zip(range(2, 9), run):
         assert mined == next(R.symmetric_relation_spaces([weight])), weight
     assert tables.count(60) == 2  # only weight 8 retried

@@ -222,6 +222,16 @@ def test_check_identity_words_examples():
         W.check_identity_words((4,))
 
 
+def test_omega_word_is_the_mt_route_and_checks_phi(monkeypatch):
+    assert W.omega_word((1, 1)) == -2 * W.mt_word((1, 1))
+    assert W.omega_word((2, 1)) == W.mt_word((1, 2)) - W.mt_word((2, 1))
+    # a phi that breaks the identity makes the exact check refuse the value
+    monkeypatch.setattr(W, "phi", lambda u: u + W.y_word((2, 2)))
+    with pytest.raises(ArithmeticError, match="two routes"):
+        W.omega_word((2, 1))
+    assert not W.check_identity_words((2, 1))
+
+
 # ---------------------------------------------------------------------------
 # hbar algebra
 
