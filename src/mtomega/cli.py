@@ -270,20 +270,28 @@ def _n_range(args) -> range:
 
 
 #: Where each flag does nothing: --n-max on the sides and verify suites that
-#: have no n, --prime-max on the suites that have no primes.
+#: have no n, --prime-max on the suites that have no primes, and on a value
+#: kind every flag but its own: the primes of omega-mod, the n of omega-root
+#: and the digits of the real values.
 UNREAD = {
-    "--n-max": {"finite", "symmetric", *SUITES} - {"q-kamano", "sym-sum"},
-    "--prime-max": {"q-kamano", "identity-words", "generating", "sym-sum"},
+    "--n-max": {"finite", "symmetric", *SUITES, "omega-mod", "omega-limit", "zeta-s"}
+    - {"q-kamano", "sym-sum"},
+    "--prime-max": {"q-kamano", "identity-words", "generating", "sym-sum"}
+    | {"omega-root", "omega-limit", "zeta-s"},
+    "--n": {"omega-mod", "omega-limit", "zeta-s"},
+    "--primes": {"omega-root", "omega-limit", "zeta-s"},
+    "--digits": {"omega-mod", "omega-root"},
 }
 
 
 def _refuse_unread(args):
-    """Refuse a flag, or its config key, that the side or suite would ignore."""
-    side, suite = getattr(args, "side", None), getattr(args, "suite", None)
-    for flag, names in UNREAD.items():
-        if (side or suite) in names and getattr(args, flag[2:].replace("-", "_"), None) is not None:
-            where = f"on the {side} side" if side else f"in the {suite} suite"
-            raise ConfigError(f"{flag} does nothing {where}")
+    """Refuse a flag, or its config key, that the side, suite or kind would ignore."""
+    wheres = {"side": "on the {} side", "suite": "in the {} suite", "kind": "for {} values"}
+    for attr, where in wheres.items():
+        name = getattr(args, attr, None)
+        for flag, names in UNREAD.items():
+            if name in names and getattr(args, flag[2:].replace("-", "_"), None) is not None:
+                raise ConfigError(f"{flag} does nothing {where.format(name)}")
 
 
 def _guarded_weights(args) -> list:
@@ -358,7 +366,7 @@ def cmd_values(args) -> int:
         from . import numeric
 
         num = numeric.omega_limit_num if args.kind == "omega-limit" else numeric.zeta_s_num
-        _emit(json.dumps({"index": args.index, **num(index, args.digits).to_json()}))
+        _emit(json.dumps({"index": args.index, **num(index, args.digits or 60).to_json()}))
     return 0
 
 
@@ -366,8 +374,8 @@ def cmd_values(args) -> int:
 
 
 # Every flag with its type, range check and default; each subcommand declares
-# the ones it reads.  A --max-weight, --prime-max or --n-max left at None
-# takes the verify suite's or the command's own default.
+# the ones it reads.  A --max-weight, --prime-max, --n-max or --digits left
+# at None takes the verify suite's or the command's own default.
 FLAGS = {
     "--weights": {"type": _parse_weights, "help": "e.g. 3..8 or 2,3,5"},
     "--max-weight": {"type": _bounded("max_weight", 2)},
@@ -375,7 +383,7 @@ FLAGS = {
     "--n": {"type": _parse_ints, "help": "comma-separated n values"},
     "--prime-max": {"type": _bounded("prime_max", 3, modular.MAX_PRIME)},
     "--n-max": {"type": _bounded("n_max", 2)},
-    "--digits": {"type": _bounded("digits", 30, relations.MAX_DIGITS), "default": 60},
+    "--digits": {"type": _bounded("digits", 30, relations.MAX_DIGITS)},
     "--format": {"dest": "output_format", "choices": FORMATS, "default": "text"},
     "--force": {"action": "store_true"},
     "--config": {"help": "key = value config file; flags on the command line win"},

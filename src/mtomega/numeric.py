@@ -8,10 +8,11 @@ series whose truncation error is bounded explicitly, so a requested accuracy
 of `digits` decimal digits is honest.  The series of all the pieces a caller
 needs run as one batch over the trie of their suffixes (`li_half_values`), in
 fixed-point integers with guard bits that cover every rounding step;
-`zeta_table` turns them into the zeta values of the caller's words, in
-mpmath at `digits` plus guard digits.  The module keeps no cache: a caller
-builds one table for the words it will read (`words.omega_word` is that of
-an Omega value) and passes it down, or each value builds its own.
+`zeta_table` turns them into the zeta values of the caller's words, in the
+same unit 2^-fixed_bits(digits), and the symmetric miner reads those.  Only
+`mzv_num` and `BigReal.to_json`, behind `values`, load mpmath.  The module
+keeps no cache: a caller builds one table for the words it will read
+(`words.omega_word` is that of an Omega value), or each value builds its own.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import math
 import operator
 from typing import NamedTuple
 
-import mpmath as mp
-
 from . import sums, words
 from .errors import LengthError, NotAdmissibleError
 from .words import X1, WordSum
@@ -29,13 +28,21 @@ from .words import X1, WordSum
 GUARD_DIGITS = 15
 
 
+def fixed_bits(digits: int) -> int:
+    """The bits of the fixed-point unit 2^-fixed_bits(digits) that the values
+    at `digits` are integers in: `digits` plus GUARD_DIGITS decimal digits."""
+    return math.ceil((digits + GUARD_DIGITS) * math.log2(10))
+
+
 class BigReal(NamedTuple):
     """An mpmath real plus the number of decimal digits it certifies."""
 
-    value: mp.mpf
+    value: object  # an mpmath mpf
     certified_digits: int
 
     def to_json(self) -> dict:
+        import mpmath as mp
+
         with mp.workdps(self.certified_digits + 5):
             s = mp.nstr(
                 self.value, self.certified_digits, strip_zeros=False, min_fixed=1, max_fixed=0
@@ -56,15 +63,17 @@ def _li_truncation_order(r: int, digits: int) -> int:
 
 def li_half_values(indices, digits: int) -> dict:
     """Li_{s_1,...,s_r}(1/2) = sum over m_1 > ... > m_r of 2^-m_1 / prod m^s
-    of each index, truncated with a certified geometric tail bound.
+    of each index, truncated with a certified geometric tail bound, as an
+    integer in the unit 2^-fixed_bits(digits), off by at most 2 units.
 
     The levels run in integers scaled by 2^P, with a floor after each product
     and 2^-m as a shift.  Below the truncation order M a level sums to under
     3M, so an entry is off by at most the errors before it, plus that prefix
     for the floor of m^-s, plus one: under (4M)^j units of 2^-P at level j,
-    and the final shifts add M.  r * bitlen(4M) guard bits cover both.  M, P
-    and r are those of the longest index: the tail bound grows with r, so a
-    larger M and more guard bits only tighten a shorter index's bound.
+    and the final shifts add M.  r * bitlen(4M) guard bits keep both under
+    one unit, and the shift to the unit floors once more.  M, P and r are
+    those of the longest index: the tail bound grows with r, so a larger M
+    and more guard bits only tighten a shorter index's bound.
 
     The levels are built depth first over the trie of the indices' suffixes,
     one `sums.chain_pass` per node from its parent's level, with one m^-s
@@ -73,7 +82,8 @@ def li_half_values(indices, digits: int) -> dict:
     indices = set(indices)
     r = max(map(len, indices), default=0)
     order = _li_truncation_order(r, digits)
-    prec = math.ceil((digits + GUARD_DIGITS) * math.log2(10)) + r * (4 * order).bit_length()
+    bits = fixed_bits(digits)
+    prec = bits + r * (4 * order).bit_length()
     children = {}  # suffix -> the entries that extend it in front
     for index in indices:
         for j in range(len(index)):
@@ -84,13 +94,11 @@ def li_half_values(indices, digits: int) -> dict:
 
     def visit(index, level):
         if index in indices:
-            scaled = sum(map(operator.rshift, level, range(len(level))))
-            values[index] = mp.ldexp(mp.mpf(scaled), -prec)
+            values[index] = sum(map(operator.rshift, level, range(len(level)))) >> (prec - bits)
         for k in children.get(index, ()):
             visit((k,) + index, [x >> prec for x in sums.chain_pass(level, powers[k], 0)])
 
-    with mp.workdps(digits + GUARD_DIGITS):
-        visit((), [1 << prec] + [0] * order)  # level[0] = 1: the empty index
+    visit((), [1 << prec] + [0] * order)  # level[0] = 1: the empty index
     return values
 
 
@@ -105,35 +113,28 @@ def _cuts(word) -> list:
 
 
 def zeta_table(word_sums, digits: int) -> dict:
-    """zeta of every monomial of the admissible word sums, at `digits`, by
-    splitting the iterated integral at 1/2: zeta(w) is the sum over the cuts
-    of w of Li(left)(1/2) * Li(right)(1/2), every piece of every word taken
-    from one `li_half_values` batch."""
+    """zeta of every monomial of the admissible word sums, at `digits`, in the
+    unit 2^-fixed_bits(digits), by splitting the iterated integral at 1/2:
+    zeta(w) is the sum over the cuts of w of Li(left)(1/2) * Li(right)(1/2),
+    every piece of every word taken from one `li_half_values` batch."""
     ws = {w for u in word_sums for w, _c in u.items()}
     li = li_half_values({piece for w in ws for cut in _cuts(w) for piece in cut}, digits)
-    table = {}
-    with mp.workdps(digits + GUARD_DIGITS):
-        for w in ws:
-            total = mp.mpf(0)
-            for left, right in _cuts(w):
-                total += li[left] * li[right]
-            table[w] = +total
-    return table
+    bits = fixed_bits(digits)
+    return {w: sum(li[left] * li[right] for left, right in _cuts(w)) >> bits for w in ws}
 
 
-def mzv_num(u: WordSum, digits: int, zetas=None) -> BigReal:
-    """Linear combination of multiple zeta values, accurate to `digits`;
-    `zetas` is a `zeta_table` at those digits with u's words, by default
-    one built for them."""
+def mzv_num(u: WordSum, digits: int) -> BigReal:
+    """Linear combination of multiple zeta values, accurate to `digits`: the
+    exact sum of its coefficients times the `zeta_table` integers, rounded to
+    an mpmath float once."""
+    import mpmath as mp
+
     if not u.in_h0():
         raise NotAdmissibleError("mzv_num needs admissible monomials")
-    if zetas is None:
-        zetas = zeta_table([u], digits)
-    with mp.workdps(digits + GUARD_DIGITS):
-        total = mp.mpf(0)
-        for w, c in u.items():
-            total += mp.mpf(c.numerator) / c.denominator * zetas[w]
-        return BigReal(+total, digits)
+    zetas = zeta_table([u], digits)
+    total = sum(c * zetas[w] for w, c in u.items())  # an int, or a Fraction
+    unit = total.denominator << fixed_bits(digits)
+    return BigReal(mp.fdiv(total.numerator, unit, dps=digits + GUARD_DIGITS), digits)
 
 
 def mt_num(index, l: int, digits: int) -> BigReal:

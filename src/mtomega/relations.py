@@ -17,8 +17,8 @@ Relation vectors are primitive integer vectors, tuples of Python ints, and
 all the linear algebra on them runs in integers; each is tagged `proven` when
 it lies in the rational span of relations the underlying theorems supply,
 and `conjectural` otherwise.  Dimension = generators - relations.
-numpy is imported where the residue arrays are built, and mpmath where the
-real values are, so commands that never build them never load the library.
+numpy is imported where the residue arrays are built, and no miner loads
+mpmath: the symmetric values are `numeric`'s fixed-point integers.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from . import cyclo, modular, words
+from . import cyclo, modular, numeric, words
 from .errors import DependentInputError, PrecisionError
 
 # ---------------------------------------------------------------------------
@@ -205,36 +205,21 @@ def lll_reduce(basis):
 # integer relations among real numbers: one LLL reduction
 
 
-def _round_scaled(x, scale: int) -> int:
-    """round(x * scale) for an mpf x, in exact integer arithmetic."""
-    man, exp = x.man_exp  # the mantissa comes without its sign
-    if x < 0:
-        man = -man
-    if exp >= 0:
-        return (man << exp) * scale
-    return (2 * man * scale + (1 << -exp)) >> (1 - exp)
-
-
 def integer_relations(xs, digits: int, max_height: int = 10**4):
-    """Basis of the integer relations among certified BigReal values.
+    """Basis of the integer relations among reals certified to `digits`,
+    given as integers in the unit 2^-numeric.fixed_bits(digits).
 
     One LLL reduction of the rows (e_i, round(10^(digits-5) * x_i)) (Cohen,
-    A Course in Computational Algebraic Number Theory, 1993, 2.7).  A reduced
-    row is accepted, as a primitive vector of its first N = len(xs) entries,
-    when its height is at most max_height and its last entry, the scaled
-    residual, is within N * max_height; a zero x_i gives e_i.  PrecisionError
-    when the inputs certify fewer digits, when all N rows pass though some
-    value is not zero, or when the lattice gap (shortest rejected row over
-    longest accepted row) is below 10^2.
+    A Course in Computational Algebraic Number Theory, 1993, 2.7), rounding
+    half up.  A reduced row is accepted, as a primitive vector of its first
+    N = len(xs) entries, when its height is at most max_height and its last
+    entry, the scaled residual, is within N * max_height; a zero x_i gives
+    e_i.  PrecisionError when all N rows pass though some value is not zero,
+    or when the lattice gap (shortest rejected row over longest accepted row)
+    is below 10^2.
     """
-    xs = list(xs)
-    for x in xs:
-        if x.certified_digits < digits:
-            raise PrecisionError(
-                f"input certified to {x.certified_digits} < {digits} digits"
-            )
-    n = len(xs)
-    scaled = [_round_scaled(x.value, 10 ** (digits - 5)) for x in xs]
+    n, bits, scale = len(xs), numeric.fixed_bits(digits), 2 * 10 ** (digits - 5)
+    scaled = [(scale * x + (1 << bits)) >> (bits + 1) for x in xs]
     rows = [[int(i == j) for j in range(n)] + [s] for i, s in enumerate(scaled)]
     accepted, rejected, found = [], [], []
     for row in lll_reduce(rows):
@@ -617,12 +602,9 @@ def symmetric_relation_spaces(weights):
     The run forms each weight's word sums once (`words.omega_word`, then
     zeta(2) and the Hoffman words) and drops them once the weight is mined.
     It keeps one `numeric.zeta_table` per digits, built when a weight first
-    needs those digits, with the words of that weight and every later one.
+    needs those digits, with the words of that weight and every later one;
+    the values stay in the table's fixed-point integers.
     """
-    import mpmath as mp
-
-    from . import numeric
-
     weights = list(weights)
     sums = {
         w: [words.omega_word(g) for g in words.partitions_of_weight(w)]
@@ -641,10 +623,9 @@ def symmetric_relation_spaces(weights):
             if digits not in tables:
                 run_sums = (u for w in weights[i:] for u in sums[w])
                 tables[digits] = numeric.zeta_table(run_sums, digits)
-            values = [numeric.mzv_num(u, digits, tables[digits]) for u in sums[weight]]
-            with mp.workdps(digits + numeric.GUARD_DIGITS):
-                z2 = values[d].value
-                values[d:] = [numeric.BigReal(+(z2 * zk.value), digits) for zk in values[d + 1 :]]
+            zetas, bits = tables[digits], numeric.fixed_bits(digits)
+            values = [sum(c * zetas[w] for w, c in u.items()) for u in sums[weight]]
+            values[d:] = [values[d] * zk >> bits for zk in values[d + 1 :]]  # zeta(2) * zk
             try:
                 found = integer_relations(values, digits)
                 break

@@ -296,6 +296,43 @@ def test_verify_refuses_the_flag_its_suite_ignores(tmp_path, key, value, suite):
         assert err == f"config error: {flag} does nothing in the {suite} suite\n", extra
 
 
+# every flag `values` declares but the kind's own: the primes of omega-mod, the
+# n of omega-root and the digits of the real values
+UNREAD_BY_KINDS = [
+    (kind, key)
+    for kind, keys in (
+        ("omega-mod", ("n", "n_max", "digits")),
+        ("omega-root", ("primes", "prime_max", "digits")),
+        ("omega-limit", ("primes", "prime_max", "n", "n_max")),
+        ("zeta-s", ("primes", "prime_max", "n", "n_max")),
+    )
+    for key in keys
+]
+FLAG_VALUES = {"primes": "7", "prime_max": "11", "n": "3", "n_max": "5", "digits": "40"}
+
+
+@pytest.mark.parametrize("kind,key", UNREAD_BY_KINDS)
+def test_values_refuses_the_flag_its_kind_ignores(tmp_path, kind, key):
+    flag, value = "--" + key.replace("_", "-"), FLAG_VALUES[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    for extra in ((flag, value), ("--config", str(cfg))):
+        code, out, err = run_cli("values", kind, "2.1", *extra)
+        assert code == 1 and out == "", extra
+        assert err == f"config error: {flag} does nothing for {kind} values\n", extra
+
+
+def test_values_mixing_the_kinds_flags_and_the_digits_default():
+    # a command with every kind's flags is refused at the first its kind ignores
+    argv = "values omega-limit 1.1 --digits 30 --n-max 5 --primes 7 --prime-max 11".split()
+    assert run_cli(*argv) == (1, "", "config error: --n-max does nothing for omega-limit values\n")
+    # --digits is unset unless given, so that omega-mod and omega-root can
+    # refuse it; the real values still default to 60
+    code, out, _ = run_cli("values", "omega-limit", "1.1")
+    assert code == 0 and out == run_cli("values", "omega-limit", "1.1", "--digits", "60")[1]
+    assert json.loads(out)["certified_digits"] == 60
+
+
 def test_verify_all_takes_every_flag():
     flags = ("--max-weight", "3", "--prime-max", "5", "--n-max", "3")
     code, out, _ = run_cli("verify", "all", *flags)
@@ -392,7 +429,7 @@ def test_relations_finite_json():
 
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("digits = 42\nn_max = 5\n# comment\n")
+    cfg.write_text("digits = 42\n# comment\n")
     code, out, _ = run_cli(
         "values", "omega-limit", "1.1", "--config", str(cfg)
     )
@@ -460,7 +497,9 @@ print(code, *(m for m in ("numpy", "mpmath", "dataclasses", "inspect") if m in s
 
 _LOADS = [
     ([], []),
-    (["dims", "symmetric", "--weights", "3..5"], ["mpmath"]),
+    (["dims", "symmetric", "--weights", "3..5"], []),
+    (["relations", "conjecture", "--weights", "4", "--n-max", "12"], ["numpy", "inspect"]),
+    (["values", "omega-limit", "1.1"], ["mpmath"]),
     (["dims", "finite", "--weights", "3..6"], ["numpy", "inspect"]),
     (["dims", "cyclotomic", "--weights", "2..4", "--n-max", "12"], ["numpy", "inspect"]),
     (["values", "omega-mod", "2.1", "--primes", "5"], ["numpy", "inspect"]),
@@ -475,9 +514,9 @@ _LOADS = [
     "argv, loaded", _LOADS, ids=["-".join(argv[:2]) or "import" for argv, _ in _LOADS]
 )
 def test_commands_load_only_the_libraries_they_use(argv, loaded):
-    """numpy builds the residue arrays and mpmath the real values; a command
-    that needs neither starts without importing them, and no command loads
-    dataclasses."""
+    """numpy builds the residue arrays and mpmath prints the real values; a
+    command that needs neither starts without importing them, and no command
+    loads dataclasses."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(

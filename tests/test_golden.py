@@ -51,6 +51,7 @@ GOLDEN = (
     ("relations cyclotomic --weights 8 --n-max 40", "90e351de8db27e8fcd29861dbe44c29e172a664efe9a2a4e3b9922700888526a"),
     ("relations conjecture --weights 4..5 --n-max 12", "a6f55eeb7183c88678b9d63eefcae95bb2a624eb61863b4db3e6dacd6ca14056"),
     ("relations symmetric --weights 9..10 --force", "1446115111a5812348893350d7dfae3f60bde63a71ca79ff7a5c32147189ef16"),
+    ("values omega-limit 2.1.1.1 --digits 1000", "fa7478acb6ed1d011585dc55753fe7458838c2a0d1c932dbf151d47e45d8e156"),
 )
 
 

@@ -7,6 +7,8 @@ representation 1/Gamma(l) int_0^1 (-log u)^(l-1) prod Li_k(u) du/u evaluated
 with mpmath quadrature plus a positive-term truncated-sum bracket.
 """
 
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 
@@ -43,6 +45,15 @@ def test_mzv_against_mpmath():
             assert abs(got - mp.zeta(k)) < mp.mpf(10) ** (-58), k
 
 
+def test_mzv_fraction_coefficient():
+    # a non-int scalar makes the coefficients Fractions, and the exact sum a
+    # rational number of fixed-point units
+    got = N.mzv_num(W.y_word((2,)) * Fraction(1, 3), 60)
+    with mp.workdps(75):
+        assert abs(got.value - mp.zeta(2) / 3) < mp.mpf(10) ** (-58)
+    assert got.to_json()["value"] == "5.48311355616075478824138388882008396406316633735599479245186e-1"
+
+
 def test_mzv_shuffle_homomorphism_numeric():
     with mp.workdps(75):
         u, v = W.y_word((2,)), W.y_word((3,))
@@ -57,7 +68,7 @@ def test_li_half_fixed_point_against_mpmath(digits, max_weight):
     assert set(values) == set(indices)
     for index in indices:
         with mp.workdps(digits + 30):
-            err = abs(values[index] - O.li_half(index, digits))
+            err = abs(mp.ldexp(values[index], -N.fixed_bits(digits)) - O.li_half(index, digits))
             assert err < mp.mpf(10) ** (-(digits + 5)), index
 
 

@@ -23,7 +23,7 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import words as W
 from mtomega.errors import DependentInputError, PrecisionError
-from oracles import cyclotomic_kernel_exact, hnf, kernel_basis, lll_reduce_lists, primitive
+from oracles import cyclotomic_kernel_exact, hnf, kernel_basis, li_half, lll_reduce_lists, primitive
 from oracles import rref as oracle_rref
 
 # ---------------------------------------------------------------------------
@@ -306,64 +306,55 @@ def test_lll_packed_rows_on_integer_relation_lattices():
 # integer relations by one LLL reduction
 
 
+def fixed(values, digits):
+    """mpmath values as `integer_relations` takes them: integers in the unit
+    2^-fixed_bits(digits)."""
+    with mp.workdps(digits + 30):
+        return [int(mp.nint(mp.ldexp(x, N.fixed_bits(digits)))) for x in values]
+
+
 def test_integer_relations_examples():
-    z3 = N.mzv_num(W.y_word((3,)), 60)
-    z21 = N.mzv_num(W.y_word((2, 1)), 60)
+    u3, u21 = W.y_word((3,)), W.y_word((2, 1))
+    zetas = N.zeta_table([u3, u21], 60)
+    z3, z21 = (zetas[w] for u in (u3, u21) for w, _c in u.items())
     assert R.integer_relations([z3, z21], 60) == [(1, -1)]
 
     with mp.workdps(80):
         phi = (1 + mp.sqrt(5)) / 2
-        vals = [
-            N.BigReal(mp.mpf(1), 60),
-            N.BigReal(+phi, 60),
-            N.BigReal(+(phi**2), 60),
-        ]
+        vals = fixed([mp.mpf(1), phi, phi**2], 60)
     assert R.integer_relations(vals, 60) == [(1, 1, -1)]
 
     with mp.workdps(80):
-        one = N.BigReal(mp.mpf(1), 60)
-        pi = N.BigReal(+mp.pi, 60)
-    assert R.integer_relations([one, pi], 60, max_height=1000) == []
+        vals = fixed([mp.mpf(1), +mp.pi], 60)
+    assert R.integer_relations(vals, 60, max_height=1000) == []
 
 
 def test_integer_relations_scaling_invariance():
     with mp.workdps(80):
         phi = (1 + mp.sqrt(5)) / 2
-        vals = [mp.mpf(1), phi, phi**2]
-        scaled = [N.BigReal(+(v * 7 / 3), 60) for v in vals]
+        scaled = fixed([v * 7 / 3 for v in (mp.mpf(1), phi, phi**2)], 60)
     assert R.integer_relations(scaled, 60) == [(1, 1, -1)]
 
 
 def test_integer_relations_zero_input():
-    with mp.workdps(80):
-        vals = [N.BigReal(mp.mpf(1), 60), N.BigReal(mp.mpf(0), 60)]
-    assert R.integer_relations(vals, 60) == [(0, 1)]
+    assert R.integer_relations(fixed([mp.mpf(1), mp.mpf(0)], 60), 60) == [(0, 1)]
 
 
 def test_integer_relations_single_value():
     # one value is a relation exactly when it is numerically zero
     with mp.workdps(80):
-        zero = N.BigReal(mp.mpf(10) ** -70, 60)
-        small = N.BigReal(mp.mpf(10) ** -20, 60)
-        pi = N.BigReal(+mp.pi, 60)
+        zero, small, pi = fixed([mp.mpf(10) ** -70, mp.mpf(10) ** -20, +mp.pi], 60)
     assert R.integer_relations([zero], 60) == [(1,)]
     assert R.integer_relations([small], 60) == []
     assert R.integer_relations([pi], 60) == []
     assert R.integer_relations([], 60) == []
 
 
-def test_integer_relations_precision_error():
-    with mp.workdps(80):
-        vals = [N.BigReal(mp.mpf(1), 30), N.BigReal(+mp.pi, 30)]
-    with pytest.raises(PrecisionError):
-        R.integer_relations(vals, 60)
-
-
 def test_integer_relations_refuse_a_small_gap():
     # at 20 digits a relation of height 10^7 leaves the other reduced row
     # only 9 times longer, too close to tell relations from chance
     with mp.workdps(40):
-        vals = [N.BigReal(mp.mpf(1), 20), N.BigReal(mp.mpf(4567891) / 9876543, 20)]
+        vals = fixed([mp.mpf(1), mp.mpf(4567891) / 9876543], 20)
     assert R.integer_relations(vals, 20, max_height=10**6) == []
     with pytest.raises(PrecisionError, match="lattice gap 9.04 < 1e2 at 20 digits"):
         R.integer_relations(vals, 20, max_height=10**7)
@@ -794,6 +785,44 @@ def test_symmetric_run_matches_one_weight_passes(monkeypatch):
     for weight, mined in zip(range(2, 9), run):
         assert mined == next(R.symmetric_relation_spaces([weight])), weight
     assert tables.count(60) == 2  # only weight 8 retried
+
+
+def test_symmetric_lattice_matches_an_mpmath_evaluation(monkeypatch):
+    # the lattice column the miner reduces is round(10^(digits-5) x) of
+    # values evaluated independently: the oracle's mpmath Li(1/2) series at
+    # 30 more digits, joined through the same cuts, so no rounding in the
+    # fixed-point path moves an entry
+    tried, relations_at, columns, lll = [], R.integer_relations, [], R.lll_reduce
+
+    def spy(xs, digits):
+        tried.append(digits)
+        return relations_at(xs, digits)
+
+    def lll_spy(rows):
+        columns.append([row[-1] for row in rows])
+        return lll(rows)
+
+    monkeypatch.setattr(R, "integer_relations", spy)
+    monkeypatch.setattr(R, "lll_reduce", lll_spy)
+    weights = range(3, 9)
+    list(R.symmetric_relation_spaces(weights))
+    assert tried == [60] * len(weights)
+    digits, li = 60, {}
+    with mp.workdps(digits + 30):
+        def zeta(word):
+            for piece in (p for cut in N._cuts(word) for p in cut):
+                if piece not in li:
+                    li[piece] = li_half(piece, digits + 30)
+            return mp.fsum(li[left] * li[right] for left, right in N._cuts(word))
+
+        for weight, column in zip(weights, columns):
+            gens = W.partitions_of_weight(weight)
+            d = len(gens)
+            sums = [W.omega_word(g) for g in gens]
+            sums += [W.y_word(k) for k in [(2,)] + R._hoffman_indices(weight - 2)]
+            xs = [mp.fsum(c * zeta(w) for w, c in u.items()) for u in sums]
+            xs[d:] = [xs[d] * x for x in xs[d + 1 :]]
+            assert column == [int(mp.nint(x * 10 ** (digits - 5))) for x in xs], weight
 
 
 # Relation span of the Omega block at weights 3..8 as the PSLQ miner found it
