@@ -285,13 +285,18 @@ UNREAD = {
 
 
 def _refuse_unread(args):
-    """Refuse a flag, or its config key, that the side, suite or kind would ignore."""
+    """Refuse a flag, or its config key, that the side, suite or kind would
+    ignore, and a value list given with the bound that would be ignored."""
+    given = {flag for flag in FLAGS if getattr(args, flag[2:].replace("-", "_"), None) is not None}
     wheres = {"side": "on the {} side", "suite": "in the {} suite", "kind": "for {} values"}
     for attr, where in wheres.items():
         name = getattr(args, attr, None)
         for flag, names in UNREAD.items():
-            if name in names and getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            if name in names and flag in given:
                 raise ConfigError(f"{flag} does nothing {where.format(name)}")
+    for pair in (("--primes", "--prime-max"), ("--n", "--n-max")):
+        if given.issuperset(pair):
+            raise ConfigError(f"{pair[0]} and {pair[1]} exclude each other")
 
 
 def _guarded_weights(args) -> list:

@@ -1,10 +1,11 @@
 """Relation mining and dimension accounting for the omega-value spaces.
 
-Three miners share one report format.  The finite miner joins the residue
-vectors at the training primes by CRT and finds the lattice of integer
-vectors whose combination vanishes at all of them by one LLL reduction, in
-the lattice shape the symmetric miner uses; surviving short vectors are
-re-verified on holdout primes.
+Three miners share one report format.  The finite miner reports the proven
+span's RREF rows and mines only the generators off their pivots: it joins
+their residue vectors at the training primes by CRT and finds the lattice of
+integer vectors whose combination vanishes at all of them by one LLL
+reduction, in the lattice shape the symmetric miner uses; surviving short
+vectors are re-verified on holdout primes.
 The cyclotomic miner cuts an exact integer basis of the rational kernel of
 the Q(zeta_n) constraints down n by n modulo primes l = 1 (mod n), and
 certifies each new vector exactly.
@@ -375,30 +376,39 @@ def default_prime_split(weight):
 def finite_relation_spaces(weights):
     """Mine integer relations among finite omega values, weight by weight.
 
-    The residue vectors at the training primes (`default_prime_split`) are
-    joined by CRT into C mod P, P the product of the primes at which some
-    residue is nonzero.  One LLL reduction of the rows (e_i | K C_i) and
-    (0 | K P), K = FINITE_RESIDUE_SCALE, gives the integer vectors x with
-    x . C = 0 mod P as the reduced rows whose last entry is 0 (Lenstra,
-    Lenstra and Lovasz, Math. Ann. 261, 1982; Cohen, 1993, 2.7).  Those of
-    height at most FINITE_HEIGHT_BOUND that also vanish at every holdout
-    prime are the relations.
+    Every relation is an element of R, the RREF rows of the proven span
+    (`_proven_finite_span`), plus one among the generators off R's pivots, so
+    only those are mined.  Their residue vectors at the training primes
+    (`default_prime_split`) are joined by CRT into C mod P, P the product of
+    the primes at which some residue is nonzero.  One LLL reduction of the
+    rows (e_i | K C_i) and (0 | K P), K = FINITE_RESIDUE_SCALE, gives the
+    integer vectors x with x . C = 0 mod P as the reduced rows whose last
+    entry is 0 (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982; Cohen,
+    1993, 2.7).  Those of height at most FINITE_HEIGHT_BOUND that also vanish
+    at every holdout prime, lifted with zeros at the pivots, are reported as
+    `conjectural` after R's rows as `proven`; they stay LLL's short rows,
+    whose RREF has far larger entries.
 
     The residues are formed prime by prime across the weights, from one ring
     per prime (`modular.prime_ring`) whose prefix series serve all of them;
     then each weight's (RelationBasis, DimReport) is yielded in turn.
     """
-    plan = {w: (words.partitions_of_weight(w), *default_prime_split(w)) for w in weights}
-    residues = {w: {} for w in plan}  # weight -> prime -> the residues of its generators
-    for p in sorted({p for _gens, t, h in plan.values() for p in t + h}):
+    plan = {}  # weight -> (generators, R, free columns, training, holdout)
+    for w in weights:
+        gens = words.partitions_of_weight(w)
+        proven, pivots = rref(_proven_finite_span(w, gens))
+        free = [i for i in range(len(gens)) if i not in pivots]
+        plan[w] = (gens, proven, free, *default_prime_split(w))
+    residues = {w: {} for w in plan}  # weight -> prime -> the residues of its free generators
+    for p in sorted({p for *_, t, h in plan.values() for p in t + h}):
         ring = modular.prime_ring(p)
-        for w, (gens, t, h) in plan.items():
+        for w, (gens, _r, free, t, h) in plan.items():
             if p in t + h:
-                residues[w][p] = [modular.omega_mod(g, ring) for g in gens]
-    for weight, (gens, training, holdout) in plan.items():
-        d = len(gens)
+                residues[w][p] = [modular.omega_mod(gens[i], ring) for i in free]
+    for weight, (gens, proven, free, training, holdout) in plan.items():
+        f = len(free)
         res = residues.pop(weight)  # each weight's residues are freed once it is mined
-        crt, modulus = [0] * d, 1
+        crt, modulus = [0] * f, 1
         for p in training:
             c = res[p]
             if not any(c):
@@ -407,16 +417,16 @@ def finite_relation_spaces(weights):
             crt = [x + modulus * ((y - x) * inv % p) for x, y in zip(crt, c)]
             modulus *= p
         scale = FINITE_RESIDUE_SCALE
-        rows = [[int(i == j) for j in range(d)] + [scale * x] for i, x in enumerate(crt)]
+        rows = [[int(i == j) for j in range(f)] + [scale * x] for i, x in enumerate(crt)]
         kept = []
-        for row in lll_reduce(rows + [[0] * d + [scale * modulus]]):
-            if row[d] or max(map(abs, row[:d])) > FINITE_HEIGHT_BOUND:
+        for row in lll_reduce(rows + [[0] * f + [scale * modulus]]):
+            if row[f] or max(map(abs, row[:f])) > FINITE_HEIGHT_BOUND:
                 continue
             if all(sum(map(operator.mul, row, res[q])) % q == 0 for q in holdout):
-                kept.append(primitive_integer(row[:d]))
+                lift = dict(zip(free, primitive_integer(row[:f])))
+                kept.append(tuple(lift.get(i, 0) for i in range(len(gens))))
         yield _mined(
-            "finite", weight, [(0, g) for g in gens], kept,
-            span_test(_proven_finite_span(weight, gens)),
+            "finite", weight, [(0, g) for g in gens], proven + kept, set(proven).__contains__
         )
 
 

@@ -31,7 +31,11 @@ rational q, for checking that the deformed shuffle multiplies them.
 `lll_reduce_lists` is the exact LLL reduction with list rows, one new list
 per size-reduction step, the full Gram-Schmidt table up front and every swap
 updating all rows above it, the reference for the packed rows and the
-incremental Gram-Schmidt data of `relations.lll_reduce`.  `composition_sum`
+incremental Gram-Schmidt data of `relations.lll_reduce`.
+`finite_relations_full` is the finite miner on the full lattice, every
+generator of the weight mined and each kept row tagged by the proven span,
+the reference for the miner that mines only the generators off the proven
+span's pivots.  `composition_sum`
 is the ring-generic sum over the compositions m_1 + ... + m_r = n, level by
 level, where the package multiplies stored prefix series.
 `omega_circle_num` sums the omega values on the unit circle with it, in mpc,
@@ -417,6 +421,34 @@ def lll_reduce_lists(rows):
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over Fraction, and the cyclotomic kernel with it
+
+
+def finite_relations_full(weight):
+    """(RelationBasis, DimReport) of one weight from one LLL reduction of the
+    rows (e_i | K C_i) and (0 | K P) over all its generators, C their
+    residues joined by CRT at the training primes and P the product of the
+    primes where some residue is nonzero; a reduced row ending in 0 of height
+    at most the bound that vanishes at the holdout primes is a relation,
+    `proven` when it lies in the proven span."""
+    gens = W.partitions_of_weight(weight)
+    training, holdout = R.default_prime_split(weight)
+    res = {p: [M.omega_mod(g, M.prime_ring(p)) for g in gens] for p in training + holdout}
+    d, crt, modulus = len(gens), [0] * len(gens), 1
+    for p in training:
+        if any(res[p]):
+            inv = pow(modulus, -1, p)
+            crt = [x + modulus * ((y - x) * inv % p) for x, y in zip(crt, res[p])]
+            modulus *= p
+    k = R.FINITE_RESIDUE_SCALE
+    rows = [[int(i == j) for j in range(d)] + [k * x] for i, x in enumerate(crt)]
+    kept = []
+    for row in R.lll_reduce(rows + [[0] * d + [k * modulus]]):
+        if row[d] or max(map(abs, row[:d])) > R.FINITE_HEIGHT_BOUND:
+            continue
+        if all(sum(map(operator.mul, row, res[q])) % q == 0 for q in holdout):
+            kept.append(R.primitive_integer(row[:d]))
+    in_proven = R.span_test(R._proven_finite_span(weight, gens))
+    return R._mined("finite", weight, [(0, g) for g in gens], kept, in_proven)
 
 
 def rref(rows):

@@ -322,6 +322,21 @@ def test_values_refuses_the_flag_its_kind_ignores(tmp_path, kind, key):
         assert err == f"config error: {flag} does nothing for {kind} values\n", extra
 
 
+@pytest.mark.parametrize(
+    "kind,given,bound", [("omega-mod", "primes", "prime_max"), ("omega-root", "n", "n_max")]
+)
+def test_values_refuses_a_list_with_its_bound(tmp_path, kind, given, bound):
+    # the list would win and the bound be ignored, from flags or config keys alike
+    flags = {key: ("--" + key.replace("_", "-"), FLAG_VALUES[key]) for key in (given, bound)}
+    cfg = tmp_path / "run.cfg"
+    for in_file in ((), (given,), (bound,), (given, bound)):
+        cfg.write_text("".join(f"{key} = {FLAG_VALUES[key]}\n" for key in in_file))
+        extra = [x for key, flag in flags.items() if key not in in_file for x in flag]
+        code, out, err = run_cli("values", kind, "2.1", *extra, "--config", str(cfg))
+        assert code == 1 and out == "", in_file
+        assert err == f"config error: {flags[given][0]} and {flags[bound][0]} exclude each other\n"
+
+
 def test_values_mixing_the_kinds_flags_and_the_digits_default():
     # a command with every kind's flags is refused at the first its kind ignores
     argv = "values omega-limit 1.1 --digits 30 --n-max 5 --primes 7 --prime-max 11".split()

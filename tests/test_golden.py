@@ -22,7 +22,7 @@ from mtomega import cli, relations
 GOLDEN = (
     ("relations conjecture --weights 4 --n-max 12", "97279a024d0df2891faee928be49028d0cd8c1d55357c418c6a67a886f345eed"),
     ("relations cyclotomic --weights 5 --n-max 12", "bc6b3cf7f9e1500659daf7804e466426d44cc858957c509c764a59e740e031d6"),
-    ("relations finite --weights 8", "261e83374a3de895c7018635abe01ee2f7efc5a6c1d18bf0e3fe6d76406d3a3e"),
+    ("relations finite --weights 8", "52122e5c1418a1f69bc0f6956d18b76d1cef7d5e20f835c3e241cd5a44120102"),
     ("relations symmetric --weights 6", "f851b8887a4f55226897acc7b787075d16957c776052e127cdfa1c062bbfa8fe"),
     ("verify sym-sum --max-weight 6 --n-max 8 --format json", "d8044ebbb203bb003c82ce3422d9637d069d00224780dca071fd932e156fd510"),
     ("verify q-kamano --max-weight 4 --n-max 8 --format json", "539a3d683e12bc301d318f49f54057cdb46a4814b416a3afa828641663fc3811"),
@@ -38,14 +38,14 @@ GOLDEN = (
     ("relations conjecture --weights 5 --n-max 12", "f491775bb57f406f20596607bf55862373f394c2577ebb27b46d2a31586d569b"),
     ("relations symmetric --weights 2..3", "3e9de1ebec09ad72815c89eef5d297d977b765a1903a91e156828bf4ab4c7af2"),
     ("relations cyclotomic --weights 2..3 --n-max 20", "8e435db6692cee83bcc2b0bc1499aa184572414998048eb66c6d8255ba406e3d"),
-    ("relations finite --weights 10", "52e5a5fa55b71c3bc7551b419af7ccb63c59e94368f4d13b4249e1c526f55ae1"),
+    ("relations finite --weights 10", "4469c906ef5e51dee73933e51deca9c516ce0d29eac0262c3e58eea3f83f836c"),
     ("verify q-kamano --max-weight 5 --n-max 6 --format json", "7771afec36c4091d89d24eebd55529dc8c8dff7e4d2ec687c397ef418ccf6045"),
     ("verify fmzv-reduction --max-weight 3 --format json", "f9f34214f83c610fbce766af65916cd7b5e73186b6d696743bc1a9947040018c"),
-    ("relations finite --weights 11..12 --force", "afcb91aa0afb7265bc1b65549f5e4e616c52c8e1654304fb81e2ba92b45b6c56"),
+    ("relations finite --weights 11..12 --force", "b6c1556b283bcd24b9d9ae99084744716635332c9232f0592bd222a1e9701ee2"),
     ("values omega-limit 3.1.1 --digits 300", "3dba74f6332d88da068436a6964978205dc8282e85cad4a9d5e4ecc57501eb31"),
     ("values zeta-s 4.2.1 --digits 200", "e22ae60906a3596d60e28c473679b418ec1c10469d6e3e6d2bfb3c1834058e87"),
     ("relations cyclotomic --weights 7 --n-max 40", "0ddbe902e3af9b79a479a9f902b37c6ebdb8cc78bb54b317576be078c14c50bc"),
-    ("relations finite --weights 13..14 --force", "b36100f7d464917c823d84c496f7523c4bea5d4bfc6bf0626642f1c98a05dd31"),
+    ("relations finite --weights 13..14 --force", "1cf33f9550b46c8a53151c9c503cd11dd4a26bd2eda7a731c4c86052cf8cce2c"),
     ("verify all", "12b93a8764d6590d7ddad60ef49ebd94beeeb5cd18676755a417e35ca3877649"),
     ("dims symmetric --weights 3..8 --force", "55903c8b589beeab5fce492dc269fac89a722ecdcf263d1eee4292672f136c8b"),
     ("relations cyclotomic --weights 8 --n-max 40", "90e351de8db27e8fcd29861dbe44c29e172a664efe9a2a4e3b9922700888526a"),

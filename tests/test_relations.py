@@ -23,7 +23,8 @@ from mtomega import numeric as N
 from mtomega import relations as R
 from mtomega import words as W
 from mtomega.errors import DependentInputError, PrecisionError
-from oracles import cyclotomic_kernel_exact, hnf, kernel_basis, li_half, lll_reduce_lists, primitive
+from oracles import cyclotomic_kernel_exact, finite_relations_full, hnf, kernel_basis, li_half
+from oracles import lll_reduce_lists, primitive
 from oracles import rref as oracle_rref
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,7 @@ def test_lll_packed_rows_replay_the_finite_miner(monkeypatch):
 
     monkeypatch.setattr(R, "lll_reduce", checked)
     list(R.finite_relation_spaces(range(1, 13)))
-    assert max(calls) == 77  # weight 12 has 76 generators, and the modulus row
+    assert max(calls) == 52  # weight 12's 51 generators off the proven pivots, and the modulus row
 
 
 def test_lll_packed_rows_on_integer_relation_lattices():
@@ -410,15 +411,16 @@ def test_finite_pass_matches_single_weight_calls():
 
 
 def test_finite_pass_forms_each_prefix_series_once_per_prime(monkeypatch):
-    """Prime by prime, every (sorted prefix, prime) pair of weights 1..10 is
-    one series of that prime's ring, and no series is formed twice."""
-    pairs = {
-        (tuple(sorted(g))[:j], p)
-        for w in range(1, 11)
-        for p in sum(R.default_prime_split(w), [])
-        for g in W.partitions_of_weight(w)
-        for j in range(1, len(g))
-    }
+    """Prime by prime, every (sorted prefix, prime) pair of the generators of
+    weights 1..10 off the proven span's pivots is one series of that prime's
+    ring, and no series is formed twice."""
+    pairs = set()
+    for w in range(1, 11):
+        gens = W.partitions_of_weight(w)
+        pivots = R.rref(R._proven_finite_span(w, gens))[1]
+        free = [g for i, g in enumerate(gens) if i not in pivots]
+        primes = sum(R.default_prime_split(w), [])
+        pairs |= {(tuple(sorted(g))[:j], p) for p in primes for g in free for j in range(1, len(g))}
     made, build = [], M.prime_ring
 
     def prime_ring(p):
@@ -428,6 +430,35 @@ def test_finite_pass_forms_each_prefix_series_once_per_prime(monkeypatch):
     monkeypatch.setattr(M, "prime_ring", prime_ring)
     list(R.finite_relation_spaces(range(1, 11)))
     assert sum(len(ring.series) for ring in made) == len(pairs)
+
+
+def test_proven_finite_span_vanishes_at_every_prime():
+    """Each row of the proven span, which the miner reports without a numeric
+    check, is 0 mod p at all 60 training and holdout primes of weights 2..12."""
+    plan = {w: (W.partitions_of_weight(w), sum(R.default_prime_split(w), [])) for w in range(2, 13)}
+    assert all(len(primes) == 60 for _gens, primes in plan.values())
+    for p in sorted({p for _gens, primes in plan.values() for p in primes}):
+        ring = M.prime_ring(p)
+        for w, (gens, primes) in plan.items():
+            if p in primes:
+                values = [M.omega_mod(g, ring) for g in gens]
+                for row in R._proven_finite_span(w, gens):
+                    assert sum(map(operator.mul, row, values)) % p == 0, (w, row, p)
+
+
+def test_finite_quotient_route_matches_the_full_lattice(finite_spaces):
+    """Mining only the generators off the proven pivots spans what the full
+    lattice spans at weights 1..12, with the same report; the proven rows are
+    the proven span's RREF rows and no conjectural row lies in that span."""
+    weights = range(1, 13)
+    for w, (basis, rep) in zip(weights, finite_spaces(weights)):
+        full, full_rep = finite_relations_full(w)
+        assert rep == full_rep
+        assert R.rref(basis.vectors) == R.rref(full.vectors)
+        span = R._proven_finite_span(w, W.partitions_of_weight(w))
+        in_proven = R.span_test(span)
+        assert basis.statuses.count("proven") == len(R.rref(span)[0])
+        assert all(in_proven(v) == (s == "proven") for v, s in zip(basis.vectors, basis.statuses))
 
 
 def test_finite_relations_reverify_on_fresh_primes():
